@@ -25,10 +25,11 @@ from .coupling import (
 )
 from .attention import (
     align_heads,
+    align_within_heads,
     inter_head_distance_matrix,
+    pair_heads,
     spectral_head_distance,
     split_heads,
-    verify_attention_equivariance,
 )
 from .lap import solve_max, solve_min
 from .linalg import frobenius_inner, permute_cols, permute_rows, singular_values, vector_pnorm
@@ -66,6 +67,7 @@ __all__ = [
     "TaskVector",
     "WeightSet",
     "align_heads",
+    "align_within_heads",
     "apply_assignment",
     "batch_loss",
     "build_coupling_graph",
@@ -84,6 +86,7 @@ __all__ = [
     "make_random_batch",
     "matching_objective",
     "merge_task_vectors",
+    "pair_heads",
     "permute_cols",
     "permute_rows",
     "read_checkpoint",
@@ -99,7 +102,6 @@ __all__ = [
     "train_toy",
     "transport",
     "vector_pnorm",
-    "verify_attention_equivariance",
     "verify_equivalence",
     "weight_match",
     "write_checkpoint",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .lap import solve_max, solve_min
 from .linalg import as_matrix, singular_values, vector_pnorm
-from .perms import BlockPermutation, Perm, inverse
+from .perms import BlockPermutation, Perm, check_permutation
 
 
 def split_heads(w: np.ndarray, n_heads: int) -> np.ndarray:
@@ -42,14 +42,18 @@ def spectral_head_distance(h_a: np.ndarray, h_b: np.ndarray, p: float = 2.0) -> 
 
 def inter_head_distance_matrix(heads_b, heads_a, p: float = 2.0) -> np.ndarray:
     """H x H cost matrix: entry (i, j) sums the q/k/v spectral distances
-    between head i of model B and head j of model A."""
+    between head i of model B and head j of model A.
+
+    Each argument is a (q, k, v) triple of (H, d_k, d') head stacks; the
+    spectra of a whole stack come from one batched SVD.
+    """
     hb_q, hb_k, hb_v = heads_b
     ha_q, ha_k, ha_v = heads_a
     n_heads = hb_q.shape[0]
     if ha_q.shape != hb_q.shape:
         raise ValueError(f"head tensors disagree: {ha_q.shape} vs {hb_q.shape}")
-    spectra_b = [[singular_values(m[i]) for i in range(n_heads)] for m in (hb_q, hb_k, hb_v)]
-    spectra_a = [[singular_values(m[j]) for j in range(n_heads)] for m in (ha_q, ha_k, ha_v)]
+    spectra_b = [singular_values(m) for m in (hb_q, hb_k, hb_v)]
+    spectra_a = [singular_values(m) for m in (ha_q, ha_k, ha_v)]
     d = np.zeros((n_heads, n_heads))
     for i in range(n_heads):
         for j in range(n_heads):
@@ -59,30 +63,44 @@ def inter_head_distance_matrix(heads_b, heads_a, p: float = 2.0) -> np.ndarray:
     return d
 
 
-def align_heads(
+def pair_heads(
     a_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
     b_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
     n_heads: int,
     p: float = 2.0,
-    extra_value: np.ndarray | None = None,
-) -> BlockPermutation:
-    """Match model A's attention heads and units onto model B's.
+) -> Perm:
+    """Stage 1: match whole heads by minimizing summed q/k/v spectral
+    distances.  Destination head i of B pairs with source head ``inter[i]``
+    of A.
 
-    ``a_qkv`` must already carry the incoming column permutation (the
-    spectral stage would not notice it, but the unit stage compares raw
-    rows).  ``extra_value`` optionally adds a d_m x d_m value matrix - e.g.
-    the output-projection coupling - whose matched d_k x d_k sub-blocks join
-    the within-head objective.
-
-    Stage 1 matches whole heads by minimizing summed spectral distances;
-    stage 2 maximizes, per matched pair, the summed q/k/v row inner products.
+    Singular values ignore any row/column reordering, so the pairing is the
+    same whether or not ``a_qkv`` carries an incoming column permutation.
     """
     a_heads = tuple(split_heads(m, n_heads) for m in a_qkv)
     b_heads = tuple(split_heads(m, n_heads) for m in b_qkv)
-    d_k = b_heads[0].shape[1]
+    inter, _ = solve_min(inter_head_distance_matrix(b_heads, a_heads, p))
+    return inter
 
-    dist = inter_head_distance_matrix(b_heads, a_heads, p)
-    inter, _ = solve_min(dist)
+
+def align_within_heads(
+    a_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
+    b_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
+    n_heads: int,
+    inter: Perm,
+    extra_value: np.ndarray | None = None,
+) -> BlockPermutation:
+    """Stage 2: per head pair (i, inter[i]), maximize the summed q/k/v row
+    inner products over unit permutations within the head.
+
+    ``a_qkv`` must already carry the incoming column permutation, since rows
+    are compared raw.  ``extra_value`` optionally adds a d_m x d_m value
+    matrix - e.g. the output-projection coupling - whose matched d_k x d_k
+    sub-blocks join the within-head objective.
+    """
+    inter = check_permutation(inter, size=n_heads)
+    a_heads = tuple(split_heads(m, n_heads) for m in a_qkv)
+    b_heads = tuple(split_heads(m, n_heads) for m in b_qkv)
+    d_k = b_heads[0].shape[1]
 
     intras = []
     for i in range(n_heads):
@@ -97,91 +115,14 @@ def align_heads(
     return BlockPermutation(inter, tuple(intras))
 
 
-def dense_permutation(p: Perm) -> np.ndarray:
-    """0/1 matrix with a one at (i, p[i]); left action permutes rows by p."""
-    n = len(p)
-    m = np.zeros((n, n))
-    m[np.arange(n), np.asarray(p, dtype=np.int64)] = 1.0
-    return m
-
-
-def dense_block_permutation(bp: BlockPermutation) -> np.ndarray:
-    """Kronecker-structured dense form: sum_i E(i, inter[i]) x intra_i."""
-    h, d_k = bp.n_heads, bp.head_dim
-    out = np.zeros((h * d_k, h * d_k))
-    for i in range(h):
-        e = np.zeros((h, h))
-        e[i, bp.inter[i]] = 1.0
-        out += np.kron(e, dense_permutation(bp.intras[i]))
-    return out
-
-
-def attention_forward(wq, wk, wv, n_heads: int, x: np.ndarray):
-    """Row-vector-convention attention used for the equivariance check.
-
-    ``x`` is (S, d_m); projections multiply on the right.  Returns the
-    concatenated output (S, d_m) and the per-head score tensor (H, S, S).
-    """
-    wq, wk, wv = as_matrix(wq), as_matrix(wk), as_matrix(wv)
-    d_m = wq.shape[0]
-    d_k = d_m // n_heads
-    q, k, v = x @ wq, x @ wk, x @ wv
-    outs = []
-    scores = []
-    for i in range(n_heads):
-        sl = slice(i * d_k, (i + 1) * d_k)
-        s = _softmax_rows(q[:, sl] @ k[:, sl].T / np.sqrt(d_k))
-        scores.append(s)
-        outs.append(s @ v[:, sl])
-    return np.concatenate(outs, axis=1), np.stack(scores)
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def verify_attention_equivariance(
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
-    perm,
+def align_heads(
+    a_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
+    b_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
     n_heads: int,
-    x: np.ndarray,
-    score_tol: float = 1e-12,
-) -> float:
-    """Max |O' - O P| where O' is the output after permuting each projection's
-    output columns by ``perm``.
-
-    For a structured BlockPermutation this deviation is float noise and the
-    per-head scores of the permuted model equal the source head's scores
-    (asserted against ``score_tol``); for an arbitrary d_m permutation that
-    crosses head boundaries it is large - that failure mode is the point of
-    keeping head structure.
-    """
-    if isinstance(perm, BlockPermutation):
-        flat = perm.flattened()
-        inter = perm.inter
-    else:
-        flat = np.asarray(perm, dtype=np.int64)
-        inter = None
-    inv = inverse(flat)
-
-    out_ref, scores_ref = attention_forward(wq, wk, wv, n_heads, x)
-    out_perm, scores_perm = attention_forward(wq[:, inv], wk[:, inv], wv[:, inv], n_heads, x)
-    deviation = float(np.max(np.abs(out_perm - out_ref[:, inv])))
-
-    if inter is not None:
-        inv_inter = inverse(inter)
-        score_dev = float(
-            max(
-                np.max(np.abs(scores_perm[i] - scores_ref[inv_inter[i]]))
-                for i in range(n_heads)
-            )
-        )
-        if score_dev > score_tol:
-            raise AssertionError(
-                f"per-head scores deviate by {score_dev:g} despite structured permutation"
-            )
-    return deviation
+    p: float = 2.0,
+    extra_value: np.ndarray | None = None,
+) -> BlockPermutation:
+    """Match model A's attention heads and units onto model B's: the head
+    pairing of ``pair_heads`` followed by ``align_within_heads``."""
+    inter = pair_heads(a_qkv, b_qkv, n_heads, p)
+    return align_within_heads(a_qkv, b_qkv, n_heads, inter, extra_value)

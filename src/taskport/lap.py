@@ -80,6 +80,43 @@ def _shortest_augmenting_paths(cost: np.ndarray):
     return col_of_row, u, v
 
 
+def _augment(start_row: int, tight: list, row_of: list, col_of: list, visited: bytearray) -> bool:
+    """Kuhn-style alternating path over tight edges from the unmatched
+    ``start_row``, skipping columns already marked in ``visited``.
+
+    Depth-first in column order, like the textbook recursion, but on an
+    explicit stack so path length is not bounded by the interpreter's
+    recursion limit.  Flips the matching along the path it finds and leaves
+    it untouched when there is none.
+    """
+    rows = [start_row]
+    cols: list[int] = []
+    scans = [iter(tight[start_row])]
+    while scans:
+        for j in scans[-1]:
+            if visited[j]:
+                continue
+            visited[j] = 1
+            holder = row_of[j]
+            if holder < 0:
+                cols.append(j)
+                for r, c in zip(rows, cols):
+                    row_of[c] = r
+                    col_of[r] = c
+                return True
+            rows.append(holder)
+            cols.append(j)
+            scans.append(iter(tight[holder]))
+            break
+        else:
+            # Every tight column of the deepest row is spent: backtrack.
+            scans.pop()
+            rows.pop()
+            if cols:
+                cols.pop()
+    return False
+
+
 def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Refine an optimal assignment to the lexicographically smallest one.
 
@@ -90,50 +127,30 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     n = cost.shape[0]
     reduced = cost - u[:, None] - v[None, :]
     scale = max(1.0, float(np.abs(cost).max()))
-    tight = [np.flatnonzero(reduced[i] <= _TIGHT_RTOL * scale) for i in range(n)]
+    tight = [np.flatnonzero(row).tolist() for row in reduced <= _TIGHT_RTOL * scale]
 
-    col_of = col_of_row.copy()
-    row_of = np.full(n, -1, dtype=np.int64)
-    row_of[col_of] = np.arange(n)
-    frozen = np.zeros(n, dtype=bool)  # columns committed to rows already walked
-
-    def reaugment(start_row: int, banned: np.ndarray) -> bool:
-        # Kuhn-style alternating path over tight edges; mutates the matching
-        # only along a successful path.
-        visited = np.zeros(n, dtype=bool)
-
-        def dfs(r: int) -> bool:
-            for j2 in tight[r]:
-                j2 = int(j2)
-                if banned[j2] or visited[j2]:
-                    continue
-                visited[j2] = True
-                holder = int(row_of[j2])
-                if holder < 0 or dfs(holder):
-                    row_of[j2] = r
-                    col_of[r] = j2
-                    return True
-            return False
-
-        return dfs(start_row)
+    col_of = col_of_row.tolist()
+    row_of = [-1] * n
+    for r, c in enumerate(col_of):
+        row_of[c] = r
+    frozen = bytearray(n)  # columns committed to rows already walked
 
     for i in range(n):
-        current = int(col_of[i])
+        current = col_of[i]
         for j in tight[i]:
-            j = int(j)
             if j >= current:
                 break  # ascending scan; the current column wins from here on
             if frozen[j]:
                 continue
-            holder = int(row_of[j])
+            holder = row_of[j]
             # Tentatively hand j to row i; the displaced row must re-augment.
             col_of[i] = j
             row_of[j] = i
             row_of[current] = -1
             col_of[holder] = -1
-            banned = frozen.copy()
-            banned[j] = True
-            if reaugment(holder, banned):
+            visited = bytearray(frozen)  # the path may not take j back
+            visited[j] = 1
+            if _augment(holder, tight, row_of, col_of, visited):
                 current = j
                 break
             # Roll back.
@@ -141,9 +158,9 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
             row_of[current] = i
             row_of[j] = holder
             col_of[holder] = j
-        frozen[current] = True
+        frozen[current] = 1
 
-    return col_of
+    return np.array(col_of, dtype=np.int64)
 
 
 def solve_min(cost) -> tuple[Perm, float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import align_heads
+from .attention import align_within_heads, pair_heads
 from .checkpoint import WeightSet, require_same_arch
 from .coupling import Axis, CouplingGraph, Direction, apply_assignment
 from .errors import NonFiniteTensorError, UnknownVariableError
@@ -112,11 +112,12 @@ def solve_attention_variable(
     graph: CouplingGraph,
     assignment: PermutationAssignment,
     opts: MatchOptions,
+    inter: Perm,
 ) -> BlockPermutation:
-    """Two-level head alignment for one block, with the current incoming
-    stream permutation folded into model A's projection columns first."""
-    block = int(var_id.split(".")[1])
-    names = [f"block.{block}.attn.{proj}.weight" for proj in ("q", "k", "v")]
+    """Within-head alignment for one block under the head pairing ``inter``
+    (from ``pair_heads``), with the current incoming stream permutation
+    folded into model A's projection columns first."""
+    *names, out_name = _attention_weight_names(var_id)
     a_qkv = tuple(
         _permuted_tensor_except(ws_a, graph, assignment, name, var_id) for name in names
     )
@@ -124,10 +125,15 @@ def solve_attention_variable(
 
     extra = None
     if opts.include_w0_in_intra:
-        out_name = f"block.{block}.attn.out.weight"
         tilde = _permuted_tensor_except(ws_a, graph, assignment, out_name, var_id)
         extra = ws_b[out_name].T @ tilde
-    return align_heads(a_qkv, b_qkv, graph.arch.n_heads, p=opts.p_norm, extra_value=extra)
+    return align_within_heads(a_qkv, b_qkv, graph.arch.n_heads, inter, extra_value=extra)
+
+
+def _attention_weight_names(var_id: str) -> list[str]:
+    """The q, k, v and output-projection weight names of an attention variable."""
+    block = int(var_id.split(".")[1])
+    return [f"block.{block}.attn.{proj}.weight" for proj in ("q", "k", "v", "out")]
 
 
 def matching_objective(
@@ -158,9 +164,10 @@ def weight_match(
 
     Visits the free variables in a fresh seeded-random order each sweep,
     re-solving each against the others' current values; stops after the
-    first sweep with zero changes.  The per-sweep objective trace is
-    non-decreasing once head pairings settle (head pairing depends only on
-    the raw weights, so it is constant across sweeps).
+    first sweep with zero changes.  Head pairing depends only on the raw
+    weights (spectra ignore the incoming column permutation), so it is
+    solved once per attention variable before the first sweep; with it
+    fixed, the per-sweep objective trace is non-decreasing.
     """
     require_same_arch(ws_a.arch, ws_b.arch, "models to match")
     require_same_arch(ws_a.arch, graph.arch, "model and coupling graph")
@@ -173,6 +180,16 @@ def weight_match(
     graph.check_assignment(assignment)
     rng = np.random.default_rng(opts.seed)
     free = graph.free_variables()
+    pairings = {}
+    for var_id in free:
+        if graph.variables[var_id].is_attention:
+            qkv = _attention_weight_names(var_id)[:3]
+            pairings[var_id] = pair_heads(
+                tuple(ws_a[name] for name in qkv),
+                tuple(ws_b[name] for name in qkv),
+                graph.arch.n_heads,
+                p=opts.p_norm,
+            )
 
     trace: list[float] = []
     changed_per_sweep: list[int] = []
@@ -183,7 +200,9 @@ def weight_match(
         changed = 0
         for var_id in order:
             if graph.variables[var_id].is_attention:
-                bp = solve_attention_variable(var_id, ws_a, ws_b, graph, assignment, opts)
+                bp = solve_attention_variable(
+                    var_id, ws_a, ws_b, graph, assignment, opts, pairings[var_id]
+                )
                 if not np.array_equal(bp.flattened(), assignment.perms[var_id]):
                     changed += 1
                 assignment.set_block(var_id, bp)

@@ -92,7 +92,10 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(n, s, h * d_k)
 
 
-def _forward_cached(ws: WeightSet, X: np.ndarray, residual_perms=None):
+def _forward(ws: WeightSet, X: np.ndarray, residual_perms=None, cache: dict | None = None):
+    """Logits; when ``cache`` is a dict it also receives every activation the
+    backward pass needs.  Without one, each block's intermediates are freed
+    as the next block runs, which keeps evaluation memory to one block."""
     arch = ws.arch
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != arch.input_dim:
@@ -102,7 +105,7 @@ def _forward_cached(ws: WeightSet, X: np.ndarray, residual_perms=None):
     scale = 1.0 / np.sqrt(arch.head_dim)
 
     z = X @ ws["embed.weight"].T
-    cache = {"X": X, "blocks": []}
+    blocks = []
     for i in range(arch.n_blocks):
         b = f"block.{i}"
         c = {"x_in": z}
@@ -136,20 +139,20 @@ def _forward_cached(ws: WeightSet, X: np.ndarray, residual_perms=None):
         c.update(a1=a1, h1=h1)
         if not np.all(np.isfinite(z_out)):
             raise NumericalFailureError(f"non-finite activations in block {i}")
-        cache["blocks"].append(c)
+        if cache is not None:
+            blocks.append(c)
         z = z_out
 
     pooled = z.mean(axis=1)
     logits = pooled @ ws["head.weight"].T
-    cache["z_final"] = z
-    cache["pooled"] = pooled
-    return logits, cache
+    if cache is not None:
+        cache.update(X=X, blocks=blocks, z_final=z, pooled=pooled)
+    return logits
 
 
 def forward(ws: WeightSet, X: np.ndarray, residual_perms=None) -> np.ndarray:
     """Class logits, shape (n, output_dim).  Deterministic, float64."""
-    logits, _ = _forward_cached(ws, X, residual_perms)
-    return logits
+    return _forward(ws, X, residual_perms)
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -194,7 +197,8 @@ def loss_and_grads(ws: WeightSet, batch: EvalBatch) -> tuple[float, dict[str, np
     composed residual permutations.
     """
     arch = ws.arch
-    logits, cache = _forward_cached(ws, batch.inputs)
+    cache: dict = {}
+    logits = _forward(ws, batch.inputs, cache=cache)
     n = len(batch.targets)
     loss = cross_entropy(logits, batch.targets)
 

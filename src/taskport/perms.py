@@ -45,10 +45,6 @@ def check_permutation(p, size: int | None = None) -> Perm:
     return arr
 
 
-def is_identity(p: Perm) -> bool:
-    return bool(np.array_equal(p, np.arange(len(p))))
-
-
 def compose(a: Perm, b: Perm) -> Perm:
     """Return a∘b, i.e. the permutation mapping i to a[b[i]]."""
     a = np.asarray(a, dtype=np.int64)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: assignment
 problems are enumerated, singular values come from characteristic-polynomial
-roots of the Gram matrix, and permutation application is cross-checked with
-dense 0/1 matrices.
+roots of the Gram matrix, permutation application is cross-checked with
+dense 0/1 matrices, and attention equivariance is checked on a row-vector
+single-layer attention written out here.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from taskport.checkpoint import ArchSpec
+from taskport.perms import BlockPermutation
 
 
 @pytest.fixture
@@ -72,3 +74,76 @@ def dense_perm_matrix(p) -> np.ndarray:
     m = np.zeros((p.size, p.size))
     m[np.arange(p.size), p] = 1.0
     return m
+
+
+def dense_block_permutation(bp: BlockPermutation) -> np.ndarray:
+    """Kronecker-structured dense form: sum_i E(i, inter[i]) x intra_i."""
+    h, d_k = bp.n_heads, bp.head_dim
+    out = np.zeros((h * d_k, h * d_k))
+    for i in range(h):
+        e = np.zeros((h, h))
+        e[i, bp.inter[i]] = 1.0
+        out += np.kron(e, dense_perm_matrix(bp.intras[i]))
+    return out
+
+
+def attention_forward(wq, wk, wv, n_heads: int, x: np.ndarray):
+    """Row-vector-convention attention used for the equivariance check.
+
+    ``x`` is (S, d_m); projections multiply on the right.  Returns the
+    concatenated output (S, d_m) and the per-head score tensor (H, S, S).
+    """
+    d_m = wq.shape[0]
+    d_k = d_m // n_heads
+    q, k, v = x @ wq, x @ wk, x @ wv
+    outs = []
+    scores = []
+    for i in range(n_heads):
+        sl = slice(i * d_k, (i + 1) * d_k)
+        s = _softmax_rows(q[:, sl] @ k[:, sl].T / np.sqrt(d_k))
+        scores.append(s)
+        outs.append(s @ v[:, sl])
+    return np.concatenate(outs, axis=1), np.stack(scores)
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def verify_attention_equivariance(wq, wk, wv, perm, n_heads: int, x: np.ndarray, score_tol: float = 1e-12) -> float:
+    """Max |O' - O P| where O' is the output after permuting each projection's
+    output columns by ``perm``.
+
+    For a structured BlockPermutation this deviation is float noise and the
+    per-head scores of the permuted model equal the source head's scores
+    (asserted against ``score_tol``); for an arbitrary d_m permutation that
+    crosses head boundaries it is large - that failure mode is the point of
+    keeping head structure.
+    """
+    if isinstance(perm, BlockPermutation):
+        flat = perm.flattened()
+        inter = perm.inter
+    else:
+        flat = np.asarray(perm, dtype=np.int64)
+        inter = None
+    inv = np.argsort(flat)
+
+    out_ref, scores_ref = attention_forward(wq, wk, wv, n_heads, x)
+    out_perm, scores_perm = attention_forward(wq[:, inv], wk[:, inv], wv[:, inv], n_heads, x)
+    deviation = float(np.max(np.abs(out_perm - out_ref[:, inv])))
+
+    if inter is not None:
+        inv_inter = np.argsort(inter)
+        score_dev = float(
+            max(
+                np.max(np.abs(scores_perm[i] - scores_ref[inv_inter[i]]))
+                for i in range(n_heads)
+            )
+        )
+        if score_dev > score_tol:
+            raise AssertionError(
+                f"per-head scores deviate by {score_dev:g} despite structured permutation"
+            )
+    return deviation

@@ -5,15 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import dense_perm_matrix
-from taskport.attention import (
-    align_heads,
+from conftest import (
     attention_forward,
     dense_block_permutation,
+    dense_perm_matrix,
+    verify_attention_equivariance,
+)
+from taskport.attention import (
+    align_heads,
     inter_head_distance_matrix,
     spectral_head_distance,
     split_heads,
-    verify_attention_equivariance,
 )
 from taskport.lap import solve_min
 from taskport.perms import BlockPermutation, random_permutation

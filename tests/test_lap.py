@@ -1,5 +1,7 @@
 """Assignment solver vs exhaustive enumeration, plus its classical invariances."""
 
+import gc
+import sys
 import time
 
 import numpy as np
@@ -74,6 +76,45 @@ class TestAgainstEnumeration:
             else:
                 rows = np.arange(n)
                 assert float(np.sum(c[rows, p])) == oracle_total
+
+
+class TestTieHeavy:
+    @staticmethod
+    def _random_binary(n, seed):
+        return np.random.default_rng(seed).integers(0, 2, size=(n, n)).astype(float)
+
+    def test_long_augmenting_paths_need_no_recursion(self):
+        """A 300x300 random 0/1 cost matrix drives the lexicographic
+        refinement along alternating paths hundreds of rows long; the search
+        must not consume interpreter stack per row on the path."""
+        c = self._random_binary(300, 300)
+        expected, expected_total = solve_min(c)
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            p, total = solve_min(c)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert np.array_equal(p, expected) and total == expected_total
+        assert np.array_equal(np.sort(p), np.arange(300))
+
+    def test_refinement_leaves_no_reference_cycles(self):
+        """Every garbage object of a tie-heavy solve is freed by reference
+        counting; nothing waits for the cycle collector."""
+        c = self._random_binary(120, 7)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_min(c)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
 
 class TestSolveMax:

@@ -53,10 +53,31 @@ class TestSingularValues:
         assert np.all(sv >= 0)
         assert np.all(np.diff(sv) <= 0)
 
-    def test_iteration_cap_raises(self):
-        rng = np.random.default_rng(13)
+    def test_lapack_failure_raises_numerical_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
         with pytest.raises(NumericalFailureError):
-            singular_values(rng.normal(size=(6, 6)), max_sweeps=0)
+            singular_values(np.eye(3))
+
+    def test_stack_against_charpoly_oracle(self):
+        """A (..., rows, cols) stack gives each matrix's own descending
+        spectrum, to the same 1e-8 as the single-matrix oracle test."""
+        rng = np.random.default_rng(13)
+        for shape in [(4, 3, 7), (2, 3, 5, 2), (1, 1, 1)]:
+            stack = rng.normal(size=shape)
+            got = singular_values(stack)
+            assert got.shape == shape[:-2] + (min(shape[-2:]),)
+            flat = stack.reshape(-1, *shape[-2:])
+            for mine, m in zip(got.reshape(len(flat), -1), flat):
+                oracle = charpoly_singular_values(m)
+                np.testing.assert_allclose(mine, oracle, atol=1e-8 * max(1.0, oracle.max()))
+
+    def test_rejects_empty_dims(self):
+        for shape in [(3,), (0, 3), (2, 3, 0), (0, 2, 2)]:
+            with pytest.raises(ValueError):
+                singular_values(np.zeros(shape))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

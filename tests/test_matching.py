@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import taskport.matching
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.errors import ArchMismatchError, NonFiniteTensorError
 from taskport.matching import (
@@ -118,6 +119,24 @@ class TestWeightMatch:
         assert recovery_fraction(result.assignment, plant, graph) == 1.0
         norm_sq = sum(float(np.sum(a * a)) for a in ws.tensors.values() if a.ndim == 2)
         assert result.trace[-1] == pytest.approx(norm_sq, rel=1e-6)
+
+    def test_head_pairing_solved_once_per_block(self, toy_arch, monkeypatch):
+        """Head pairing depends only on the raw weights, so a multi-sweep
+        match computes it once per attention block, not once per visit."""
+        ws = init_random(toy_arch, 12)
+        graph = build_coupling_graph(toy_arch, "compose")
+        ws_b = apply_assignment(ws, graph, graph.random_assignment(np.random.default_rng(13)))
+        calls = []
+        real = taskport.matching.pair_heads
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(taskport.matching, "pair_heads", counting)
+        result = weight_match(ws, ws_b, graph, MatchOptions(seed=1))
+        assert result.n_sweeps > 1
+        assert len(calls) == toy_arch.n_blocks
 
     def test_plant_and_recover_with_noise(self, toy_arch):
         ws = init_random(toy_arch, 14)

@@ -36,9 +36,13 @@ class TestForward:
         np.testing.assert_array_equal(forward(ws, x), expected)
 
     def test_deterministic(self, toy_arch):
+        """Repeated calls agree bit for bit, and so does the training path,
+        which also keeps every block's activations for the backward pass."""
         ws = init_random(toy_arch, 2)
         x = np.random.default_rng(3).normal(size=(4, 8, toy_arch.input_dim))
         np.testing.assert_array_equal(forward(ws, x), forward(ws, x))
+        batch = EvalBatch(x, np.arange(4) % toy_arch.output_dim)
+        assert loss_and_grads(ws, batch)[0] == batch_loss(ws, batch)
 
     def test_bad_input_shape_rejected(self, toy_arch):
         ws = init_random(toy_arch, 4)
