@@ -18,8 +18,10 @@ attention variables may be stored either flat over the full width or as a
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,35 +148,36 @@ class WeightSet:
     def __post_init__(self):
         self.tensors = _validate_tensors(self.arch, self.tensors)
 
-    def copy(self) -> "WeightSet":
-        return WeightSet(self.arch, {k: v.copy() for k, v in self.tensors.items()})
+    def copy(self):
+        """A deep copy of the same type."""
+        return type(self)(self.arch, {k: v.copy() for k, v in self.tensors.items()})
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
 
-@dataclass
-class TaskVector:
+class TaskVector(WeightSet):
     """Per-tensor additive delta sharing a WeightSet's key space."""
 
-    arch: ArchSpec
-    tensors: dict[str, np.ndarray]
 
-    def __post_init__(self):
-        self.tensors = _validate_tensors(self.arch, self.tensors)
-
-    def copy(self) -> "TaskVector":
-        return TaskVector(self.arch, {k: v.copy() for k, v in self.tensors.items()})
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+def atomic_write(path: str, data: bytes | str) -> None:
+    """Replace ``path`` with ``data`` (text as UTF-8) by renaming a uniquely
+    named temporary file in its directory; the temporary file is removed if
+    the write or the rename fails."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        umask = os.umask(0)  # mkstemp makes the file 0600; give it open()'s mode
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.ndarray]) -> None:
@@ -196,11 +199,8 @@ def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.
         "arch": arch.to_json_dict(),
         "tensors": records,
     }
-    _atomic_write_bytes(os.path.join(path, TENSORS_NAME), b"".join(blobs))
-    _atomic_write_bytes(
-        os.path.join(path, MANIFEST_NAME),
-        json.dumps(manifest, indent=1).encode("utf-8"),
-    )
+    atomic_write(os.path.join(path, TENSORS_NAME), b"".join(blobs))
+    atomic_write(os.path.join(path, MANIFEST_NAME), json.dumps(manifest, indent=1))
 
 
 def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec, str, dict[str, np.ndarray]]:
@@ -293,10 +293,7 @@ def write_permutation_assignment(assignment: PermutationAssignment, path: str) -
                 lines.append(_format_record(f"{var_id}.intra.{h}", intra))
         else:
             lines.append(_format_record(var_id, assignment.perms[var_id]))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _parse_index_vector(text: str, where: str) -> np.ndarray:

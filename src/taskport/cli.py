@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .checkpoint import (
+    atomic_write,
     read_checkpoint,
     read_permutation_assignment,
     read_task_vector,
@@ -43,13 +44,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAIL = 4
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def _read_alpha(args) -> ScalingSpec:
     if args.alpha_file is not None:
         with open(args.alpha_file, "r", encoding="utf-8") as f:
@@ -75,7 +69,7 @@ def cmd_match(args) -> int:
     result = weight_match(model_a, model_b, graph, opts)
     write_permutation_assignment(result.assignment, args.out)
     if args.trace:
-        _atomic_write_text(args.trace, format_trace(result))
+        atomic_write(args.trace, format_trace(result))
     if not result.converged:
         print(f"hit sweep cap ({opts.max_sweeps}) before convergence", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -135,7 +129,7 @@ def cmd_lmc(args) -> int:
     rows = ["alpha,loss"] + [
         f"{a:.12g},{l:.12g}" for a, l in zip(curve.alphas, curve.losses)
     ]
-    _atomic_write_text(args.out, "\n".join(rows) + "\n")
+    atomic_write(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -185,7 +179,7 @@ def cmd_demo(args) -> int:
     write_permutation_assignment(plant, os.path.join(args.out_dir, "plant.perm"))
     result = weight_match(model_a, model_b, graph, opts)
     write_permutation_assignment(result.assignment, os.path.join(args.out_dir, "recovered.perm"))
-    _atomic_write_text(os.path.join(args.out_dir, "trace.txt"), format_trace(result))
+    atomic_write(os.path.join(args.out_dir, "trace.txt"), format_trace(result))
     recovery = recovery_fraction(result.assignment, plant, graph)
     equiv = verify_equivalence(model_a, graph, result.assignment, n_samples=32, tol=args.tol, seed=args.seed)
     report += [
@@ -215,7 +209,7 @@ def cmd_demo(args) -> int:
     curve_naive = lmc_curve(model_a, model_b_tie, batch, n_points=args.points)
     for tag, curve in (("lmc_matched", curve_matched), ("lmc_naive", curve_naive)):
         rows = ["alpha,loss"] + [f"{a:.12g},{l:.12g}" for a, l in zip(curve.alphas, curve.losses)]
-        _atomic_write_text(os.path.join(args.out_dir, f"{tag}.csv"), "\n".join(rows) + "\n")
+        atomic_write(os.path.join(args.out_dir, f"{tag}.csv"), "\n".join(rows) + "\n")
     mid = args.points // 2
     report += [
         "",
@@ -226,7 +220,7 @@ def cmd_demo(args) -> int:
         f"midpoint loss naive: {curve_naive.losses[mid]:.12g}",
     ]
 
-    _atomic_write_text(os.path.join(args.out_dir, "report.txt"), "\n".join(report) + "\n")
+    atomic_write(os.path.join(args.out_dir, "report.txt"), "\n".join(report) + "\n")
     print("\n".join(report))
     return EXIT_OK
 

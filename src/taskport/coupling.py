@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import ArchSpec, TaskVector, WeightSet
+from .checkpoint import ArchSpec
 from .errors import IncompleteAssignmentError, UnknownVariableError
 from .perms import (
     BlockPermutation,
@@ -277,8 +277,7 @@ def apply_assignment(ws, graph: CouplingGraph, assignment: PermutationAssignment
     out = {}
     for name, arr in ws.tensors.items():
         out[name] = _apply_to_array(arr, graph.applications_on(name), assignment).copy()
-    kind = WeightSet if isinstance(ws, WeightSet) else TaskVector
-    return kind(ws.arch, out)
+    return type(ws)(ws.arch, out)
 
 
 def inverse_assignment(graph: CouplingGraph, assignment: PermutationAssignment) -> PermutationAssignment:

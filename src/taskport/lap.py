@@ -1,12 +1,16 @@
 """Exact square linear assignment with a deterministic tie-break.
 
 The solver is a Jonker-Volgenant style shortest-augmenting-path scheme
-(O(n^3)).  Because every optimal assignment is complementary to the optimal
-duals, the set of optimal assignments equals the set of perfect matchings on
-the zero-reduced-cost ("tight") edges; a second pass walks the rows in order
-and greedily commits the smallest tight column that still leaves the rest
-matchable, so ties always resolve to the lexicographically smallest optimal
-permutation.
+(O(n^3)).  Each Dijkstra step is a few full-width masked numpy operations;
+among equally near columns it scans a free one first, which ends the search,
+so on tied costs (pruned units, zero blocks) a row augments in one step
+instead of growing a tree over every matched column.  Because every optimal
+assignment is complementary to any optimal duals, the set of optimal
+assignments equals the set of perfect matchings on the zero-reduced-cost
+("tight") edges, whichever optimum the search reached; a second pass walks
+the rows in order and greedily commits the smallest tight column that still
+leaves the rest matchable, so ties always resolve to the lexicographically
+smallest optimal permutation.
 """
 
 from __future__ import annotations
@@ -32,52 +36,58 @@ def _shortest_augmenting_paths(cost: np.ndarray):
     n = cost.shape[0]
     u = np.zeros(n)
     v = np.zeros(n)
-    col_of_row = np.full(n, -1, dtype=np.int64)
-    row_of_col = np.full(n, -1, dtype=np.int64)
+    col_of_row = [-1] * n
+    row_of_col = [-1] * n
+    free = np.ones(n, dtype=bool)  # columns no row holds yet
+    dist = np.empty(n)
 
     for cur in range(n):
         # Dijkstra over columns, growing an alternating tree from row `cur`.
-        dist = np.full(n, np.inf)
+        # `key` is an unscanned column's tentative distance and +inf once the
+        # column is scanned; `dist` keeps the distance it was scanned at.
+        key = np.full(n, np.inf)
         pred = np.full(n, cur, dtype=np.int64)
-        remaining = np.ones(n, dtype=bool)
+        unscanned = np.ones(n, dtype=bool)
         scanned_rows = [cur]
         min_val = 0.0
         i = cur
-        sink = -1
-        while sink < 0:
-            idx = np.flatnonzero(remaining)
-            cand = min_val + cost[i, idx] - u[i] - v[idx]
-            better = cand < dist[idx]
-            dist[idx[better]] = cand[better]
-            pred[idx[better]] = i
-
-            pos = int(np.argmin(dist[idx]))
-            j = int(idx[pos])
-            min_val = dist[j]
-            remaining[j] = False
-            if row_of_col[j] < 0:
-                sink = j
-            else:
-                i = int(row_of_col[j])
-                scanned_rows.append(i)
+        while True:
+            cand = (min_val - u[i]) + cost[i] - v
+            better = (cand < key) & unscanned  # scanned columns keep +inf
+            np.copyto(key, cand, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(key.argmin())
+            min_val = key[j]
+            if row_of_col[j] >= 0:
+                # Of equally near columns, a free one ends the search now.
+                tied_free = (key == min_val) & free
+                k = int(tied_free.argmax())
+                j = k if tied_free[k] else j
+            dist[j] = min_val
+            key[j] = np.inf
+            unscanned[j] = False
+            i = row_of_col[j]
+            if i < 0:
+                break
+            scanned_rows.append(i)
+        free[j] = False
 
         # Dual update keeps reduced costs non-negative and tight on the tree.
         u[cur] += min_val
         for r in scanned_rows[1:]:
             u[r] += min_val - dist[col_of_row[r]]
-        scanned_cols = np.flatnonzero(~remaining)
+        scanned_cols = np.flatnonzero(~unscanned)
         v[scanned_cols] -= min_val - dist[scanned_cols]
 
-        # Augment backwards along the predecessor chain.
-        j = sink
+        # Augment backwards along the predecessor chain from the free column j.
         while True:
             i = int(pred[j])
             row_of_col[j] = i
-            col_of_row[i], j = j, int(col_of_row[i])
+            col_of_row[i], j = j, col_of_row[i]
             if i == cur:
                 break
 
-    return col_of_row, u, v
+    return np.array(col_of_row, dtype=np.int64), u, v
 
 
 def _augment(start_row: int, tight: list, row_of: list, col_of: list, visited: bytearray) -> bool:

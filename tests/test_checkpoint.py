@@ -9,6 +9,7 @@ import pytest
 from taskport.checkpoint import (
     ArchSpec,
     TaskVector,
+    atomic_write,
     WeightSet,
     read_checkpoint,
     read_permutation_assignment,
@@ -226,3 +227,47 @@ class TestAssignmentFiles:
         path.write_text("# comment\n\nstream : 1,0\n")
         back = read_permutation_assignment(str(path))
         assert np.array_equal(back.perms["stream"], [1, 0])
+
+
+class TestAtomicWrite:
+    def test_foreign_tmp_survives_and_nothing_is_left_behind(self, tmp_path, small_arch):
+        """A file at ``<target>.tmp`` belongs to someone else: writers must
+        not clobber it, and must leave no temporary file of their own."""
+        perm = tmp_path / "a.perm"
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        squatters = [tmp_path / "a.perm.tmp", ckpt / "tensors.bin.tmp", ckpt / "manifest.json.tmp"]
+        for f in squatters:
+            f.write_bytes(b"not mine")
+        a = PermutationAssignment()
+        a.perms["stream"] = np.array([1, 0], dtype=np.int64)
+        write_permutation_assignment(a, str(perm))
+        write_checkpoint(_random_weight_set(small_arch, 6), str(ckpt))
+        assert all(f.read_bytes() == b"not mine" for f in squatters)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.perm", "a.perm.tmp", "ckpt"]
+        assert sorted(p.name for p in ckpt.iterdir()) == sorted(
+            ["manifest.json", "tensors.bin", "manifest.json.tmp", "tensors.bin.tmp"]
+        )
+        assert perm.read_text(encoding="utf-8") == "stream : 1,0\n"
+
+    def test_text_and_bytes_and_file_mode(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        atomic_write(str(tmp_path / "t"), "caf\u00e9\n")
+        atomic_write(str(tmp_path / "b"), b"\x00\xff")
+        assert (tmp_path / "t").read_bytes() == "caf\u00e9\n".encode("utf-8")
+        assert (tmp_path / "b").read_bytes() == b"\x00\xff"
+        assert os.stat(tmp_path / "t").st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_rename_keeps_target_and_removes_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "report.txt"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write(str(target), "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]

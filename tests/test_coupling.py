@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_perm_matrix
-from taskport.checkpoint import ArchSpec, TaskVector
+from taskport.checkpoint import ArchSpec, TaskVector, WeightSet
 from taskport.coupling import (
     Axis,
     Direction,
@@ -107,6 +107,8 @@ class TestApplyAssignment:
         moved_diff = apply_assignment(diff, graph, assignment)
         pa = apply_assignment(a, graph, assignment)
         pb = apply_assignment(b, graph, assignment)
+        assert type(moved_diff) is TaskVector and type(diff.copy()) is TaskVector
+        assert type(pa) is WeightSet and type(a.copy()) is WeightSet
         for name in a.tensors:
             np.testing.assert_array_equal(
                 moved_diff.tensors[name], pa.tensors[name] - pb.tensors[name]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_min_assignment
-from taskport.lap import solve_max, solve_min
+from taskport.lap import _shortest_augmenting_paths, solve_max, solve_min
 
 
 class TestAgainstEnumeration:
@@ -78,10 +78,54 @@ class TestAgainstEnumeration:
                 assert float(np.sum(c[rows, p])) == oracle_total
 
 
+def _zero_block(n, m, seed):
+    """Zeros except an m x m normal block on scattered rows and columns:
+    the value matrix of a layer with all but m of its n units pruned."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((n, n))
+    rows = rng.choice(n, m, replace=False)
+    cols = rng.choice(n, m, replace=False)
+    c[np.ix_(rows, cols)] = rng.normal(size=(m, m))
+    return c
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
+
+
 class TestTieHeavy:
+    """Degenerate costs at widths in the thousands, each under a wall-time
+    bound about ten times what it takes on a 2-core VM.  The bounds fail a
+    Dijkstra step that scans matched columns before an equally near free
+    one: that costs O(n) steps per row on tied costs (all-zero 2000 took
+    minutes)."""
+
     @staticmethod
     def _random_binary(n, seed):
         return np.random.default_rng(seed).integers(0, 2, size=(n, n)).astype(float)
+
+    def test_all_zero_2000_is_identity(self):
+        (p, total), elapsed = _timed(solve_min, np.zeros((2000, 2000)))
+        assert np.array_equal(p, np.arange(2000))
+        assert total == 0.0
+        assert elapsed < 5.0, elapsed
+
+    def test_random_binary_1500(self):
+        c = self._random_binary(1500, 1500)
+        (p, total), elapsed = _timed(solve_min, c)
+        assert np.array_equal(np.sort(p), np.arange(1500))
+        assert total == float(np.sum(c[np.arange(1500), p]))
+        assert elapsed < 3.0, elapsed
+
+    def test_pruned_zero_block_448(self):
+        """75% of 448 units dead: only a 112 x 112 block is nonzero."""
+        c = _zero_block(448, 112, 448)
+        (p, value), elapsed = _timed(solve_max, c)
+        assert np.array_equal(np.sort(p), np.arange(448))
+        assert value == float(np.sum(c[np.arange(448), p]))
+        assert elapsed < 1.0, elapsed
 
     def test_long_augmenting_paths_need_no_recursion(self):
         """A 300x300 random 0/1 cost matrix drives the lexicographic
@@ -115,6 +159,45 @@ class TestTieHeavy:
         finally:
             gc.enable()
         assert found == 0
+
+
+class TestDuals:
+    """The shortest-augmenting-path stage must hand the refinement optimal
+    duals: reduced costs non-negative everywhere and zero on its own
+    assignment (complementary slackness), which certifies optimality
+    without an oracle."""
+
+    @staticmethod
+    def _instances():
+        rng = np.random.default_rng(27)
+        for n in (1, 2, 9, 40, 150):
+            yield rng.normal(size=(n, n))
+            yield rng.integers(0, 3, size=(n, n)).astype(float)
+            yield 1e6 * rng.integers(0, 2, size=(n, n)).astype(float)
+            yield _zero_block(n, max(1, n // 4), n)
+            yield -_zero_block(n, max(1, n // 4), n + 1)
+
+    def test_reduced_costs_feasible_and_tight(self):
+        for c in self._instances():
+            n = c.shape[0]
+            col_of_row, u, v = _shortest_augmenting_paths(c)
+            assert np.array_equal(np.sort(col_of_row), np.arange(n))
+            reduced = c - u[:, None] - v[None, :]
+            tol = 1e-10 * max(1.0, float(np.abs(c).max()))
+            assert reduced.min() >= -tol, (n, reduced.min())
+            assert np.abs(reduced[np.arange(n), col_of_row]).max() <= tol
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_totals_match_scipy(self, n):
+        """Totals only: scipy's tie-break is not the lexicographic one."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(n)
+        for c in (rng.normal(size=(n, n)),
+                  rng.integers(0, 2, size=(n, n)).astype(float),
+                  _zero_block(n, n // 4, n)):
+            _, total = solve_min(c)
+            rows, cols = optimize.linear_sum_assignment(c)
+            assert total == pytest.approx(float(c[rows, cols].sum()), rel=1e-12, abs=1e-9)
 
 
 class TestSolveMax:
