@@ -24,7 +24,6 @@ from .coupling import (
     inverse_assignment,
 )
 from .attention import (
-    align_heads,
     align_within_heads,
     inter_head_distance_matrix,
     pair_heads,
@@ -32,7 +31,7 @@ from .attention import (
     split_heads,
 )
 from .lap import solve_max, solve_min
-from .linalg import frobenius_inner, permute_cols, permute_rows, singular_values, vector_pnorm
+from .linalg import frobenius_inner, singular_values, vector_pnorm
 from .matching import MatchOptions, MatchResult, matching_objective, recovery_fraction, weight_match
 from .model import (
     EvalBatch,
@@ -66,7 +65,6 @@ __all__ = [
     "ScalingSpec",
     "TaskVector",
     "WeightSet",
-    "align_heads",
     "align_within_heads",
     "apply_assignment",
     "batch_loss",
@@ -87,8 +85,6 @@ __all__ = [
     "matching_objective",
     "merge_task_vectors",
     "pair_heads",
-    "permute_cols",
-    "permute_rows",
     "read_checkpoint",
     "read_eval_batch",
     "read_permutation_assignment",

@@ -114,15 +114,3 @@ def align_within_heads(
         intras.append(intra)
     return BlockPermutation(inter, tuple(intras))
 
-
-def align_heads(
-    a_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
-    b_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n_heads: int,
-    p: float = 2.0,
-    extra_value: np.ndarray | None = None,
-) -> BlockPermutation:
-    """Match model A's attention heads and units onto model B's: the head
-    pairing of ``pair_heads`` followed by ``align_within_heads``."""
-    inter = pair_heads(a_qkv, b_qkv, n_heads, p)
-    return align_within_heads(a_qkv, b_qkv, n_heads, inter, extra_value)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -108,6 +109,8 @@ class ArchSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ArchSpec":
+        if not isinstance(d, dict):
+            raise MalformedManifestError(f"manifest arch must be an object, got {d!r}")
         try:
             kwargs = {name: d[name] for name in _ARCH_FIELDS}
         except KeyError as e:
@@ -203,6 +206,10 @@ def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.
     atomic_write(os.path.join(path, MANIFEST_NAME), json.dumps(manifest, indent=1))
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec, str, dict[str, np.ndarray]]:
     """Low-level container reader.  Promotes to float64; never coerces shapes."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
@@ -232,16 +239,18 @@ def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec,
     tensors: dict[str, np.ndarray] = {}
     for rec in records:
         try:
-            name = rec["name"]
-            shape = tuple(int(s) for s in rec["shape"])
-            offset = int(rec["offset"])
-            length = int(rec["length"])
-        except (KeyError, TypeError, ValueError) as e:
+            name, shape = rec["name"], rec["shape"]
+            offset, length = rec["offset"], rec["length"]
+        except (KeyError, TypeError) as e:
             raise MalformedManifestError(f"bad tensor record {rec!r}") from e
-        count = int(np.prod(shape)) if shape else 1
+        if not isinstance(name, str) or not isinstance(shape, list):
+            raise MalformedManifestError(f"bad tensor record {rec!r}")
+        if not all(_is_count(x) for x in (*shape, offset, length)):
+            raise MalformedManifestError(f"tensor record {rec!r} needs non-negative integers")
+        count = math.prod(shape)
         if length != 4 * count:
             raise ShapeMismatchError(name, f"manifest shape {shape} needs {4 * count} bytes, record declares {length}")
-        if offset < 0 or offset + length > len(raw):
+        if offset + length > len(raw):
             raise ShapeMismatchError(name, f"record [{offset}, {offset + length}) exceeds blob of {len(raw)} bytes")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
         tensors[name] = arr.astype(np.float64)
@@ -298,10 +307,10 @@ def write_permutation_assignment(assignment: PermutationAssignment, path: str) -
 
 def _parse_index_vector(text: str, where: str) -> np.ndarray:
     try:
-        values = [int(tok) for tok in text.split(",")]
-    except ValueError as e:
+        values = np.asarray([int(tok) for tok in text.split(",")], dtype=np.int64)
+    except (ValueError, OverflowError) as e:
         raise AssignmentFormatError(f"{where}: cannot parse index vector {text!r}") from e
-    return check_permutation(np.asarray(values, dtype=np.int64))
+    return check_permutation(values)
 
 
 def read_permutation_assignment(path: str) -> PermutationAssignment:

@@ -9,6 +9,10 @@ permute a weight set without changing its function:
 * 1-D tensors (biases, layernorm gains) ride along with their row variable;
 * the classifier rows and the model input columns are never permuted.
 
+``permuted_tensor`` is the one place that rule is turned into index moves;
+``apply_assignment`` (so transport and verification) and the matcher's value
+matrices all go through it, and a task vector moves exactly as the weights do.
+
 Residual handling comes in two modes.  ``compose`` keeps an independent
 variable for the attention output and the MLP output of every block and
 derives, per block, the two skip-connection permutations that keep both
@@ -46,11 +50,6 @@ class Axis(enum.Enum):
     COLS = "cols"
 
 
-class Direction(enum.Enum):
-    FORWARD = "P"
-    TRANSPOSE = "PT"
-
-
 @dataclass(frozen=True)
 class PermutationVariable:
     id: str
@@ -63,7 +62,6 @@ class Application:
     tensor: str
     axis: Axis
     variable: str
-    direction: Direction
 
 
 @dataclass
@@ -93,9 +91,6 @@ class CouplingGraph:
 
     def free_variables(self) -> list[str]:
         return [v for v in self.variables if v not in self.pinned]
-
-    def attention_variable(self, block: int) -> str:
-        return f"block.{block}.attn"
 
     def stream_in_variable(self, block: int) -> str:
         if self.residual_mode == RESIDUAL_TIE:
@@ -174,9 +169,8 @@ class CouplingGraph:
             kind = " attention" if var.is_attention else ""
             lines.append(f"var {var.id} size={var.size}{kind}{tag}")
         for app in self.applications:
-            lines.append(
-                f"{app.tensor:<28} {app.axis.value:<4} <- {app.direction.value:<2} {app.variable}"
-            )
+            op = "P" if app.axis is Axis.ROWS else "PT"
+            lines.append(f"{app.tensor:<28} {app.axis.value:<4} <- {op:<2} {app.variable}")
         return "\n".join(lines)
 
 
@@ -204,10 +198,10 @@ def build_coupling_graph(
         return var_id
 
     def rows(tensor: str, var_id: str) -> None:
-        apps.append(Application(tensor, Axis.ROWS, var_id, Direction.FORWARD))
+        apps.append(Application(tensor, Axis.ROWS, var_id))
 
     def cols(tensor: str, var_id: str) -> None:
-        apps.append(Application(tensor, Axis.COLS, var_id, Direction.TRANSPOSE))
+        apps.append(Application(tensor, Axis.COLS, var_id))
 
     tie = residual_mode == RESIDUAL_TIE
     if tie:
@@ -251,21 +245,26 @@ def build_coupling_graph(
     return CouplingGraph(arch, residual_mode, variables, apps, pinned)
 
 
-def _apply_to_array(arr: np.ndarray, apps: list[Application], assignment: PermutationAssignment) -> np.ndarray:
-    out = arr
-    for app in apps:
-        p = assignment.perms[app.variable]
-        if app.direction is Direction.TRANSPOSE and app.axis is Axis.ROWS:
-            p = inverse(p)
-        if app.direction is Direction.FORWARD and app.axis is Axis.COLS:
-            p = inverse(p)
-        if out.ndim == 1:
-            out = out[p]
-        elif app.axis is Axis.ROWS:
-            out = out[p, :]
-        else:
-            out = out[:, p]
-    return out
+def permuted_tensor(
+    ws,
+    graph: CouplingGraph,
+    assignment: PermutationAssignment,
+    name: str,
+    skip_variable: str | None = None,
+) -> np.ndarray:
+    """Tensor ``name`` of ``ws`` with every coupled permutation applied except
+    those of ``skip_variable``.
+
+    Rows are gathered by ``p`` (``P @ W``) and so are columns (``W @ P^T``),
+    where ``P`` has a one at ``(i, p[i])``; 1-D tensors only have rows.  The
+    result may share memory with ``ws``.
+    """
+    arr = ws[name]
+    for app in graph.applications_on(name):
+        if app.variable != skip_variable:
+            axis = 0 if app.axis is Axis.ROWS else 1
+            arr = np.take(arr, assignment.perms[app.variable], axis=axis)
+    return arr
 
 
 def apply_assignment(ws, graph: CouplingGraph, assignment: PermutationAssignment):
@@ -274,16 +273,20 @@ def apply_assignment(ws, graph: CouplingGraph, assignment: PermutationAssignment
     Pure index moves: exact, invertible, and linear over the tensor values.
     """
     graph.check_assignment(assignment)
-    out = {}
-    for name, arr in ws.tensors.items():
-        out[name] = _apply_to_array(arr, graph.applications_on(name), assignment).copy()
+    out = {name: permuted_tensor(ws, graph, assignment, name).copy() for name in ws.tensors}
     return type(ws)(ws.arch, out)
 
 
 def inverse_assignment(graph: CouplingGraph, assignment: PermutationAssignment) -> PermutationAssignment:
-    """Variable-wise inverse; applying it after the original restores any input."""
+    """Variable-wise inverse that keeps each attention variable's head
+    structure; applying it after the original restores any input."""
     graph.check_assignment(assignment)
     inv = PermutationAssignment()
     for var_id, p in assignment.perms.items():
-        inv.perms[var_id] = inverse(p)
+        bp = assignment.blocks.get(var_id)
+        if bp is None or not np.array_equal(bp.flattened(), p):
+            inv.perms[var_id] = inverse(p)
+        else:
+            ii = inverse(bp.inter)
+            inv.set_block(var_id, BlockPermutation(ii, tuple(inverse(bp.intras[h]) for h in ii)))
     return inv

@@ -46,22 +46,6 @@ def vector_pnorm(a, b, p: float = 2.0) -> float:
     return float(np.sum(d**p) ** (1.0 / p))
 
 
-def permute_rows(m: np.ndarray, p) -> np.ndarray:
-    """Row application: out[i, :] = m[p[i], :]."""
-    p = np.asarray(p, dtype=np.int64)
-    if m.ndim != 2 or p.size != m.shape[0]:
-        raise ValueError(f"row permutation of length {p.size} does not fit shape {m.shape}")
-    return m[p, :]
-
-
-def permute_cols(m: np.ndarray, p) -> np.ndarray:
-    """Column application: out[:, j] = m[:, p[j]]."""
-    p = np.asarray(p, dtype=np.int64)
-    if m.ndim != 2 or p.size != m.shape[1]:
-        raise ValueError(f"column permutation of length {p.size} does not fit shape {m.shape}")
-    return m[:, p]
-
-
 def singular_values(m) -> np.ndarray:
     """Singular values of ``m``, sorted descending, length min(rows, cols).
 

@@ -17,11 +17,11 @@ import numpy as np
 
 from .attention import align_within_heads, pair_heads
 from .checkpoint import WeightSet, require_same_arch
-from .coupling import Axis, CouplingGraph, Direction, apply_assignment
+from .coupling import Axis, CouplingGraph, apply_assignment, permuted_tensor
 from .errors import NonFiniteTensorError, UnknownVariableError
 from .lap import solve_max
-from .linalg import frobenius_inner, permute_cols, permute_rows
-from .perms import BlockPermutation, Perm, PermutationAssignment, inverse
+from .linalg import frobenius_inner
+from .perms import BlockPermutation, Perm, PermutationAssignment
 
 
 @dataclass(frozen=True)
@@ -53,27 +53,6 @@ class MatchResult:
     n_sweeps: int
 
 
-def _permuted_tensor_except(
-    ws: WeightSet,
-    graph: CouplingGraph,
-    assignment: PermutationAssignment,
-    tensor: str,
-    skip_variable: str,
-) -> np.ndarray:
-    """Model-A tensor with every coupled permutation applied except the one
-    being re-solved."""
-    arr = ws[tensor]
-    for app in graph.applications_on(tensor):
-        if app.variable == skip_variable:
-            continue
-        p = assignment.perms[app.variable]
-        if app.axis is Axis.ROWS:
-            arr = permute_rows(arr, p if app.direction is Direction.FORWARD else inverse(p))
-        else:
-            arr = permute_cols(arr, p if app.direction is Direction.TRANSPOSE else inverse(p))
-    return arr
-
-
 def solve_plain_variable(
     var_id: str,
     ws_a: WeightSet,
@@ -95,7 +74,7 @@ def solve_plain_variable(
     for app in graph.applications_of(var_id):
         if ws_a[app.tensor].ndim != 2:
             continue
-        tilde = _permuted_tensor_except(ws_a, graph, assignment, app.tensor, var_id)
+        tilde = permuted_tensor(ws_a, graph, assignment, app.tensor, var_id)
         b = ws_b[app.tensor]
         if app.axis is Axis.ROWS:
             value += b @ tilde.T
@@ -119,13 +98,13 @@ def solve_attention_variable(
     folded into model A's projection columns first."""
     *names, out_name = _attention_weight_names(var_id)
     a_qkv = tuple(
-        _permuted_tensor_except(ws_a, graph, assignment, name, var_id) for name in names
+        permuted_tensor(ws_a, graph, assignment, name, var_id) for name in names
     )
     b_qkv = tuple(ws_b[name] for name in names)
 
     extra = None
     if opts.include_w0_in_intra:
-        tilde = _permuted_tensor_except(ws_a, graph, assignment, out_name, var_id)
+        tilde = permuted_tensor(ws_a, graph, assignment, out_name, var_id)
         extra = ws_b[out_name].T @ tilde
     return align_within_heads(a_qkv, b_qkv, graph.arch.n_heads, inter, extra_value=extra)
 

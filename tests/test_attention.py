@@ -12,8 +12,9 @@ from conftest import (
     verify_attention_equivariance,
 )
 from taskport.attention import (
-    align_heads,
+    align_within_heads,
     inter_head_distance_matrix,
+    pair_heads,
     spectral_head_distance,
     split_heads,
 )
@@ -126,11 +127,18 @@ class TestInterHeadDistanceMatrix:
         assert np.abs(d0 - d1).max() <= 1e-9
 
 
+def _align_heads(a_qkv, b_qkv, n_heads):
+    """Both stages as the matcher runs them: head pairing, then units within
+    each matched head pair."""
+    inter = pair_heads(a_qkv, b_qkv, n_heads)
+    return align_within_heads(a_qkv, b_qkv, n_heads, inter)
+
+
 class TestAlignHeads:
     def test_self_alignment_is_identity(self):
         rng = np.random.default_rng(6)
         qkv = _random_qkv(rng, 16)
-        bp = align_heads(qkv, qkv, n_heads=4)
+        bp = _align_heads(qkv, qkv, n_heads=4)
         assert np.array_equal(bp.flattened(), np.arange(16))
 
     def test_plant_and_recover_structured_permutation(self):
@@ -142,7 +150,7 @@ class TestAlignHeads:
                 tuple(random_permutation(4, rng) for _ in range(4)),
             )
             b_qkv = _permute_qkv((q, k, v), plant)
-            got = align_heads((q, k, v), b_qkv, n_heads=4)
+            got = _align_heads((q, k, v), b_qkv, n_heads=4)
             assert got == plant, f"trial {trial}"
 
     def test_recovery_with_incoming_columns_folded(self):
@@ -157,7 +165,7 @@ class TestAlignHeads:
         b_qkv = _permute_qkv((q, k, v), plant)
         a_folded = tuple(w[:, incoming] for w in (q, k, v))
         b_folded = tuple(w[:, incoming] for w in b_qkv)
-        got = align_heads(a_folded, b_folded, n_heads=4)
+        got = _align_heads(a_folded, b_folded, n_heads=4)
         assert got == plant
 
 

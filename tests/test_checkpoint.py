@@ -182,6 +182,57 @@ class TestCheckpointErrors:
         with pytest.raises(MalformedManifestError):
             read_checkpoint(str(tmp_path / "nope"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arch", []),
+            ("arch", None),
+            ("arch", "tiny"),
+            ("name", ["embed.weight"]),
+            ("name", 7),
+            ("shape", [-1]),
+            ("shape", [2.0, 5]),
+            ("shape", [True, 5]),
+            ("shape", "40"),
+            ("offset", 1.5),
+            ("offset", -4),
+            ("offset", "0"),
+            ("length", 40.0),
+            ("length", -4),
+            ("record", 3),
+        ],
+    )
+    def test_malformed_manifest_field(self, tmp_path, small_arch, field, value):
+        """Every ill-typed arch or tensor record is refused before any bytes
+        are read: no TypeError, no truncated offset, no count=-1 read."""
+        path = str(tmp_path / "tv")
+        write_task_vector(TaskVector(small_arch, _random_weight_set(small_arch, 11).tensors), path)
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        if field == "arch":
+            manifest["arch"] = value
+        elif field == "record":
+            manifest["tensors"][0] = value
+        else:
+            manifest["tensors"][0][field] = value
+            if field == "shape" and value == [-1]:
+                manifest["tensors"][0]["length"] = -4
+        json.dump(manifest, open(manifest_path, "w"))
+        with pytest.raises(MalformedManifestError):
+            read_task_vector(path)
+
+    def test_element_count_does_not_wrap(self, tmp_path, small_arch):
+        """2**32 x 2**32 elements is 2**64, not the int64 wrap-around 0."""
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(small_arch, 12), path)
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["tensors"][0]["shape"] = [2**32, 2**32]
+        manifest["tensors"][0]["length"] = 0
+        json.dump(manifest, open(manifest_path, "w"))
+        with pytest.raises(ShapeMismatchError, match="embed.weight"):
+            read_checkpoint(path)
+
 
 class TestAssignmentFiles:
     def test_flat_round_trip(self, tmp_path):
@@ -220,6 +271,12 @@ class TestAssignmentFiles:
         path = tmp_path / "bad.perm"
         path.write_text("block.0.attn.inter : 1,0\nblock.0.attn.intra.0 : 0,1\n")
         with pytest.raises(AssignmentFormatError):
+            read_permutation_assignment(str(path))
+
+    def test_index_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "bad.perm"
+        path.write_text("embed.out : 99999999999999999999,0,1,2\n")
+        with pytest.raises(AssignmentFormatError, match="cannot parse"):
             read_permutation_assignment(str(path))
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):

@@ -1,5 +1,6 @@
 """Subcommand behavior and the exit-code contract."""
 
+import json
 import os
 
 import numpy as np
@@ -119,6 +120,31 @@ class TestApplyAndTaskVector:
             np.testing.assert_array_equal(
                 tv.tensors[name], expect.astype(np.float32).astype(np.float64)
             )
+
+
+class TestMalformedInputs:
+    """Hostile files end in exit 1 with a one-line error, never a traceback."""
+
+    def test_manifest_arch_not_an_object_exit_one(self, workspace, capsys):
+        tmp_path, _, _, model_a = workspace
+        manifest_path = os.path.join(model_a, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["arch"] = []
+        json.dump(manifest, open(manifest_path, "w"))
+        out = str(tmp_path / "tv")
+        assert main(["task-vector", "--finetuned", model_a, "--base", model_a, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_assignment_index_beyond_int64_exit_one(self, workspace, capsys):
+        tmp_path, _, _, model_a = workspace
+        perm = tmp_path / "huge.perm"
+        perm.write_text("embed.out : 99999999999999999999,0,1,2\n")
+        out = str(tmp_path / "permuted")
+        assert main(["apply", "--model", model_a, "--perm", str(perm), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestTransport:

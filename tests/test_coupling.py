@@ -4,16 +4,63 @@ import numpy as np
 import pytest
 
 from conftest import dense_perm_matrix
-from taskport.checkpoint import ArchSpec, TaskVector, WeightSet
+from taskport.checkpoint import (
+    ArchSpec,
+    TaskVector,
+    WeightSet,
+    read_permutation_assignment,
+    write_permutation_assignment,
+)
 from taskport.coupling import (
     Axis,
-    Direction,
     apply_assignment,
     build_coupling_graph,
     inverse_assignment,
+    permuted_tensor,
 )
-from taskport.errors import IncompleteAssignmentError, UnknownVariableError
+from taskport.errors import AssignmentFormatError, IncompleteAssignmentError, UnknownVariableError
 from taskport.model import init_random
+from taskport.perms import PermutationAssignment
+
+GOLDEN_TABLE = """\
+# residual_mode=compose arch={'n_blocks': 1, 'n_heads': 2, 'embed_dim': 4, 'mlp_hidden': 8, 'input_dim': 3, 'output_dim': 2, 'has_layernorm': True}
+var embed.out size=4 pinned
+var block.0.attn size=4 attention
+var block.0.attn_out size=4
+var block.0.mlp_hidden size=8
+var block.0.mlp_out size=4
+embed.weight                 rows <- P  embed.out
+block.0.attn.q.weight        rows <- P  block.0.attn
+block.0.attn.q.weight        cols <- PT embed.out
+block.0.attn.q.bias          rows <- P  block.0.attn
+block.0.attn.k.weight        rows <- P  block.0.attn
+block.0.attn.k.weight        cols <- PT embed.out
+block.0.attn.k.bias          rows <- P  block.0.attn
+block.0.attn.v.weight        rows <- P  block.0.attn
+block.0.attn.v.weight        cols <- PT embed.out
+block.0.attn.v.bias          rows <- P  block.0.attn
+block.0.attn.out.weight      rows <- P  block.0.attn_out
+block.0.attn.out.weight      cols <- PT block.0.attn
+block.0.attn.out.bias        rows <- P  block.0.attn_out
+block.0.ln1.gain             rows <- P  block.0.attn_out
+block.0.ln1.bias             rows <- P  block.0.attn_out
+block.0.mlp.fc1.weight       rows <- P  block.0.mlp_hidden
+block.0.mlp.fc1.weight       cols <- PT block.0.attn_out
+block.0.mlp.fc1.bias         rows <- P  block.0.mlp_hidden
+block.0.mlp.fc2.weight       rows <- P  block.0.mlp_out
+block.0.mlp.fc2.weight       cols <- PT block.0.mlp_hidden
+block.0.mlp.fc2.bias         rows <- P  block.0.mlp_out
+block.0.ln2.gain             rows <- P  block.0.mlp_out
+block.0.ln2.bias             rows <- P  block.0.mlp_out
+head.weight                  cols <- PT block.0.mlp_out"""
+
+
+def _swap_first_two(graph):
+    """Every variable swaps its units 0 and 1 and keeps the rest in place."""
+    a = PermutationAssignment()
+    for var_id, var in graph.variables.items():
+        a.perms[var_id] = np.r_[1, 0, 2 : var.size]
+    return a
 
 
 class TestGraphConstruction:
@@ -67,7 +114,6 @@ class TestGraphConstruction:
             if app.axis is Axis.COLS
         ]
         assert cols_of_q1[0].variable == "block.0.mlp_out"
-        assert cols_of_q1[0].direction is Direction.TRANSPOSE
 
     def test_dump_table_mentions_every_tensor(self, toy_arch):
         graph = build_coupling_graph(toy_arch, "compose")
@@ -76,25 +122,59 @@ class TestGraphConstruction:
             if name.endswith(".weight"):
                 assert name in table
 
+    def test_dump_table_golden(self):
+        graph = build_coupling_graph(ArchSpec(1, 2, 4, 8, 3, 2, True), "compose")
+        assert graph.dump_table() == GOLDEN_TABLE
+
 
 class TestApplyAssignment:
     def test_identity_is_noop(self, toy_arch):
         ws = init_random(toy_arch, 0)
-        graph = build_coupling_graph(toy_arch, "compose")
-        out = apply_assignment(ws, graph, graph.identity_assignment())
-        for name in ws.tensors:
-            np.testing.assert_array_equal(out.tensors[name], ws.tensors[name])
+        for mode in ("compose", "tie"):
+            graph = build_coupling_graph(toy_arch, mode, pin_embedding=False)
+            out = apply_assignment(ws, graph, graph.identity_assignment())
+            for name in ws.tensors:
+                np.testing.assert_array_equal(out.tensors[name], ws.tensors[name])
+                assert not np.shares_memory(out.tensors[name], ws.tensors[name])
 
     def test_inverse_restores_exactly(self, toy_arch):
         ws = init_random(toy_arch, 1)
         rng = np.random.default_rng(2)
         for mode in ("compose", "tie"):
             graph = build_coupling_graph(toy_arch, mode, pin_embedding=False)
-            assignment = graph.random_assignment(rng, include_pinned=True)
-            permuted = apply_assignment(ws, graph, assignment)
-            restored = apply_assignment(permuted, graph, inverse_assignment(graph, assignment))
-            for name in ws.tensors:
-                np.testing.assert_array_equal(restored.tensors[name], ws.tensors[name])
+            for assignment in (graph.random_assignment(rng, include_pinned=True), _swap_first_two(graph)):
+                permuted = apply_assignment(ws, graph, assignment)
+                restored = apply_assignment(permuted, graph, inverse_assignment(graph, assignment))
+                for name in ws.tensors:
+                    np.testing.assert_array_equal(restored.tensors[name], ws.tensors[name])
+
+    def test_inverse_keeps_head_structure(self, tmp_path, toy_arch):
+        """The inverse of a structured assignment is structured too, and its
+        file form keeps the per-head records."""
+        graph = build_coupling_graph(toy_arch, "compose", pin_embedding=False)
+        assignment = graph.random_assignment(np.random.default_rng(20), include_pinned=True)
+        inv = inverse_assignment(graph, assignment)
+        attention = [v.id for v in graph.variables.values() if v.is_attention]
+        assert sorted(inv.blocks) == sorted(attention)
+        for var_id in attention:
+            flat = assignment.perms[var_id]
+            assert np.array_equal(inv.blocks[var_id].flattened(), np.argsort(flat))
+            assert np.array_equal(inv.perms[var_id][flat], np.arange(flat.size))
+        path = str(tmp_path / "inv.perm")
+        write_permutation_assignment(inv, path)
+        text = open(path, encoding="utf-8").read()
+        for var_id in attention:
+            assert f"{var_id}.inter : " in text
+            assert f"{var_id}.intra.{toy_arch.n_heads - 1} : " in text
+        back = read_permutation_assignment(path)
+        assert back == inv
+        assert all(back.blocks[v] == inv.blocks[v] for v in attention)
+
+        # a flat write leaves stale head detail behind; the flat vector wins
+        stale = assignment.copy()
+        stale.perms["block.0.attn"] = np.roll(np.arange(toy_arch.embed_dim), 1)
+        got = inverse_assignment(graph, stale).perms["block.0.attn"]
+        assert np.array_equal(got, np.argsort(stale.perms["block.0.attn"]))
 
     def test_linearity_over_weight_space(self, toy_arch):
         """apply(x - y) == apply(x) - apply(y), exactly: this is what makes
@@ -116,22 +196,65 @@ class TestApplyAssignment:
 
     def test_matches_dense_matrix_oracle(self, small_arch):
         """Every application record, replayed with dense permutation
-        matrices, must reproduce apply_assignment tensor by tensor."""
+        matrices (ones at ``(i, p[i])``), must reproduce apply_assignment
+        tensor by tensor: rows go as ``P @ W``, columns as ``W @ P^T``."""
         ws = init_random(small_arch, 6)
-        graph = build_coupling_graph(small_arch, "compose", pin_embedding=False)
-        assignment = graph.random_assignment(np.random.default_rng(7), include_pinned=True)
-        out = apply_assignment(ws, graph, assignment)
-        for name, arr in ws.tensors.items():
-            expect = arr.copy()
-            for app in graph.applications_on(name):
-                p = dense_perm_matrix(assignment.perms[app.variable])
-                if expect.ndim == 1:
-                    expect = p @ expect
-                elif app.axis is Axis.ROWS:
-                    expect = p @ expect
-                else:
-                    expect = expect @ p.T
-            np.testing.assert_array_equal(out.tensors[name], expect)
+        for mode in ("compose", "tie"):
+            graph = build_coupling_graph(small_arch, mode, pin_embedding=False)
+            random = graph.random_assignment(np.random.default_rng(7), include_pinned=True)
+            for assignment in (random, _swap_first_two(graph)):
+                out = apply_assignment(ws, graph, assignment)
+                for name, arr in ws.tensors.items():
+                    expect = arr.copy()
+                    for app in graph.applications_on(name):
+                        p = dense_perm_matrix(assignment.perms[app.variable])
+                        if expect.ndim == 1:
+                            expect = p @ expect
+                        elif app.axis is Axis.ROWS:
+                            expect = p @ expect
+                        else:
+                            expect = expect @ p.T
+                    np.testing.assert_array_equal(out.tensors[name], expect)
+
+        # by hand: swapping units 0 and 1 swaps the embedding's rows and the
+        # classifier's columns
+        out = apply_assignment(ws, graph, _swap_first_two(graph))
+        embed, head = ws["embed.weight"], ws["head.weight"]
+        np.testing.assert_array_equal(out["embed.weight"][:2], embed[[1, 0]])
+        np.testing.assert_array_equal(out["embed.weight"][2:], embed[2:])
+        np.testing.assert_array_equal(out["head.weight"][:, :2], head[:, [1, 0]])
+        np.testing.assert_array_equal(out["head.weight"][:, 2:], head[:, 2:])
+
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    def test_skip_variable_then_reapply_matches_full_application(self, mode):
+        """For every (tensor, coupled variable) pair, leaving the variable
+        out and then gathering its axes by hand gives apply_assignment's
+        tensor bit for bit."""
+        arch = ArchSpec(2, 2, 8, 12, 5, 3, has_layernorm=True)
+        ws = init_random(arch, 21)
+        graph = build_coupling_graph(arch, mode, pin_embedding=False)
+        assignment = graph.random_assignment(np.random.default_rng(22), include_pinned=True)
+        full = apply_assignment(ws, graph, assignment)
+        pairs = 0
+        for name in ws.tensors:
+            for var_id in {app.variable for app in graph.applications_on(name)}:
+                got = permuted_tensor(ws, graph, assignment, name, skip_variable=var_id)
+                p = assignment.perms[var_id]
+                for app in graph.applications_on(name):
+                    if app.variable == var_id:
+                        got = got[p] if app.axis is Axis.ROWS else got[:, p]
+                np.testing.assert_array_equal(got, full[name])
+                pairs += 1
+        assert pairs == len({(a.tensor, a.variable) for a in graph.applications})
+
+    def test_wrong_length_permutation_rejected(self, toy_arch):
+        ws = init_random(toy_arch, 23)
+        graph = build_coupling_graph(toy_arch, "compose")
+        for var_id in ("block.0.mlp_hidden", "block.1.attn"):
+            assignment = graph.identity_assignment()
+            assignment.perms[var_id] = np.arange(graph.variables[var_id].size - 1)
+            with pytest.raises(AssignmentFormatError, match="length"):
+                apply_assignment(ws, graph, assignment)
 
     def test_incomplete_assignment_rejected(self, toy_arch):
         ws = init_random(toy_arch, 8)

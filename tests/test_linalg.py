@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import charpoly_singular_values, dense_perm_matrix
+from taskport.checkpoint import ArchSpec
+from taskport.coupling import build_coupling_graph, permuted_tensor
 from taskport.errors import NumericalFailureError
-from taskport.linalg import (
-    frobenius_inner,
-    permute_cols,
-    permute_rows,
-    singular_values,
-    vector_pnorm,
-)
+from taskport.linalg import frobenius_inner, singular_values, vector_pnorm
 
 
 class TestSingularValues:
@@ -125,32 +121,49 @@ class TestVectorPnorm:
 
 
 class TestPermuteRowsCols:
+    """The row and column gather of ``coupling.permuted_tensor`` on a single
+    matrix: ``fc1.weight`` has its rows on ``mlp_hidden`` (8 units) and its
+    columns on ``attn_out`` (4 units)."""
+
+    NAME = "block.0.mlp.fc1.weight"
+
+    def _permute(self, m, rows=None, cols=None):
+        graph = build_coupling_graph(ArchSpec(1, 2, 4, 8, 3, 2), "compose", pin_embedding=False)
+        assignment = graph.identity_assignment()
+        if rows is not None:
+            assignment.perms["block.0.mlp_hidden"] = np.asarray(rows)
+        if cols is not None:
+            assignment.perms["block.0.attn_out"] = np.asarray(cols)
+        return permuted_tensor({self.NAME: m}, graph, assignment, self.NAME)
+
     def test_identity_is_noop(self):
-        m = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(permute_rows(m, [0, 1]), m)
-        assert np.array_equal(permute_cols(m, [0, 1, 2]), m)
+        m = np.arange(32.0).reshape(8, 4)
+        assert np.array_equal(self._permute(m), m)
+        assert np.array_equal(self._permute(m, rows=np.arange(8), cols=np.arange(4)), m)
 
     def test_row_swap(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(permute_rows(m, [1, 0]), [[3.0, 4.0], [1.0, 2.0]])
+        m = np.arange(32.0).reshape(8, 4)
+        got = self._permute(m, rows=np.r_[1, 0, 2:8])
+        assert np.array_equal(got[:2], [m[1], m[0]])
+        assert np.array_equal(got[2:], m[2:])
 
     def test_inverse_restores_exactly(self):
         rng = np.random.default_rng(15)
-        m = rng.normal(size=(7, 5))
-        p = rng.permutation(7)
-        assert np.array_equal(permute_rows(permute_rows(m, p), np.argsort(p)), m)
-        q = rng.permutation(5)
-        assert np.array_equal(permute_cols(permute_cols(m, q), np.argsort(q)), m)
+        m = rng.normal(size=(8, 4))
+        p = rng.permutation(8)
+        assert np.array_equal(self._permute(self._permute(m, rows=p), rows=np.argsort(p)), m)
+        q = rng.permutation(4)
+        assert np.array_equal(self._permute(self._permute(m, cols=q), cols=np.argsort(q)), m)
 
     def test_matches_dense_matrix_action(self):
-        """permute_rows(m, p) == P @ m and permute_cols(m, p) == m @ P.T
-        for the dense matrix with ones at (i, p[i])."""
+        """Rows go as P @ m and columns as m @ P.T for the dense matrix with
+        ones at (i, p[i])."""
         rng = np.random.default_rng(16)
-        m = rng.normal(size=(6, 4))
-        p_rows, p_cols = rng.permutation(6), rng.permutation(4)
-        np.testing.assert_array_equal(permute_rows(m, p_rows), dense_perm_matrix(p_rows) @ m)
-        np.testing.assert_array_equal(permute_cols(m, p_cols), m @ dense_perm_matrix(p_cols).T)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            permute_rows(np.eye(3), [0, 1])
+        m = rng.normal(size=(8, 4))
+        p_rows, p_cols = rng.permutation(8), rng.permutation(4)
+        np.testing.assert_array_equal(self._permute(m, rows=p_rows), dense_perm_matrix(p_rows) @ m)
+        np.testing.assert_array_equal(self._permute(m, cols=p_cols), m @ dense_perm_matrix(p_cols).T)
+        np.testing.assert_array_equal(
+            self._permute(m, rows=p_rows, cols=p_cols),
+            dense_perm_matrix(p_rows) @ m @ dense_perm_matrix(p_cols).T,
+        )
