@@ -27,11 +27,10 @@ from .attention import (
     align_within_heads,
     inter_head_distance_matrix,
     pair_heads,
-    spectral_head_distance,
     split_heads,
 )
 from .lap import solve_max, solve_min
-from .linalg import frobenius_inner, singular_values, vector_pnorm
+from .linalg import frobenius_inner, singular_values
 from .matching import MatchOptions, MatchResult, matching_objective, recovery_fraction, weight_match
 from .model import (
     EvalBatch,
@@ -42,7 +41,6 @@ from .model import (
     lmc_curve,
     loss_and_grads,
     make_blob_batch,
-    make_random_batch,
     read_eval_batch,
     train_toy,
     verify_equivalence,
@@ -81,7 +79,6 @@ __all__ = [
     "lmc_curve",
     "loss_and_grads",
     "make_blob_batch",
-    "make_random_batch",
     "matching_objective",
     "merge_task_vectors",
     "pair_heads",
@@ -93,11 +90,9 @@ __all__ = [
     "singular_values",
     "solve_max",
     "solve_min",
-    "spectral_head_distance",
     "split_heads",
     "train_toy",
     "transport",
-    "vector_pnorm",
     "verify_equivalence",
     "weight_match",
     "write_checkpoint",

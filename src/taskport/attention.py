@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lap import solve_max, solve_min
-from .linalg import as_matrix, singular_values, vector_pnorm
+from .linalg import as_matrix, singular_values
 from .perms import BlockPermutation, Perm, check_permutation
 
 
@@ -27,22 +27,11 @@ def split_heads(w: np.ndarray, n_heads: int) -> np.ndarray:
     return w.reshape(n_heads, d_m // n_heads, w.shape[1])
 
 
-def spectral_head_distance(h_a: np.ndarray, h_b: np.ndarray, p: float = 2.0) -> float:
-    """p-norm between the sorted singular-value vectors of two heads.
-
-    Zero whenever the heads differ only by row/column permutations, which is
-    what makes this usable before any unit-level alignment exists.
-    """
-    h_a = as_matrix(h_a)
-    h_b = as_matrix(h_b)
-    if h_a.shape != h_b.shape:
-        raise ValueError(f"head shape mismatch: {h_a.shape} vs {h_b.shape}")
-    return vector_pnorm(singular_values(h_a), singular_values(h_b), p)
-
-
-def inter_head_distance_matrix(heads_b, heads_a, p: float = 2.0) -> np.ndarray:
+def inter_head_distance_matrix(heads_b, heads_a) -> np.ndarray:
     """H x H cost matrix: entry (i, j) sums the q/k/v spectral distances
-    between head i of model B and head j of model A.
+    between head i of model B and head j of model A.  A spectral distance is
+    the Euclidean distance between two sorted singular-value vectors, which
+    is zero whenever the heads differ only by row/column permutations.
 
     Each argument is a (q, k, v) triple of (H, d_k, d') head stacks; the
     spectra of a whole stack come from one batched SVD.
@@ -58,7 +47,8 @@ def inter_head_distance_matrix(heads_b, heads_a, p: float = 2.0) -> np.ndarray:
     for i in range(n_heads):
         for j in range(n_heads):
             d[i, j] = sum(
-                vector_pnorm(spectra_b[m][i], spectra_a[m][j], p) for m in range(3)
+                float(np.sum((spectra_b[m][i] - spectra_a[m][j]) ** 2) ** 0.5)
+                for m in range(3)
             )
     return d
 
@@ -67,7 +57,6 @@ def pair_heads(
     a_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
     b_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
     n_heads: int,
-    p: float = 2.0,
 ) -> Perm:
     """Stage 1: match whole heads by minimizing summed q/k/v spectral
     distances.  Destination head i of B pairs with source head ``inter[i]``
@@ -78,39 +67,24 @@ def pair_heads(
     """
     a_heads = tuple(split_heads(m, n_heads) for m in a_qkv)
     b_heads = tuple(split_heads(m, n_heads) for m in b_qkv)
-    inter, _ = solve_min(inter_head_distance_matrix(b_heads, a_heads, p))
+    inter, _ = solve_min(inter_head_distance_matrix(b_heads, a_heads))
     return inter
 
 
-def align_within_heads(
-    a_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
-    b_qkv: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n_heads: int,
-    inter: Perm,
-    extra_value: np.ndarray | None = None,
-) -> BlockPermutation:
-    """Stage 2: per head pair (i, inter[i]), maximize the summed q/k/v row
-    inner products over unit permutations within the head.
+def align_within_heads(value: np.ndarray, n_heads: int, inter: Perm) -> BlockPermutation:
+    """Stage 2: per head pair (i, inter[i]), the unit permutation within the
+    head that maximizes ``value`` restricted to the pair's d_k x d_k block
+    ``value[i*d_k:(i+1)*d_k, inter[i]*d_k:(inter[i]+1)*d_k]``.
 
-    ``a_qkv`` must already carry the incoming column permutation, since rows
-    are compared raw.  ``extra_value`` optionally adds a d_m x d_m value
-    matrix - e.g. the output-projection coupling - whose matched d_k x d_k
-    sub-blocks join the within-head objective.
+    ``value`` is the d_m x d_m value matrix of the attention variable: entry
+    (r, c) prices sending model A's unit c to model B's unit r.
     """
     inter = check_permutation(inter, size=n_heads)
-    a_heads = tuple(split_heads(m, n_heads) for m in a_qkv)
-    b_heads = tuple(split_heads(m, n_heads) for m in b_qkv)
-    d_k = b_heads[0].shape[1]
-
+    rows = split_heads(value, n_heads)
+    d_k = rows.shape[1]
     intras = []
     for i in range(n_heads):
         src = int(inter[i])
-        value = np.zeros((d_k, d_k))
-        for m in range(3):
-            value += b_heads[m][i] @ a_heads[m][src].T
-        if extra_value is not None:
-            value = value + extra_value[i * d_k : (i + 1) * d_k, src * d_k : (src + 1) * d_k]
-        intra, _ = solve_max(value)
+        intra, _ = solve_max(rows[i][:, src * d_k : (src + 1) * d_k])
         intras.append(intra)
     return BlockPermutation(inter, tuple(intras))
-

@@ -184,13 +184,17 @@ def atomic_write(path: str, data: bytes | str) -> None:
 
 
 def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.ndarray]) -> None:
-    """Low-level container writer; tensor order follows the dict order."""
-    os.makedirs(path, exist_ok=True)
+    """Low-level container writer; tensor order follows the dict order.  A
+    value beyond float32's range raises NonFiniteTensorError before any write."""
     records = []
     blobs = []
     offset = 0
     for name, arr in tensors.items():
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        try:
+            with np.errstate(over="raise"):
+                blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        except FloatingPointError as e:
+            raise NonFiniteTensorError(name) from e
         records.append(
             {"name": name, "shape": list(arr.shape), "offset": offset, "length": len(blob)}
         )
@@ -202,6 +206,7 @@ def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.
         "arch": arch.to_json_dict(),
         "tensors": records,
     }
+    os.makedirs(path, exist_ok=True)
     atomic_write(os.path.join(path, TENSORS_NAME), b"".join(blobs))
     atomic_write(os.path.join(path, MANIFEST_NAME), json.dumps(manifest, indent=1))
 
@@ -211,7 +216,8 @@ def _is_count(x) -> bool:
 
 
 def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec, str, dict[str, np.ndarray]]:
-    """Low-level container reader.  Promotes to float64; never coerces shapes."""
+    """Low-level container reader.  Promotes to float64; never coerces shapes;
+    refuses a repeated tensor name and records whose byte ranges overlap."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     try:
         with open(manifest_path, "rb") as f:
@@ -237,6 +243,7 @@ def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec,
         raise MalformedManifestError(f"cannot read tensor data: {e}") from e
 
     tensors: dict[str, np.ndarray] = {}
+    spans = []
     for rec in records:
         try:
             name, shape = rec["name"], rec["shape"]
@@ -247,6 +254,8 @@ def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec,
             raise MalformedManifestError(f"bad tensor record {rec!r}")
         if not all(_is_count(x) for x in (*shape, offset, length)):
             raise MalformedManifestError(f"tensor record {rec!r} needs non-negative integers")
+        if name in tensors:
+            raise MalformedManifestError(f"duplicate tensor record {name!r}")
         count = math.prod(shape)
         if length != 4 * count:
             raise ShapeMismatchError(name, f"manifest shape {shape} needs {4 * count} bytes, record declares {length}")
@@ -254,6 +263,12 @@ def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec,
             raise ShapeMismatchError(name, f"record [{offset}, {offset + length}) exceeds blob of {len(raw)} bytes")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
         tensors[name] = arr.astype(np.float64)
+        spans.append((offset, offset + length, name))
+
+    spans = sorted(s for s in spans if s[0] < s[1])
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise MalformedManifestError(f"tensor records {first!r} and {second!r} overlap")
     return arch, kind, tensors
 
 
@@ -291,11 +306,12 @@ def _format_record(var_id: str, vec) -> str:
 
 
 def write_permutation_assignment(assignment: PermutationAssignment, path: str) -> None:
-    """One text record per variable; attention variables with structured
-    detail are stored as their inter record plus one intra record per head."""
+    """One text record per variable; an attention variable whose head
+    structure is current (``assignment.block``) is stored as its inter record
+    plus one intra record per head."""
     lines = []
     for var_id in sorted(assignment.perms):
-        bp = assignment.blocks.get(var_id)
+        bp = assignment.block(var_id)
         if bp is not None:
             lines.append(_format_record(f"{var_id}.inter", bp.inter))
             for h, intra in enumerate(bp.intras):

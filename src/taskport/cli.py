@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes are stable for scripting: 0 success, 1 I/O or format problem,
-2 architecture mismatch, 3 matcher hit its sweep cap (assignment still
-written), 4 verification failed.  All randomness flows from ``--seed``, so
-every subcommand is reproducible; no subcommand mutates its inputs.
+Exit codes are stable for scripting: 0 success, 1 I/O, format or usage
+problem, 2 architecture mismatch, 3 matcher hit its sweep cap (assignment
+still written), 4 verification failed.  All randomness flows from ``--seed``,
+so every subcommand is reproducible; no subcommand mutates its inputs.
 """
 
 from __future__ import annotations
@@ -44,6 +44,18 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAIL = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit 1, keeping 2 for architecture mismatch."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
+def _graph(args, arch):
+    return build_coupling_graph(arch, args.residual_mode, pin_embedding=not args.unpin_embedding)
+
+
 def _read_alpha(args) -> ScalingSpec:
     if args.alpha_file is not None:
         with open(args.alpha_file, "r", encoding="utf-8") as f:
@@ -55,17 +67,10 @@ def _read_alpha(args) -> ScalingSpec:
 def cmd_match(args) -> int:
     model_a = read_checkpoint(args.model_a)
     model_b = read_checkpoint(args.model_b)
-    graph = build_coupling_graph(
-        model_a.arch, args.residual_mode, pin_embedding=not args.unpin_embedding
-    )
+    graph = _graph(args, model_a.arch)
     if args.dump_graph:
         print(graph.dump_table())
-    opts = MatchOptions(
-        max_sweeps=args.max_sweeps,
-        seed=args.seed,
-        p_norm=args.p_norm,
-        include_w0_in_intra=args.include_w0_intra,
-    )
+    opts = MatchOptions(max_sweeps=args.max_sweeps, seed=args.seed)
     result = weight_match(model_a, model_b, graph, opts)
     write_permutation_assignment(result.assignment, args.out)
     if args.trace:
@@ -80,9 +85,7 @@ def cmd_match(args) -> int:
 def cmd_apply(args) -> int:
     model = read_checkpoint(args.model)
     assignment = read_permutation_assignment(args.perm)
-    graph = build_coupling_graph(
-        model.arch, args.residual_mode, pin_embedding=not args.unpin_embedding
-    )
+    graph = _graph(args, model.arch)
     if args.dump_graph:
         print(graph.dump_table())
     write_checkpoint(apply_assignment(model, graph, assignment), args.out)
@@ -100,9 +103,7 @@ def cmd_transport(args) -> int:
     base = read_checkpoint(args.base)
     tv = read_task_vector(args.task_vector)
     assignment = read_permutation_assignment(args.perm)
-    graph = build_coupling_graph(
-        base.arch, args.residual_mode, pin_embedding=not args.unpin_embedding
-    )
+    graph = _graph(args, base.arch)
     scaling = _read_alpha(args)
     write_checkpoint(transport(base, tv, graph, assignment, scaling), args.out)
     return EXIT_OK
@@ -111,9 +112,7 @@ def cmd_transport(args) -> int:
 def cmd_verify(args) -> int:
     model = read_checkpoint(args.model)
     assignment = read_permutation_assignment(args.perm)
-    graph = build_coupling_graph(
-        model.arch, args.residual_mode, pin_embedding=not args.unpin_embedding
-    )
+    graph = _graph(args, model.arch)
     report = verify_equivalence(
         model, graph, assignment, n_samples=args.samples, tol=args.tol, seed=args.seed
     )
@@ -169,7 +168,7 @@ def cmd_demo(args) -> int:
                 out.tensors[name] = arr + rng.normal(0.0, args.noise * std, arr.shape)
         return out
 
-    opts = MatchOptions(max_sweeps=args.max_sweeps, seed=args.seed, p_norm=args.p_norm)
+    opts = MatchOptions(max_sweeps=args.max_sweeps, seed=args.seed)
 
     # Compose-mode plant, match, and functional-equivalence certificate.
     graph = build_coupling_graph(arch, "compose")
@@ -225,17 +224,14 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
+def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--residual-mode", choices=("compose", "tie"), default="compose")
     parser.add_argument("--unpin-embedding", action="store_true",
                         help="let the matcher permute the embedding output as well")
-    parser.add_argument("--dump-graph", action="store_true",
-                        help="print the permutation application table")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="taskport")
+    parser = _Parser(prog="taskport")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("match", help="match model A's units onto model B's")
@@ -243,18 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-b", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-sweeps", type=int, default=50)
-    p.add_argument("--p-norm", type=float, default=2.0)
-    p.add_argument("--include-w0-intra", action=argparse.BooleanOptionalAction,
-                   default=True, dest="include_w0_intra")
     p.add_argument("--trace", default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_graph_flags(p)
+    p.add_argument("--dump-graph", action="store_true",
+                   help="print the permutation application table")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("apply", help="apply a permutation assignment to a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--perm", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_graph_flags(p)
+    p.add_argument("--dump-graph", action="store_true",
+                   help="print the permutation application table")
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("task-vector", help="fine-tuned minus base, stored as a task vector")
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--alpha-file", default=None)
-    _add_common(p)
+    _add_graph_flags(p)
     p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("verify", help="check a permuted model computes the same function")
@@ -278,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-8)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_graph_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lmc", help="loss along the straight line between two checkpoints")
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-steps", type=int, default=150)
     p.add_argument("--train-lr", type=float, default=0.02)
     p.add_argument("--max-sweeps", type=int, default=50)
-    p.add_argument("--p-norm", type=float, default=2.0)
     p.add_argument("--points", type=int, default=11)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)

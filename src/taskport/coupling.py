@@ -283,8 +283,8 @@ def inverse_assignment(graph: CouplingGraph, assignment: PermutationAssignment) 
     graph.check_assignment(assignment)
     inv = PermutationAssignment()
     for var_id, p in assignment.perms.items():
-        bp = assignment.blocks.get(var_id)
-        if bp is None or not np.array_equal(bp.flattened(), p):
+        bp = assignment.block(var_id)
+        if bp is None:
             inv.perms[var_id] = inverse(p)
         else:
             ii = inverse(bp.inter)

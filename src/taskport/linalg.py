@@ -32,20 +32,6 @@ def frobenius_inner(a, b) -> float:
     return float(np.sum(a * b))
 
 
-def vector_pnorm(a, b, p: float = 2.0) -> float:
-    """p-norm of the difference of two equal-length vectors, p >= 1."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"expected equal-length vectors, got shapes {a.shape} and {b.shape}")
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    d = np.abs(a - b)
-    if np.isinf(p):
-        return float(d.max())
-    return float(np.sum(d**p) ** (1.0 / p))
-
-
 def singular_values(m) -> np.ndarray:
     """Singular values of ``m``, sorted descending, length min(rows, cols).
 

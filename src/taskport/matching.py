@@ -1,10 +1,11 @@
 """Coordinate-descent weight matching over a coupling graph.
 
-One variable is re-solved at a time with every other permutation held fixed:
-plain variables reduce to a square assignment problem whose value matrix sums
-the row/column couplings of every weight tensor the variable touches;
-attention variables go through the two-level head alignment.  Sweeps repeat
-in seeded random order until a full sweep changes nothing (or a cap is hit).
+One variable is re-solved at a time with every other permutation held fixed.
+Every variable has one value matrix, which sums the row/column couplings of
+every weight tensor the variable touches: a plain variable solves it as one
+assignment problem, an attention variable solves its d_k x d_k blocks of the
+head pairs that the spectral stage matched.  Sweeps repeat in seeded random
+order until a full sweep changes nothing (or a cap is hit).
 The objective being ascended is the summed Frobenius inner product between
 model B's weight matrices and the fully permuted model A.
 """
@@ -26,18 +27,10 @@ from .perms import BlockPermutation, Perm, PermutationAssignment
 
 @dataclass(frozen=True)
 class MatchOptions:
-    """Knobs for the sweep.
-
-    ``include_w0_in_intra`` adds the output-projection column coupling to the
-    within-head value matrices.  With it on, every within-head solve is an
-    exact coordinate ascent of the global objective, which keeps the sweep
-    trace monotone; off reproduces the bare two-input head-alignment cost.
-    """
+    """Knobs for the sweep: its cap and the seed of its visiting order."""
 
     max_sweeps: int = 50
     seed: int = 0
-    p_norm: float = 2.0
-    include_w0_in_intra: bool = True
 
     def __post_init__(self):
         if self.max_sweeps < 1:
@@ -53,20 +46,17 @@ class MatchResult:
     n_sweeps: int
 
 
-def solve_plain_variable(
+def _value_matrix(
     var_id: str,
     ws_a: WeightSet,
     ws_b: WeightSet,
     graph: CouplingGraph,
     assignment: PermutationAssignment,
-) -> Perm:
-    """Best permutation for one non-attention variable, all others fixed.
-
-    Sums one value matrix per coupled weight matrix: B W-tilde^T for row
-    couplings, B^T W-tilde for column couplings (W-tilde carries the fixed
-    neighbors).  Biases and layernorm vectors are applied by the variable but
-    never priced.
-    """
+) -> np.ndarray:
+    """Value matrix of ``var_id`` with all other permutations fixed: entry
+    (i, j) is the objective's gain from gathering A's unit j into B's unit i.
+    Sums B W-tilde^T over row couplings and B^T W-tilde over column couplings
+    (W-tilde carries the fixed neighbors); 1-D tensors are never priced."""
     var = graph.variables.get(var_id)
     if var is None:
         raise UnknownVariableError(f"variable {var_id!r} is not in the coupling graph")
@@ -80,7 +70,18 @@ def solve_plain_variable(
             value += b @ tilde.T
         else:
             value += b.T @ tilde
-    perm, _ = solve_max(value)
+    return value
+
+
+def solve_plain_variable(
+    var_id: str,
+    ws_a: WeightSet,
+    ws_b: WeightSet,
+    graph: CouplingGraph,
+    assignment: PermutationAssignment,
+) -> Perm:
+    """Best permutation for one non-attention variable, all others fixed."""
+    perm, _ = solve_max(_value_matrix(var_id, ws_a, ws_b, graph, assignment))
     return perm
 
 
@@ -90,29 +91,13 @@ def solve_attention_variable(
     ws_b: WeightSet,
     graph: CouplingGraph,
     assignment: PermutationAssignment,
-    opts: MatchOptions,
     inter: Perm,
 ) -> BlockPermutation:
-    """Within-head alignment for one block under the head pairing ``inter``
-    (from ``pair_heads``), with the current incoming stream permutation
-    folded into model A's projection columns first."""
-    *names, out_name = _attention_weight_names(var_id)
-    a_qkv = tuple(
-        permuted_tensor(ws_a, graph, assignment, name, var_id) for name in names
-    )
-    b_qkv = tuple(ws_b[name] for name in names)
-
-    extra = None
-    if opts.include_w0_in_intra:
-        tilde = permuted_tensor(ws_a, graph, assignment, out_name, var_id)
-        extra = ws_b[out_name].T @ tilde
-    return align_within_heads(a_qkv, b_qkv, graph.arch.n_heads, inter, extra_value=extra)
-
-
-def _attention_weight_names(var_id: str) -> list[str]:
-    """The q, k, v and output-projection weight names of an attention variable."""
-    block = int(var_id.split(".")[1])
-    return [f"block.{block}.attn.{proj}.weight" for proj in ("q", "k", "v", "out")]
+    """Best within-head permutations for one attention variable under the
+    head pairing ``inter`` (from ``pair_heads``), all others fixed: an exact
+    coordinate ascent on the matched head blocks of its value matrix."""
+    value = _value_matrix(var_id, ws_a, ws_b, graph, assignment)
+    return align_within_heads(value, graph.arch.n_heads, inter)
 
 
 def matching_objective(
@@ -162,12 +147,11 @@ def weight_match(
     pairings = {}
     for var_id in free:
         if graph.variables[var_id].is_attention:
-            qkv = _attention_weight_names(var_id)[:3]
+            qkv = [f"{var_id}.{proj}.weight" for proj in ("q", "k", "v")]
             pairings[var_id] = pair_heads(
                 tuple(ws_a[name] for name in qkv),
                 tuple(ws_b[name] for name in qkv),
                 graph.arch.n_heads,
-                p=opts.p_norm,
             )
 
     trace: list[float] = []
@@ -180,7 +164,7 @@ def weight_match(
         for var_id in order:
             if graph.variables[var_id].is_attention:
                 bp = solve_attention_variable(
-                    var_id, ws_a, ws_b, graph, assignment, opts, pairings[var_id]
+                    var_id, ws_a, ws_b, graph, assignment, pairings[var_id]
                 )
                 if not np.array_equal(bp.flattened(), assignment.perms[var_id]):
                     changed += 1

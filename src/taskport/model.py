@@ -330,13 +330,6 @@ def lmc_curve(ws_left: WeightSet, ws_right: WeightSet, batch: EvalBatch, n_point
     return LmcCurve(alphas=alphas, losses=losses)
 
 
-def make_random_batch(arch: ArchSpec, n: int, seq_len: int, seed: int) -> EvalBatch:
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, seq_len, arch.input_dim))
-    y = rng.integers(0, arch.output_dim, size=n)
-    return EvalBatch(X, y)
-
-
 def make_blob_batch(arch: ArchSpec, n: int, seq_len: int, seed: int, spread: float = 3.0) -> EvalBatch:
     """Linearly-separable-ish synthetic task: one Gaussian blob per class."""
     rng = np.random.default_rng(seed)

@@ -143,13 +143,18 @@ class PermutationAssignment:
         self.blocks[var_id] = bp
         self.perms[var_id] = bp.flattened()
 
+    def block(self, var_id: str) -> BlockPermutation | None:
+        """The head structure of ``var_id`` while it still flattens to
+        ``perms[var_id]``; None if there is none or ``perms`` was overwritten."""
+        bp = self.blocks.get(var_id)
+        if bp is None or not np.array_equal(bp.flattened(), self.perms[var_id]):
+            return None
+        return bp
+
     def copy(self) -> "PermutationAssignment":
         return PermutationAssignment(
             {k: v.copy() for k, v in self.perms.items()}, dict(self.blocks)
         )
-
-    def variable_ids(self) -> list[str]:
-        return sorted(self.perms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermutationAssignment):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from taskport.checkpoint import ArchSpec
+from taskport.model import EvalBatch
 from taskport.perms import BlockPermutation
 
 
@@ -31,6 +32,14 @@ def small_arch():
         n_blocks=1, n_heads=2, embed_dim=8, mlp_hidden=12,
         input_dim=5, output_dim=3, has_layernorm=False,
     )
+
+
+def make_random_batch(arch: ArchSpec, n: int, seq_len: int, seed: int) -> EvalBatch:
+    """Gaussian inputs with uniformly drawn class targets."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, seq_len, arch.input_dim))
+    y = rng.integers(0, arch.output_dim, size=n)
+    return EvalBatch(X, y)
 
 
 def brute_force_min_assignment(cost: np.ndarray):

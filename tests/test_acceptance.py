@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_min_assignment
+from conftest import brute_force_min_assignment, make_random_batch
 from taskport.checkpoint import (
     ArchSpec,
     read_checkpoint,
@@ -30,7 +30,6 @@ from taskport.model import (
     lmc_curve,
     loss_and_grads,
     make_blob_batch,
-    make_random_batch,
     batch_loss,
     train_toy,
     verify_equivalence,

@@ -15,7 +15,6 @@ from taskport.attention import (
     align_within_heads,
     inter_head_distance_matrix,
     pair_heads,
-    spectral_head_distance,
     split_heads,
 )
 from taskport.lap import solve_min
@@ -65,28 +64,41 @@ class TestSplitHeads:
             split_heads(np.zeros((5, 5)), 2)
 
 
+def _spectral_head_distance(h_b, h_a):
+    """Distance between two heads: the one entry of the inter-head distance
+    matrix of one-head stacks whose q is the head and whose k and v are zero."""
+    def stack(h):
+        h = np.asarray(h, dtype=np.float64)[None]
+        return (h, np.zeros_like(h), np.zeros_like(h))
+
+    d = inter_head_distance_matrix(stack(h_b), stack(h_a))
+    assert d.shape == (1, 1)
+    return float(d[0, 0])
+
+
 class TestSpectralHeadDistance:
     def test_self_distance_zero(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=(4, 16))
-        assert spectral_head_distance(h, h) == 0.0
+        assert _spectral_head_distance(h, h) == 0.0
 
     def test_invariant_to_row_col_permutations(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(4, 16))
         shuffled = h[rng.permutation(4)][:, rng.permutation(16)]
-        assert spectral_head_distance(h, shuffled) <= 1e-9
+        assert _spectral_head_distance(h, shuffled) <= 1e-9
 
     def test_analytic_diagonal_case(self):
+        """Spectra (2, 1) and (3, 0) are sqrt(2) apart in Euclidean distance."""
         a = np.zeros((2, 3))
         a[0, 0], a[1, 1] = 2.0, 1.0
         b = np.zeros((2, 3))
         b[0, 0], b[1, 1] = 3.0, 0.0
-        assert spectral_head_distance(a, b, p=2) == pytest.approx(np.sqrt(2.0))
+        assert _spectral_head_distance(a, b) == pytest.approx(np.sqrt(2.0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            spectral_head_distance(np.zeros((2, 3)), np.zeros((3, 2)))
+            _spectral_head_distance(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 class TestInterHeadDistanceMatrix:
@@ -129,9 +141,10 @@ class TestInterHeadDistanceMatrix:
 
 def _align_heads(a_qkv, b_qkv, n_heads):
     """Both stages as the matcher runs them: head pairing, then units within
-    each matched head pair."""
+    each matched head pair of the summed q/k/v value matrix."""
     inter = pair_heads(a_qkv, b_qkv, n_heads)
-    return align_within_heads(a_qkv, b_qkv, n_heads, inter)
+    value = sum(b @ a.T for a, b in zip(a_qkv, b_qkv))
+    return align_within_heads(value, n_heads, inter)
 
 
 class TestAlignHeads:

@@ -18,6 +18,7 @@ from taskport.checkpoint import (
     write_permutation_assignment,
     write_task_vector,
 )
+from taskport.coupling import build_coupling_graph
 from taskport.errors import (
     AssignmentFormatError,
     MalformedManifestError,
@@ -221,6 +222,35 @@ class TestCheckpointErrors:
         with pytest.raises(MalformedManifestError):
             read_task_vector(path)
 
+    @pytest.mark.parametrize("case", ["duplicate", "overlap"])
+    def test_aliased_tensor_records(self, tmp_path, small_arch, case):
+        """A name may not repeat (the last record would win) and two records
+        may not share bytes (two tensors would alias)."""
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(small_arch, 13), path)
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        records = {r["name"]: r for r in manifest["tensors"]}
+        q, k = records["block.0.attn.q.weight"], records["block.0.attn.k.weight"]
+        if case == "duplicate":  # q again, over k's bytes
+            manifest["tensors"].append(dict(q, offset=k["offset"]))
+        else:
+            k["offset"] = q["offset"]
+        json.dump(manifest, open(manifest_path, "w"))
+        with pytest.raises(MalformedManifestError, match=case):
+            read_checkpoint(path)
+
+    def test_float32_overflow_rejected_before_writing(self, tmp_path, small_arch):
+        """A finite float64 beyond the float32 range would be stored as inf,
+        which no reader accepts; nothing is written."""
+        ws = _random_weight_set(small_arch, 14)
+        ws.tensors["block.0.mlp.fc2.weight"][0, 0] = 1e300
+        path = tmp_path / "ckpt"
+        with pytest.raises(NonFiniteTensorError, match="block.0.mlp.fc2.weight"):
+            write_checkpoint(ws, str(path))
+        assert not (path / "tensors.bin").exists()
+        assert not (path / "manifest.json").exists()
+
     def test_element_count_does_not_wrap(self, tmp_path, small_arch):
         """2**32 x 2**32 elements is 2**64, not the int64 wrap-around 0."""
         path = str(tmp_path / "ckpt")
@@ -254,6 +284,16 @@ class TestAssignmentFiles:
         back = read_permutation_assignment(path)
         assert back == a
         assert back.blocks["block.0.attn"] == bp
+
+    def test_overwritten_flat_vector_wins_over_stale_head_detail(self, tmp_path):
+        graph = build_coupling_graph(ArchSpec(1, 2, 4, 8, 3, 2))
+        a = graph.identity_assignment()
+        a.perms["block.0.attn"] = np.array([1, 0, 2, 3], dtype=np.int64)
+        path = str(tmp_path / "c.perm")
+        write_permutation_assignment(a, path)
+        back = read_permutation_assignment(path)
+        assert np.array_equal(back.perms["block.0.attn"], [1, 0, 2, 3])
+        assert a.block("block.0.attn") is None
 
     def test_duplicate_index_rejected(self, tmp_path):
         path = tmp_path / "bad.perm"

@@ -146,6 +146,17 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--no-such-flag", "--seed"])
+    def test_flag_the_subcommand_does_not_read_exit_one(self, workspace, capsys, flag):
+        """Usage errors exit 1; exit 2 means architecture mismatch.  ``--seed``
+        is a removed flag: transport has no randomness."""
+        tmp_path, _, _, model_a = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["transport", "--base", model_a, "--task-vector", model_a, "--perm", "p",
+                  "--out", str(tmp_path / "out"), flag, "0"])
+        assert exc.value.code == 1
+        assert f"error: unrecognized arguments: {flag} 0" in capsys.readouterr().err
+
 
 class TestTransport:
     @pytest.fixture
@@ -197,6 +208,18 @@ class TestTransport:
              "--out", out, "--alpha", "-1"]
         )
         assert code == 1
+
+    def test_float32_overflow_exit_one(self, transport_setup, capsys):
+        tmp_path, arch, model_a, tv_path, perm, base, tv = transport_setup
+        out = str(tmp_path / "out")
+        code = main(
+            ["transport", "--base", model_a, "--task-vector", tv_path, "--perm", perm,
+             "--out", out, "--alpha", "1e300"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(os.path.join(out, "tensors.bin"))
 
     def test_alpha_file_per_block(self, transport_setup):
         tmp_path, arch, model_a, tv_path, perm, base, tv = transport_setup

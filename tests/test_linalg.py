@@ -7,7 +7,7 @@ from conftest import charpoly_singular_values, dense_perm_matrix
 from taskport.checkpoint import ArchSpec
 from taskport.coupling import build_coupling_graph, permuted_tensor
 from taskport.errors import NumericalFailureError
-from taskport.linalg import frobenius_inner, singular_values, vector_pnorm
+from taskport.linalg import frobenius_inner, singular_values
 
 
 class TestSingularValues:
@@ -101,23 +101,6 @@ class TestFrobeniusInner:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             frobenius_inner(np.eye(2), np.eye(3))
-
-
-class TestVectorPnorm:
-    def test_equal_vectors(self):
-        assert vector_pnorm([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_hand_values(self):
-        assert vector_pnorm([2, 1], [3, 0], p=2) == pytest.approx(np.sqrt(2))
-        assert vector_pnorm([2, 1], [3, 0], p=1) == pytest.approx(2.0)
-
-    def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            vector_pnorm([1.0], [2.0], p=0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            vector_pnorm([1.0], [1.0, 2.0])
 
 
 class TestPermuteRowsCols:

@@ -1,5 +1,7 @@
 """Coordinate-descent matcher: recovery, monotonicity, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from taskport.matching import (
     MatchOptions,
     matching_objective,
     recovery_fraction,
+    solve_attention_variable,
     solve_plain_variable,
     weight_match,
 )
 from taskport.checkpoint import ArchSpec
 from taskport.model import init_random
+from taskport.perms import BlockPermutation
 
 
 def _noisy_copy(ws, sigma, seed):
@@ -99,6 +103,32 @@ class TestPlainVariableSolve:
             "block.1.mlp_hidden", zero, zero, graph, graph.identity_assignment()
         )
         assert np.array_equal(perm, np.arange(toy_arch.mlp_hidden))
+
+
+class TestAttentionVariableSolve:
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    def test_maximizes_objective_over_all_intras(self, mode):
+        """With the head pairing held fixed, the within-head solve is an exact
+        coordinate ascent: no choice of the 36 intras (H = 2, d_k = 3) gives a
+        larger objective, output-projection coupling included."""
+        arch = ArchSpec(1, 2, 6, 5, 4, 3)
+        graph = build_coupling_graph(arch, mode, pin_embedding=False)
+        inter = np.array([1, 0])
+        perms3 = [np.array(p) for p in itertools.permutations(range(3))]
+        for seed in range(4):
+            a = init_random(arch, 40 + seed)
+            b = init_random(arch, 50 + seed)
+            assignment = graph.random_assignment(np.random.default_rng(60 + seed))
+            got = solve_attention_variable("block.0.attn", a, b, graph, assignment, inter)
+
+            best, best_obj = None, -np.inf
+            for i0, i1 in itertools.product(perms3, perms3):
+                bp = BlockPermutation(inter, (i0, i1))
+                assignment.set_block("block.0.attn", bp)
+                obj = matching_objective(a, b, assignment, graph)
+                if obj > best_obj:
+                    best, best_obj = bp, obj
+            assert got == best, f"seed {seed}"
 
 
 class TestWeightMatch:
@@ -214,14 +244,3 @@ class TestWeightMatch:
             assert np.array_equal(
                 result.assignment.blocks[var].inter, plant.blocks[var].inter
             )
-
-    def test_legacy_intra_cost_still_recovers(self, toy_arch):
-        """With the output-projection coupling disabled (the bare two-input
-        head-alignment cost), planted permutations are still recovered."""
-        ws = init_random(toy_arch, 27)
-        graph = build_coupling_graph(toy_arch, "compose")
-        plant = graph.random_assignment(np.random.default_rng(28))
-        ws_b = apply_assignment(ws, graph, plant)
-        opts = MatchOptions(seed=4, include_w0_in_intra=False)
-        result = weight_match(ws, ws_b, graph, opts)
-        assert recovery_fraction(result.assignment, plant, graph) == 1.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import make_random_batch
 from taskport.checkpoint import ArchSpec, WeightSet
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.errors import NumericalFailureError, ShapeMismatchError
@@ -14,7 +15,6 @@ from taskport.model import (
     lmc_curve,
     loss_and_grads,
     make_blob_batch,
-    make_random_batch,
     read_eval_batch,
     train_toy,
     verify_equivalence,
