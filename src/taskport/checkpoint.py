@@ -19,11 +19,13 @@ attention variables may be stored either flat over the full width or as a
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -84,25 +86,27 @@ class ArchSpec:
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
         """Canonical tensor names and shapes, in manifest order."""
+        return dict(self._iter_tensor_shapes())
+
+    def _iter_tensor_shapes(self):
         d_m, d_h = self.embed_dim, self.mlp_hidden
-        shapes: dict[str, tuple[int, ...]] = {"embed.weight": (d_m, self.input_dim)}
+        yield "embed.weight", (d_m, self.input_dim)
         for i in range(self.n_blocks):
             b = f"block.{i}"
             for proj in ("q", "k", "v", "out"):
-                shapes[f"{b}.attn.{proj}.weight"] = (d_m, d_m)
-                shapes[f"{b}.attn.{proj}.bias"] = (d_m,)
+                yield f"{b}.attn.{proj}.weight", (d_m, d_m)
+                yield f"{b}.attn.{proj}.bias", (d_m,)
             if self.has_layernorm:
-                shapes[f"{b}.ln1.gain"] = (d_m,)
-                shapes[f"{b}.ln1.bias"] = (d_m,)
-            shapes[f"{b}.mlp.fc1.weight"] = (d_h, d_m)
-            shapes[f"{b}.mlp.fc1.bias"] = (d_h,)
-            shapes[f"{b}.mlp.fc2.weight"] = (d_m, d_h)
-            shapes[f"{b}.mlp.fc2.bias"] = (d_m,)
+                yield f"{b}.ln1.gain", (d_m,)
+                yield f"{b}.ln1.bias", (d_m,)
+            yield f"{b}.mlp.fc1.weight", (d_h, d_m)
+            yield f"{b}.mlp.fc1.bias", (d_h,)
+            yield f"{b}.mlp.fc2.weight", (d_m, d_h)
+            yield f"{b}.mlp.fc2.bias", (d_m,)
             if self.has_layernorm:
-                shapes[f"{b}.ln2.gain"] = (d_m,)
-                shapes[f"{b}.ln2.bias"] = (d_m,)
-        shapes["head.weight"] = (self.output_dim, d_m)
-        return shapes
+                yield f"{b}.ln2.gain", (d_m,)
+                yield f"{b}.ln2.bias", (d_m,)
+        yield "head.weight", (self.output_dim, d_m)
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in _ARCH_FIELDS}
@@ -124,9 +128,10 @@ class ArchSpec:
 
 
 def _validate_tensors(arch: ArchSpec, tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    expected = arch.tensor_shapes()
+    # The names are walked lazily, so an arch read from a hostile manifest
+    # (n_blocks = 10**12, say) fails at its first missing tensor.
     out: dict[str, np.ndarray] = {}
-    for name, shape in expected.items():
+    for name, shape in arch._iter_tensor_shapes():
         if name not in tensors:
             raise MissingTensorError(name)
         arr = np.asarray(tensors[name], dtype=np.float64)
@@ -135,7 +140,7 @@ def _validate_tensors(arch: ArchSpec, tensors: dict[str, np.ndarray]) -> dict[st
         if not np.all(np.isfinite(arr)):
             raise NonFiniteTensorError(name)
         out[name] = arr
-    extra = set(tensors) - set(expected)
+    extra = set(tensors) - set(out)
     if extra:
         raise ShapeMismatchError(sorted(extra)[0], "tensor not implied by arch")
     return out
@@ -163,16 +168,20 @@ class TaskVector(WeightSet):
     """Per-tensor additive delta sharing a WeightSet's key space."""
 
 
-def atomic_write(path: str, data: bytes | str) -> None:
-    """Replace ``path`` with ``data`` (text as UTF-8) by renaming a uniquely
+def atomic_write(path: str, data: bytes | str | Iterable) -> None:
+    """Replace ``path`` with ``data`` - text (stored as UTF-8), bytes, or an
+    iterable of bytes-like chunks written in order - by renaming a uniquely
     named temporary file in its directory; the temporary file is removed if
-    the write or the rename fails."""
+    the write, the iteration or the rename fails."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in data:
+                f.write(chunk)
         umask = os.umask(0)  # mkstemp makes the file 0600; give it open()'s mode
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -183,31 +192,41 @@ def atomic_write(path: str, data: bytes | str) -> None:
         raise
 
 
+def _as_float32(name: str, arr: np.ndarray) -> np.ndarray:
+    try:
+        with np.errstate(over="raise"):
+            return np.ascontiguousarray(arr, dtype="<f4")
+    except FloatingPointError as e:
+        raise NonFiniteTensorError(name) from e
+
+
 def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.ndarray]) -> None:
-    """Low-level container writer; tensor order follows the dict order.  A
-    value beyond float32's range raises NonFiniteTensorError before any write."""
+    """Low-level container writer; tensor order follows the dict order.  The
+    blob is streamed one tensor at a time.  A value beyond float32's range
+    raises NonFiniteTensorError and leaves any container at ``path`` as it was."""
     records = []
-    blobs = []
     offset = 0
     for name, arr in tensors.items():
-        try:
-            with np.errstate(over="raise"):
-                blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        except FloatingPointError as e:
-            raise NonFiniteTensorError(name) from e
-        records.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "length": len(blob)}
-        )
-        blobs.append(blob)
-        offset += len(blob)
+        records.append({"name": name, "shape": list(arr.shape), "offset": offset, "length": 4 * arr.size})
+        offset += 4 * arr.size
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "arch": arch.to_json_dict(),
         "tensors": records,
     }
+    created = not os.path.isdir(path)
     os.makedirs(path, exist_ok=True)
-    atomic_write(os.path.join(path, TENSORS_NAME), b"".join(blobs))
+    try:
+        atomic_write(
+            os.path.join(path, TENSORS_NAME),
+            (_as_float32(name, arr) for name, arr in tensors.items()),
+        )
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     atomic_write(os.path.join(path, MANIFEST_NAME), json.dumps(manifest, indent=1))
 
 
@@ -215,16 +234,54 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def _record_layout(records: list, blob_size: int) -> list[tuple[str, list, int, int]]:
+    """``(name, shape, offset, count)`` per record, after checking that the
+    records are well typed, uniquely named, and tile the blob: every byte in
+    exactly one record."""
+    layout = []
+    names = set()
+    for rec in records:
+        try:
+            name, shape = rec["name"], rec["shape"]
+            offset, length = rec["offset"], rec["length"]
+        except (KeyError, TypeError) as e:
+            raise MalformedManifestError(f"bad tensor record {rec!r}") from e
+        if not isinstance(name, str) or not isinstance(shape, list):
+            raise MalformedManifestError(f"bad tensor record {rec!r}")
+        if not all(_is_count(x) for x in (*shape, offset, length)):
+            raise MalformedManifestError(f"tensor record {rec!r} needs non-negative integers")
+        if name in names:
+            raise MalformedManifestError(f"duplicate tensor record {name!r}")
+        names.add(name)
+        count = math.prod(shape)
+        if length != 4 * count:
+            raise ShapeMismatchError(name, f"manifest shape {shape} needs {4 * count} bytes, record declares {length}")
+        if offset + length > blob_size:
+            raise ShapeMismatchError(name, f"record [{offset}, {offset + length}) exceeds blob of {blob_size} bytes")
+        layout.append((name, shape, offset, count))
+
+    spans = sorted((offset, offset + 4 * count, name) for name, _, offset, count in layout if count)
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise MalformedManifestError(f"tensor records {first!r} and {second!r} overlap")
+    uncovered = blob_size - sum(end - start for start, end, _ in spans)
+    if uncovered:
+        raise MalformedManifestError(f"{uncovered} bytes of {TENSORS_NAME} belong to no tensor record")
+    return layout
+
+
 def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec, str, dict[str, np.ndarray]]:
     """Low-level container reader.  Promotes to float64; never coerces shapes;
-    refuses a repeated tensor name and records whose byte ranges overlap."""
+    refuses a repeated tensor name, records whose byte ranges overlap, and
+    blob bytes no record covers.  Each record is read into its own float32
+    buffer, so the whole blob is never in memory."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     try:
         with open(manifest_path, "rb") as f:
             manifest = json.loads(f.read().decode("utf-8"))
     except OSError as e:
         raise MalformedManifestError(f"cannot read {manifest_path}: {e}") from e
-    except (ValueError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
         raise MalformedManifestError(f"manifest is not valid JSON: {e}") from e
     if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
         raise MalformedManifestError("unknown or missing format_version")
@@ -236,39 +293,21 @@ def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec,
     if not isinstance(records, list):
         raise MalformedManifestError("manifest has no tensor list")
 
+    tensors: dict[str, np.ndarray] = {}
     try:
         with open(os.path.join(path, TENSORS_NAME), "rb") as f:
-            raw = f.read()
+            layout = _record_layout(records, os.fstat(f.fileno()).st_size)
+            for name, shape, offset, count in layout:
+                buf = np.empty(count, dtype="<f4")
+                f.seek(offset)
+                if f.readinto(buf) != buf.nbytes:
+                    raise MalformedManifestError(f"tensor data ended inside record {name!r}")
+                try:
+                    tensors[name] = buf.reshape(shape).astype(np.float64)
+                except ValueError as e:  # too many axes, or a huge axis of an empty tensor
+                    raise ShapeMismatchError(name, str(e)) from e
     except OSError as e:
         raise MalformedManifestError(f"cannot read tensor data: {e}") from e
-
-    tensors: dict[str, np.ndarray] = {}
-    spans = []
-    for rec in records:
-        try:
-            name, shape = rec["name"], rec["shape"]
-            offset, length = rec["offset"], rec["length"]
-        except (KeyError, TypeError) as e:
-            raise MalformedManifestError(f"bad tensor record {rec!r}") from e
-        if not isinstance(name, str) or not isinstance(shape, list):
-            raise MalformedManifestError(f"bad tensor record {rec!r}")
-        if not all(_is_count(x) for x in (*shape, offset, length)):
-            raise MalformedManifestError(f"tensor record {rec!r} needs non-negative integers")
-        if name in tensors:
-            raise MalformedManifestError(f"duplicate tensor record {name!r}")
-        count = math.prod(shape)
-        if length != 4 * count:
-            raise ShapeMismatchError(name, f"manifest shape {shape} needs {4 * count} bytes, record declares {length}")
-        if offset + length > len(raw):
-            raise ShapeMismatchError(name, f"record [{offset}, {offset + length}) exceeds blob of {len(raw)} bytes")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
-        tensors[name] = arr.astype(np.float64)
-        spans.append((offset, offset + length, name))
-
-    spans = sorted(s for s in spans if s[0] < s[1])
-    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
-        if start < end:
-            raise MalformedManifestError(f"tensor records {first!r} and {second!r} overlap")
     return arch, kind, tensors
 
 
@@ -339,35 +378,39 @@ def read_permutation_assignment(path: str) -> PermutationAssignment:
     inters: dict[str, np.ndarray] = {}
     intras: dict[str, dict[int, np.ndarray]] = {}
 
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise AssignmentFormatError(f"{path}:{lineno}: expected '<variable> : <indices>'")
-            var_id, _, rest = line.partition(":")
-            var_id = var_id.strip()
-            vec = _parse_index_vector(rest.strip(), f"{path}:{lineno}")
-            if var_id.endswith(".inter"):
-                base = var_id[: -len(".inter")]
-                if base in inters:
-                    raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
-                inters[base] = vec
-            elif ".intra." in var_id:
-                base, _, head = var_id.rpartition(".intra.")
-                try:
-                    head_idx = int(head)
-                except ValueError as e:
-                    raise AssignmentFormatError(f"{path}:{lineno}: bad head index in {var_id!r}") from e
-                intras.setdefault(base, {})
-                if head_idx in intras[base]:
-                    raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
-                intras[base][head_idx] = vec
-            else:
-                if var_id in flat:
-                    raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
-                flat[var_id] = vec
+    try:
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise AssignmentFormatError(f"{path}: not UTF-8 text: {e}") from e
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise AssignmentFormatError(f"{path}:{lineno}: expected '<variable> : <indices>'")
+        var_id, _, rest = line.partition(":")
+        var_id = var_id.strip()
+        vec = _parse_index_vector(rest.strip(), f"{path}:{lineno}")
+        if var_id.endswith(".inter"):
+            base = var_id[: -len(".inter")]
+            if base in inters:
+                raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
+            inters[base] = vec
+        elif ".intra." in var_id:
+            base, _, head = var_id.rpartition(".intra.")
+            try:
+                head_idx = int(head)
+            except ValueError as e:
+                raise AssignmentFormatError(f"{path}:{lineno}: bad head index in {var_id!r}") from e
+            intras.setdefault(base, {})
+            if head_idx in intras[base]:
+                raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
+            intras[base][head_idx] = vec
+        else:
+            if var_id in flat:
+                raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
+            flat[var_id] = vec
 
     assignment = PermutationAssignment()
     for base in sorted(set(inters) | set(intras)):

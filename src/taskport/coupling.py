@@ -271,9 +271,14 @@ def apply_assignment(ws, graph: CouplingGraph, assignment: PermutationAssignment
     """Permute a WeightSet or TaskVector according to the graph's wiring.
 
     Pure index moves: exact, invertible, and linear over the tensor values.
+    Every tensor of the result is a new array the caller owns; ``np.take``
+    already made one for each permuted tensor, so only the rest are copied.
     """
     graph.check_assignment(assignment)
-    out = {name: permuted_tensor(ws, graph, assignment, name).copy() for name in ws.tensors}
+    out = {}
+    for name, arr in ws.tensors.items():
+        moved = permuted_tensor(ws, graph, assignment, name)
+        out[name] = arr.copy() if moved is arr else moved
     return type(ws)(ws.arch, out)
 
 

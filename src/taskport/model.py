@@ -92,51 +92,63 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(n, s, h * d_k)
 
 
+def _attention(ws: WeightSet, b: str, z: np.ndarray, c: dict | None) -> np.ndarray:
+    """Attention output projection of block ``b``; its activations go to
+    ``c`` when one is given and are dropped on return otherwise."""
+    n_heads = ws.arch.n_heads
+    qh, kh, vh = (
+        _split_heads(z @ ws[f"{b}.attn.{proj}.weight"].T + ws[f"{b}.attn.{proj}.bias"], n_heads)
+        for proj in ("q", "k", "v")
+    )
+    attn = _softmax((qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(ws.arch.head_dim)))
+    o = _merge_heads(attn @ vh)
+    if c is not None:
+        c.update(qh=qh, kh=kh, vh=vh, attn=attn, o=o)
+    return o @ ws[f"{b}.attn.out.weight"].T + ws[f"{b}.attn.out.bias"]
+
+
+def _mlp(ws: WeightSet, b: str, z_mid: np.ndarray, c: dict | None) -> np.ndarray:
+    """MLP output of block ``b``, caching like ``_attention``."""
+    a1 = z_mid @ ws[f"{b}.mlp.fc1.weight"].T + ws[f"{b}.mlp.fc1.bias"]
+    h1 = np.maximum(a1, 0.0)
+    if c is not None:
+        c.update(a1=a1, h1=h1)
+    del a1
+    return h1 @ ws[f"{b}.mlp.fc2.weight"].T + ws[f"{b}.mlp.fc2.bias"]
+
+
 def _forward(ws: WeightSet, X: np.ndarray, residual_perms=None, cache: dict | None = None):
     """Logits; when ``cache`` is a dict it also receives every activation the
-    backward pass needs.  Without one, each block's intermediates are freed
-    as the next block runs, which keeps evaluation memory to one block."""
+    backward pass needs.  Without one, the attention and MLP activations are
+    freed as soon as they are used, which keeps evaluation memory to a few
+    activations of one block."""
     arch = ws.arch
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != arch.input_dim:
         raise ShapeMismatchError("inputs", f"expected (n, seq, {arch.input_dim}), got {X.shape}")
     if residual_perms is not None and len(residual_perms) != arch.n_blocks:
         raise ValueError("residual_perms must supply one (skip1, skip2) pair per block")
-    scale = 1.0 / np.sqrt(arch.head_dim)
 
     z = X @ ws["embed.weight"].T
     blocks = []
     for i in range(arch.n_blocks):
         b = f"block.{i}"
         c = {"x_in": z}
-        q = z @ ws[f"{b}.attn.q.weight"].T + ws[f"{b}.attn.q.bias"]
-        k = z @ ws[f"{b}.attn.k.weight"].T + ws[f"{b}.attn.k.bias"]
-        v = z @ ws[f"{b}.attn.v.weight"].T + ws[f"{b}.attn.v.bias"]
-        qh, kh, vh = (_split_heads(t, arch.n_heads) for t in (q, k, v))
-        scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-        attn = _softmax(scores)
-        o = _merge_heads(attn @ vh)
-        c.update(qh=qh, kh=kh, vh=vh, attn=attn, o=o)
-
-        z_attn = o @ ws[f"{b}.attn.out.weight"].T + ws[f"{b}.attn.out.bias"]
-        skip1 = c["x_in"] if residual_perms is None else c["x_in"][..., residual_perms[i][0]]
-        z_mid = z_attn + skip1
+        kept = c if cache is not None else None
+        skip1 = z if residual_perms is None else z[..., residual_perms[i][0]]
+        z_mid = _attention(ws, b, z, kept) + skip1
         if not np.all(np.isfinite(z_mid)):
             raise NumericalFailureError(f"non-finite activations in block {i}")
         if arch.has_layernorm:
             z_mid, c["ln1"] = _layernorm(z_mid, ws[f"{b}.ln1.gain"], ws[f"{b}.ln1.bias"])
         c["z_mid"] = z_mid
 
-        a1 = z_mid @ ws[f"{b}.mlp.fc1.weight"].T + ws[f"{b}.mlp.fc1.bias"]
-        h1 = np.maximum(a1, 0.0)
-        z_f = h1 @ ws[f"{b}.mlp.fc2.weight"].T + ws[f"{b}.mlp.fc2.bias"]
         skip2 = z_mid if residual_perms is None else z_mid[..., residual_perms[i][1]]
-        z_out = z_f + skip2
+        z_out = _mlp(ws, b, z_mid, kept) + skip2
         if not np.all(np.isfinite(z_out)):
             raise NumericalFailureError(f"non-finite activations in block {i}")
         if arch.has_layernorm:
             z_out, c["ln2"] = _layernorm(z_out, ws[f"{b}.ln2.gain"], ws[f"{b}.ln2.bias"])
-        c.update(a1=a1, h1=h1)
         if cache is not None:
             blocks.append(c)
         z = z_out

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .checkpoint import ArchSpec, TaskVector, WeightSet, require_same_arch
 from .coupling import CouplingGraph, apply_assignment
 from .perms import PermutationAssignment
@@ -90,10 +92,13 @@ def transport(
     require_same_arch(ws_base.arch, graph.arch, "base model and coupling graph")
     spec = _as_scaling(scaling)
     spec.validate_for(ws_base.arch)
-    moved = apply_assignment(tv, graph, assignment)
-    out = {}
-    for name, delta in moved.tensors.items():
-        out[name] = ws_base.tensors[name] + spec.factor_for(name, ws_base.arch) * delta
+    # apply_assignment returns arrays nobody else holds, so the scaled sum is
+    # formed in them: the same operations in the same order as
+    # ``base + factor * delta``, without two more model-sized buffers.
+    out = apply_assignment(tv, graph, assignment).tensors
+    for name, delta in out.items():
+        np.multiply(spec.factor_for(name, ws_base.arch), delta, out=delta)
+        np.add(ws_base.tensors[name], delta, out=delta)
     return WeightSet(ws_base.arch, out)
 
 

@@ -1,6 +1,7 @@
 """Container and assignment-file round trips, plus every documented failure."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ from taskport.checkpoint import (
     TaskVector,
     atomic_write,
     WeightSet,
+    read_container,
     read_checkpoint,
     read_permutation_assignment,
     read_task_vector,
@@ -263,6 +265,75 @@ class TestCheckpointErrors:
         with pytest.raises(ShapeMismatchError, match="embed.weight"):
             read_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path, small_arch):
+        """Every blob byte belongs to exactly one record; bytes no record
+        covers are refused, not ignored."""
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(small_arch, 15), path)
+        with open(os.path.join(path, "tensors.bin"), "ab") as f:
+            f.write(b"\x00\x00\x80\x3f")
+        with pytest.raises(MalformedManifestError, match="4 bytes of tensors.bin belong to no tensor record"):
+            read_checkpoint(path)
+
+    def test_deeply_nested_manifest_rejected(self, tmp_path):
+        """json.loads raises RecursionError, not ValueError, on deep nesting."""
+        path = tmp_path / "ckpt"
+        path.mkdir()
+        (path / "manifest.json").write_text("[" * 100_000)
+        (path / "tensors.bin").write_bytes(b"")
+        with pytest.raises(MalformedManifestError):
+            read_container(str(path))
+
+    @pytest.mark.parametrize("case", ["too_many_axes", "huge_empty_axis"])
+    def test_shape_numpy_cannot_hold_rejected(self, tmp_path, small_arch, case):
+        """A record that tiles the blob correctly can still name a shape no
+        ndarray takes: more than 64 axes, or an axis beyond int64 of a
+        zero-size tensor."""
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(small_arch, 16), path)
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        if case == "too_many_axes":
+            rec = manifest["tensors"][0]
+            rec["shape"] = [math.prod(rec["shape"])] + [1] * 70
+        else:
+            manifest["tensors"].append({"name": "empty", "shape": [0, 2**70], "offset": 0, "length": 0})
+        json.dump(manifest, open(manifest_path, "w"))
+        with pytest.raises(ShapeMismatchError):
+            read_container(path)
+
+    def test_huge_block_count_fails_at_first_missing_tensor(self, tmp_path, small_arch):
+        """The canonical names are walked lazily, so a manifest claiming
+        10**12 blocks is refused at once instead of listing them all."""
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(small_arch, 17), path)
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["arch"]["n_blocks"] = 10**12
+        json.dump(manifest, open(manifest_path, "w"))
+        with pytest.raises(MissingTensorError, match="block.1.attn.q.weight"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_float32_overflow_in_last_tensor_leaves_target_as_it_was(self, tmp_path, small_arch, existing):
+        """The blob streams tensor by tensor, so the overflow is found after
+        earlier tensors were written to the temporary file: an existing
+        checkpoint keeps its bytes, a new one leaves no directory, and no
+        temporary file survives."""
+        path = tmp_path / "ckpt"
+        if existing:
+            write_checkpoint(_random_weight_set(small_arch, 18), str(path))
+            before = {p.name: p.read_bytes() for p in path.iterdir()}
+        ws = _random_weight_set(small_arch, 19)
+        assert list(ws.tensors)[-1] == "head.weight"
+        ws.tensors["head.weight"][-1, -1] = -1e300
+        with pytest.raises(NonFiniteTensorError, match="head.weight"):
+            write_checkpoint(ws, str(path))
+        if existing:
+            assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+        else:
+            assert not path.exists()
+
 
 class TestAssignmentFiles:
     def test_flat_round_trip(self, tmp_path):
@@ -319,6 +390,12 @@ class TestAssignmentFiles:
         with pytest.raises(AssignmentFormatError, match="cannot parse"):
             read_permutation_assignment(str(path))
 
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "a.perm"
+        path.write_bytes(b"stream : 1,0\n\xff\xfe : 0,1\n")
+        with pytest.raises(AssignmentFormatError, match="not UTF-8"):
+            read_permutation_assignment(str(path))
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "ok.perm"
         path.write_text("# comment\n\nstream : 1,0\n")
@@ -368,3 +445,20 @@ class TestAtomicWrite:
             atomic_write(str(target), "new\n")
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_chunks_are_written_in_order(self, tmp_path):
+        atomic_write(str(tmp_path / "c"), (part for part in (b"ab", bytearray(b"c"), np.arange(2, dtype="<f4"))))
+        assert (tmp_path / "c").read_bytes() == b"abc" + np.arange(2, dtype="<f4").tobytes()
+
+    def test_failing_chunk_iterable_keeps_target_and_removes_temp(self, tmp_path):
+        target = tmp_path / "tensors.bin"
+        target.write_bytes(b"old")
+
+        def chunks():
+            yield b"new data, "
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError, match="producer failed"):
+            atomic_write(str(target), chunks())
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["tensors.bin"]

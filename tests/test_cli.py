@@ -146,6 +146,18 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_trailing_blob_bytes_verify_exit_one(self, workspace, capsys):
+        tmp_path, arch, _, model_a = workspace
+        perm = str(tmp_path / "id.perm")
+        write_permutation_assignment(build_coupling_graph(arch, "compose").identity_assignment(), perm)
+        with open(os.path.join(model_a, "tensors.bin"), "ab") as f:
+            f.write(b"\x00" * 4)
+        assert main(["verify", "--model", model_a, "--perm", perm]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "4 bytes of tensors.bin belong to no tensor record" in captured.err
+
     @pytest.mark.parametrize("flag", ["--no-such-flag", "--seed"])
     def test_flag_the_subcommand_does_not_read_exit_one(self, workspace, capsys, flag):
         """Usage errors exit 1; exit 2 means architecture mismatch.  ``--seed``

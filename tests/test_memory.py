@@ -1,0 +1,58 @@
+"""Memory bounds of the port path, as multiples of the float64 model's bytes.
+
+``tracemalloc`` sees numpy's array buffers, so each bound counts every
+array a call allocates and still holds at its peak.  A read holds the model
+it returns plus one record in flight; a write holds one or two tensors'
+float32 bytes; a transport holds its output plus the temporaries of one
+tensor.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from taskport.checkpoint import ArchSpec, read_checkpoint, write_checkpoint
+from taskport.coupling import build_coupling_graph
+from taskport.model import init_random
+from taskport.transport import compute_task_vector, transport
+
+ARCH = ArchSpec(2, 4, 128, 512, 16, 4, has_layernorm=True)
+
+
+@pytest.fixture(scope="module")
+def model():
+    return init_random(ARCH, 0)
+
+
+def _model_bytes(ws) -> int:
+    return sum(arr.nbytes for arr in ws.tensors.values())
+
+
+def _peak_ratio(ws, fn, *args) -> float:
+    """Peak traced bytes of ``fn(*args)``, over the model's float64 bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak / _model_bytes(ws)
+
+
+def test_read_holds_the_model_plus_one_record(model, tmp_path):
+    path = str(tmp_path / "ckpt")
+    write_checkpoint(model, path)
+    assert _peak_ratio(model, read_checkpoint, path) <= 1.2
+
+
+def test_write_streams_one_tensor_at_a_time(model, tmp_path):
+    assert _peak_ratio(model, write_checkpoint, model, str(tmp_path / "ckpt")) <= 0.25
+
+
+def test_transport_adds_in_place(model):
+    graph = build_coupling_graph(ARCH, "compose")
+    assignment = graph.random_assignment(np.random.default_rng(1))
+    tv = compute_task_vector(init_random(ARCH, 2), model)
+    assert _peak_ratio(model, transport, model, tv, graph, assignment, 0.5) <= 1.3

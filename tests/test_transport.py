@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from taskport.checkpoint import ArchSpec, TaskVector, WeightSet
-from taskport.coupling import apply_assignment, build_coupling_graph
+from taskport.coupling import CouplingGraph, apply_assignment, build_coupling_graph
 from taskport.errors import ArchMismatchError
 from taskport.model import init_random
 from taskport.transport import ScalingSpec, compute_task_vector, merge_task_vectors, transport
@@ -136,6 +136,29 @@ class TestTransport:
             )
             transport(base, delta, graph, assignment, scaling=1.0)
         assert calls["n"] == 0
+
+    @pytest.mark.parametrize("case", ["identity", "random", "unpermuted_tensors"])
+    def test_inputs_left_bit_identical(self, setup, case):
+        """Transport scales and adds in place, in arrays apply_assignment made
+        for it: never in the base's or the task vector's own arrays.  With
+        ``unpermuted_tensors`` the graph leaves the biases and the classifier
+        alone, so those tensors take apply_assignment's copy branch."""
+        base, finetuned, graph, assignment = setup
+        tv = compute_task_vector(finetuned, base)
+        if case == "identity":
+            assignment = graph.identity_assignment()
+        elif case == "unpermuted_tensors":
+            kept = [a for a in graph.applications if not a.tensor.endswith("bias") and a.tensor != "head.weight"]
+            graph = CouplingGraph(graph.arch, graph.residual_mode, graph.variables, kept, graph.pinned)
+        snapshots = [{n: a.copy() for n, a in ws.tensors.items()} for ws in (base, tv)]
+        out = transport(base, tv, graph, assignment, 0.5)
+        for ws, snapshot in zip((base, tv), snapshots):
+            for name, arr in ws.tensors.items():
+                assert arr.tobytes() == snapshot[name].tobytes(), name
+                assert not np.shares_memory(out.tensors[name], arr), name
+        moved = apply_assignment(tv, graph, assignment)
+        for name, arr in out.tensors.items():
+            np.testing.assert_array_equal(arr, base.tensors[name] + 0.5 * moved.tensors[name])
 
 
 class TestMergeTaskVectors:
