@@ -9,16 +9,19 @@ so every subcommand is reproducible; no subcommand mutates its inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from .checkpoint import (
+    TaskVector,
     atomic_write,
     read_checkpoint,
     read_permutation_assignment,
     read_task_vector,
+    require_same_arch,
     write_checkpoint,
     write_permutation_assignment,
     write_task_vector,
@@ -35,7 +38,7 @@ from .model import (
     verify_equivalence,
     write_eval_batch,
 )
-from .transport import ScalingSpec, compute_task_vector, transport
+from .transport import ScalingSpec, transport
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -50,6 +53,29 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite number >= 0 (nan would fail every model and
+    inf would certify any)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _graph(args, arch):
@@ -95,7 +121,12 @@ def cmd_apply(args) -> int:
 def cmd_task_vector(args) -> int:
     finetuned = read_checkpoint(args.finetuned)
     base = read_checkpoint(args.base)
-    write_task_vector(compute_task_vector(finetuned, base), args.out)
+    require_same_arch(finetuned.arch, base.arch, "fine-tuned and base models")
+    # The fine-tuned arrays were just read and nobody else holds them, so the
+    # difference is formed in them: two models in memory, not three.
+    for name, f in finetuned.tensors.items():
+        np.subtract(f, base.tensors[name], out=f)
+    write_task_vector(TaskVector(base.arch, finetuned.tensors), args.out)
     return EXIT_OK
 
 
@@ -274,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a permuted model computes the same function")
     p.add_argument("--model", required=True)
     p.add_argument("--perm", required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--samples", type=_positive_int, default=100)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     _add_graph_flags(p)
     p.set_defaults(func=cmd_verify)
@@ -302,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-lr", type=float, default=0.02)
     p.add_argument("--max-sweeps", type=int, default=50)
     p.add_argument("--points", type=int, default=11)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demo)
 

@@ -13,6 +13,10 @@ with optional post-residual LayerNorm after each sum, mean pooling over the
 sequence, and a fixed linear classifier.  ``skip1``/``skip2`` default to
 identities; a permuted weight set produced in compose mode supplies its
 derived skip permutations instead.
+
+Every linear layer runs as one GEMM on the ``(n*s, d)`` token matrix rather
+than one small product per sample, in the forward and the backward pass
+alike; only the per-head score and value products stay batched by sample.
 """
 
 from __future__ import annotations
@@ -92,29 +96,38 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(n, s, h * d_k)
 
 
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w.T + b`` over the last axis of ``x``, as one GEMM on the
+    flattened ``(-1, d_in)`` rows; the bias is added in place."""
+    y = (x.reshape(-1, x.shape[-1]) @ w.T).reshape(x.shape[:-1] + (w.shape[0],))
+    if b is not None:
+        y += b
+    return y
+
+
 def _attention(ws: WeightSet, b: str, z: np.ndarray, c: dict | None) -> np.ndarray:
     """Attention output projection of block ``b``; its activations go to
     ``c`` when one is given and are dropped on return otherwise."""
     n_heads = ws.arch.n_heads
     qh, kh, vh = (
-        _split_heads(z @ ws[f"{b}.attn.{proj}.weight"].T + ws[f"{b}.attn.{proj}.bias"], n_heads)
-        for proj in ("q", "k", "v")
+        _split_heads(_linear(z, ws[f"{b}.attn.{p}.weight"], ws[f"{b}.attn.{p}.bias"]), n_heads)
+        for p in ("q", "k", "v")
     )
     attn = _softmax((qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(ws.arch.head_dim)))
     o = _merge_heads(attn @ vh)
     if c is not None:
         c.update(qh=qh, kh=kh, vh=vh, attn=attn, o=o)
-    return o @ ws[f"{b}.attn.out.weight"].T + ws[f"{b}.attn.out.bias"]
+    return _linear(o, ws[f"{b}.attn.out.weight"], ws[f"{b}.attn.out.bias"])
 
 
 def _mlp(ws: WeightSet, b: str, z_mid: np.ndarray, c: dict | None) -> np.ndarray:
     """MLP output of block ``b``, caching like ``_attention``."""
-    a1 = z_mid @ ws[f"{b}.mlp.fc1.weight"].T + ws[f"{b}.mlp.fc1.bias"]
+    a1 = _linear(z_mid, ws[f"{b}.mlp.fc1.weight"], ws[f"{b}.mlp.fc1.bias"])
     h1 = np.maximum(a1, 0.0)
     if c is not None:
         c.update(a1=a1, h1=h1)
     del a1
-    return h1 @ ws[f"{b}.mlp.fc2.weight"].T + ws[f"{b}.mlp.fc2.bias"]
+    return _linear(h1, ws[f"{b}.mlp.fc2.weight"], ws[f"{b}.mlp.fc2.bias"])
 
 
 def _forward(ws: WeightSet, X: np.ndarray, residual_perms=None, cache: dict | None = None):
@@ -129,7 +142,7 @@ def _forward(ws: WeightSet, X: np.ndarray, residual_perms=None, cache: dict | No
     if residual_perms is not None and len(residual_perms) != arch.n_blocks:
         raise ValueError("residual_perms must supply one (skip1, skip2) pair per block")
 
-    z = X @ ws["embed.weight"].T
+    z = _linear(X, ws["embed.weight"])
     blocks = []
     for i in range(arch.n_blocks):
         b = f"block.{i}"
@@ -196,7 +209,7 @@ def _linear_backward(dy, x, w):
     x2 = x.reshape(-1, x.shape[-1])
     dw = dy2.T @ x2
     db = dy2.sum(axis=0)
-    dx = dy @ w
+    dx = (dy2 @ w).reshape(dy.shape[:-1] + (w.shape[1],))
     return dx, dw, db
 
 
@@ -312,6 +325,8 @@ def verify_equivalence(
     requires (identities in tie mode).  The classifier's column coupling
     undoes the final stream permutation, so outputs must agree directly.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     permuted = apply_assignment(ws, graph, assignment)
     skips = graph.residual_perms(assignment)
     rng = np.random.default_rng(seed)

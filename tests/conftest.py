@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: assignment
 problems are enumerated, singular values come from characteristic-polynomial
 roots of the Gram matrix, permutation application is cross-checked with
-dense 0/1 matrices, and attention equivariance is checked on a row-vector
-single-layer attention written out here.
+dense 0/1 matrices, attention equivariance is checked on a row-vector
+single-layer attention written out here, and the model forward is checked
+against a token-at-a-time loop.
 """
 
 import itertools
@@ -75,6 +76,48 @@ def charpoly_singular_values(m: np.ndarray) -> np.ndarray:
     eigs[eigs < 0] = 0.0
     sv = np.sqrt(np.sort(eigs)[::-1])
     return sv
+
+
+def token_loop_forward(ws, X: np.ndarray) -> np.ndarray:
+    """Logits of the identity-skip model, one sample and one token at a time.
+
+    Every layer is a matrix-vector product on a single token's features and
+    every attention weight a dot product of two head slices, so no batching,
+    reshaping or transposing of activations is shared with ``model.forward``.
+    """
+    arch = ws.arch
+    d_k = arch.head_dim
+
+    def dense(t, layer):
+        return ws[f"{layer}.weight"] @ t + ws[f"{layer}.bias"]
+
+    def layernorm(t, layer):
+        centered = t - t.mean()
+        return ws[f"{layer}.gain"] * centered / np.sqrt(np.mean(centered**2) + 1e-5) + ws[f"{layer}.bias"]
+
+    logits = []
+    for sample in X:
+        z = [ws["embed.weight"] @ token for token in sample]
+        for i in range(arch.n_blocks):
+            b = f"block.{i}"
+            q, k, v = ([dense(t, f"{b}.attn.{p}") for t in z] for p in ("q", "k", "v"))
+            z_mid = []
+            for t in range(len(z)):
+                heads = []
+                for h in range(arch.n_heads):
+                    sl = slice(h * d_k, (h + 1) * d_k)
+                    scores = np.array([q[t][sl] @ k_u[sl] for k_u in k]) / np.sqrt(d_k)
+                    w = np.exp(scores - scores.max())
+                    w /= w.sum()
+                    heads.append(sum(w_u * v_u[sl] for w_u, v_u in zip(w, v)))
+                z_mid.append(dense(np.concatenate(heads), f"{b}.attn.out") + z[t])
+            if arch.has_layernorm:
+                z_mid = [layernorm(t, f"{b}.ln1") for t in z_mid]
+            z = [dense(np.maximum(dense(t, f"{b}.mlp.fc1"), 0.0), f"{b}.mlp.fc2") + t for t in z_mid]
+            if arch.has_layernorm:
+                z = [layernorm(t, f"{b}.ln2") for t in z]
+        logits.append(ws["head.weight"] @ (sum(z) / len(z)))
+    return np.array(logits)
 
 
 def dense_perm_matrix(p) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Subcommand behavior and the exit-code contract."""
 
+import hashlib
 import json
 import os
 
@@ -17,7 +18,7 @@ from taskport.cli import main
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.model import init_random, make_blob_batch, write_eval_batch
 from taskport.transport import compute_task_vector
-from taskport.checkpoint import write_task_vector
+from taskport.checkpoint import read_task_vector, write_task_vector
 
 
 def _slurp(path):
@@ -110,8 +111,6 @@ class TestApplyAndTaskVector:
         write_checkpoint(tuned, model_ft)
         out = str(tmp_path / "tv")
         assert main(["task-vector", "--finetuned", model_ft, "--base", model_a, "--out", out]) == 0
-        from taskport.checkpoint import read_task_vector
-
         tv = read_task_vector(out)
         base = read_checkpoint(model_a)
         ft = read_checkpoint(model_ft)
@@ -120,6 +119,24 @@ class TestApplyAndTaskVector:
             np.testing.assert_array_equal(
                 tv.tensors[name], expect.astype(np.float32).astype(np.float64)
             )
+
+    def test_task_vector_file_equals_library_vector_bit_for_bit(self, workspace):
+        """The subcommand differences in place, yet writes exactly the bytes of
+        ``compute_task_vector`` and leaves both input checkpoints untouched."""
+        tmp_path, arch, ws, model_a = workspace
+        model_ft = str(tmp_path / "tuned")
+        write_checkpoint(init_random(arch, 4), model_ft)
+        inputs_before = {p: _slurp(os.path.join(p, "tensors.bin")) for p in (model_a, model_ft)}
+        out, expect = str(tmp_path / "tv"), str(tmp_path / "expect")
+        assert main(["task-vector", "--finetuned", model_ft, "--base", model_a, "--out", out]) == 0
+        write_task_vector(
+            compute_task_vector(read_checkpoint(model_ft), read_checkpoint(model_a)), expect
+        )
+        assert sorted(os.listdir(out)) == sorted(os.listdir(expect))
+        for entry in os.listdir(expect):
+            assert _slurp(os.path.join(out, entry)) == _slurp(os.path.join(expect, entry)), entry
+        for path, blob in inputs_before.items():
+            assert _slurp(os.path.join(path, "tensors.bin")) == blob
 
 
 class TestMalformedInputs:
@@ -168,6 +185,40 @@ class TestMalformedInputs:
                   "--out", str(tmp_path / "out"), flag, "0"])
         assert exc.value.code == 1
         assert f"error: unrecognized arguments: {flag} 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, flag, value",
+        [
+            ("verify", "--samples", "0"),
+            ("verify", "--samples", "-3"),
+            ("verify", "--samples", "two"),
+            ("verify", "--tol", "nan"),
+            ("verify", "--tol", "-1"),
+            ("verify", "--tol", "inf"),
+            ("demo", "--tol", "nan"),
+            ("demo", "--tol", "1e400"),
+        ],
+    )
+    def test_meaningless_samples_or_tol_is_a_usage_error(self, workspace, capsys,
+                                                         subcommand, flag, value):
+        """No samples has no maximum deviation, a nan or negative tolerance
+        fails every model and an infinite one certifies any: all are usage
+        errors (exit 1), not a verification verdict (exit 4 or 0)."""
+        tmp_path, arch, _, model_a = workspace
+        if subcommand == "verify":
+            perm = str(tmp_path / "id.perm")
+            write_permutation_assignment(build_coupling_graph(arch, "compose").identity_assignment(), perm)
+            argv = ["verify", "--model", model_a, "--perm", perm]
+        else:
+            argv = ["demo", "--out-dir", str(tmp_path / "demo")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and f"argument {flag}:" in error_lines[0]
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "demo")
 
 
 class TestTransport:
@@ -313,6 +364,42 @@ class TestDemo:
         assert main(args + ["--out-dir", d1]) == 0
         assert main(args + ["--out-dir", d2]) == 0
         assert _slurp(os.path.join(d1, "report.txt")) == _slurp(os.path.join(d2, "report.txt"))
+
+    def test_default_run_outputs_are_pinned(self, tmp_path):
+        """The default demo's assignments, trace and curves, byte for byte, and
+        every report line except the round-off of the equivalence check."""
+        out = str(tmp_path / "demo")
+        assert main(["demo", "--out-dir", out]) == 0
+        pinned = {
+            "recovered.perm": "7195e0d118c1a16891320d839e21f16c5a4d3486b25f2131619e104e1f6a6a66",
+            "recovered_tie.perm": "096f1d2fdf49b5958619ad74ecb71ca9236c3eda9b4405d7456594faaa9e5ab1",
+            "trace.txt": "f1191aa9f6f423514b7f1e8b839b257e71ebfed08cb9fff1130b80077596638b",
+            "lmc_matched.csv": "373a810a574e52c136a440469d52fa60c884a6f8c15bd287f741a367b6f21dcd",
+            "lmc_naive.csv": "31432d8cde6b18a6870ec4ef754a796e783c0cc4c9aca9f2713c581db8460cd0",
+        }
+        for name, digest in pinned.items():
+            assert hashlib.sha256(_slurp(os.path.join(out, name))).hexdigest() == digest, name
+        lines = open(os.path.join(out, "report.txt")).read().splitlines()
+        equivalence = [line for line in lines if line.startswith("equivalence_max_dev: ")]
+        assert len(equivalence) == 1 and equivalence[0].endswith(" (tol 1e-08) passed: True")
+        assert [line for line in lines if line not in equivalence] == [
+            "seed: 0",
+            "noise: 0.01",
+            "arch: {'n_blocks': 2, 'n_heads': 4, 'embed_dim': 32, 'mlp_hidden': 64, "
+            "'input_dim': 16, 'output_dim': 4, 'has_layernorm': False}",
+            "",
+            "[compose]",
+            "converged: True after 5 sweeps",
+            "objective trace: 224.214534668 394.383694824 450.307030103 479.166807445 479.166807445",
+            "recovery_rate: 1",
+            "recovery_ok: yes",
+            "",
+            "[tie interpolation]",
+            "recovery_rate: 1",
+            "endpoint losses: 3.52559666685e-05 3.36814715764e-05",
+            "midpoint loss matched: 3.44105480572e-05",
+            "midpoint loss naive: 0.71010630354",
+        ]
 
     def test_zero_noise_full_recovery(self, tmp_path):
         out = str(tmp_path / "demo")

@@ -4,7 +4,7 @@
 array a call allocates and still holds at its peak.  A read holds the model
 it returns plus one record in flight; a write holds one or two tensors'
 float32 bytes; a transport holds its output plus the temporaries of one
-tensor.
+tensor; the ``task-vector`` subcommand holds the two models it reads.
 """
 
 import tracemalloc
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from taskport.checkpoint import ArchSpec, read_checkpoint, write_checkpoint
+from taskport.cli import main
 from taskport.coupling import build_coupling_graph
 from taskport.model import init_random
 from taskport.transport import compute_task_vector, transport
@@ -56,3 +57,13 @@ def test_transport_adds_in_place(model):
     assignment = graph.random_assignment(np.random.default_rng(1))
     tv = compute_task_vector(init_random(ARCH, 2), model)
     assert _peak_ratio(model, transport, model, tv, graph, assignment, 0.5) <= 1.3
+
+
+def test_task_vector_cli_holds_two_models(model, tmp_path):
+    """The difference is formed in the fine-tuned arrays the call just read,
+    so no third model-sized buffer is allocated."""
+    base, tuned = str(tmp_path / "base"), str(tmp_path / "tuned")
+    write_checkpoint(model, base)
+    write_checkpoint(init_random(ARCH, 2), tuned)
+    argv = ["task-vector", "--finetuned", tuned, "--base", base, "--out", str(tmp_path / "tv")]
+    assert _peak_ratio(model, main, argv) <= 2.3

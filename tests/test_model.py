@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_batch
+from conftest import make_random_batch, token_loop_forward
 from taskport.checkpoint import ArchSpec, WeightSet
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.errors import NumericalFailureError, ShapeMismatchError
@@ -43,6 +43,27 @@ class TestForward:
         np.testing.assert_array_equal(forward(ws, x), forward(ws, x))
         batch = EvalBatch(x, np.arange(4) % toy_arch.output_dim)
         assert loss_and_grads(ws, batch)[0] == batch_loss(ws, batch)
+
+    @pytest.mark.parametrize("has_ln", [False, True])
+    @pytest.mark.parametrize("n, seq_len", [(5, 7), (1, 6), (4, 1), (1, 1)])
+    def test_matches_token_loop_reference(self, has_ln, n, seq_len):
+        """An independent token-at-a-time forward agrees to float64 noise, so
+        a reshape that mixes tokens across samples cannot pass by being
+        present in both the model and its permuted self."""
+        arch = ArchSpec(2, 4, 16, 24, 6, 3, has_layernorm=has_ln)
+        ws = init_random(arch, 50)
+        rng = np.random.default_rng(51)
+        for name in ws.tensors:
+            if name.endswith(".bias"):  # zero at init; make them count
+                ws.tensors[name] = rng.normal(0.0, 0.1, ws[name].shape)
+        x = rng.normal(size=(n, seq_len, arch.input_dim))
+        np.testing.assert_allclose(forward(ws, x), token_loop_forward(ws, x), rtol=0, atol=1e-12)
+
+    def test_batch_equals_samples_run_alone(self, toy_arch):
+        ws = init_random(toy_arch, 53)
+        x = np.random.default_rng(54).normal(size=(6, 5, toy_arch.input_dim))
+        alone = np.concatenate([forward(ws, x[i : i + 1]) for i in range(len(x))])
+        np.testing.assert_allclose(forward(ws, x), alone, rtol=0, atol=1e-12)
 
     def test_bad_input_shape_rejected(self, toy_arch):
         ws = init_random(toy_arch, 4)
@@ -112,6 +133,12 @@ class TestEquivalence:
         x = np.random.default_rng(14).normal(size=(4, 8, toy_arch.input_dim))
         dev = np.abs(forward(permuted, x) - forward(ws, x)).max()
         assert dev > 1e-3
+
+    def test_no_samples_rejected(self, toy_arch):
+        ws = init_random(toy_arch, 55)
+        graph = build_coupling_graph(toy_arch, "compose")
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_equivalence(ws, graph, graph.identity_assignment(), n_samples=0)
 
     def test_contaminated_attention_fails(self, toy_arch):
         ws = init_random(toy_arch, 15)
