@@ -55,20 +55,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _tolerance(text: str) -> float:
-    """An argparse type: a finite number >= 0 (nan would fail every model and
-    inf would certify any)."""
+def _finite_nonnegative(text: str) -> float:
+    """An argparse type: a finite number >= 0 (a nan tolerance would fail
+    every model and an infinite one certify any; a nan noise would add none)."""
     try:
         value = float(text)
     except ValueError:
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-sweeps", type=int, default=50)
+    p.add_argument("--max-sweeps", type=_int_at_least(1), default=50)
     p.add_argument("--trace", default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_graph_flags(p)
@@ -305,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a permuted model computes the same function")
     p.add_argument("--model", required=True)
     p.add_argument("--perm", required=True)
-    p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--samples", type=_int_at_least(1), default=100)
+    p.add_argument("--tol", type=_finite_nonnegative, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     _add_graph_flags(p)
     p.set_defaults(func=cmd_verify)
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="synthetic end-to-end plant/match/verify/interpolate run")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--noise", type=float, default=0.01)
+    p.add_argument("--noise", type=_finite_nonnegative, default=0.01)
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--embed-dim", type=int, default=32)
@@ -329,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-dim", type=int, default=16)
     p.add_argument("--output-dim", type=int, default=4)
     p.add_argument("--layernorm", action="store_true")
-    p.add_argument("--train-steps", type=int, default=150)
+    p.add_argument("--train-steps", type=_int_at_least(0), default=150)
     p.add_argument("--train-lr", type=float, default=0.02)
-    p.add_argument("--max-sweeps", type=int, default=50)
-    p.add_argument("--points", type=int, default=11)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--max-sweeps", type=_int_at_least(1), default=50)
+    p.add_argument("--points", type=_int_at_least(2), default=11)
+    p.add_argument("--tol", type=_finite_nonnegative, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demo)
 

@@ -1,19 +1,30 @@
 """Exact square linear assignment with a deterministic tie-break.
 
 The solver is a Jonker-Volgenant style shortest-augmenting-path scheme
-(O(n^3)).  Each Dijkstra step is a few full-width masked numpy operations;
-among equally near columns it scans a free one first, which ends the search,
-so on tied costs (pruned units, zero blocks) a row augments in one step
-instead of growing a tree over every matched column.  Because every optimal
-assignment is complementary to any optimal duals, the set of optimal
-assignments equals the set of perfect matchings on the zero-reduced-cost
-("tight") edges, whichever optimum the search reached; a second pass walks
-the rows in order and greedily commits the smallest tight column that still
-leaves the rest matchable, so ties always resolve to the lexicographically
-smallest optimal permutation.
+(O(n^3)).  It starts from the classical row reduction: each row's dual is its
+minimum cost, the column duals are zero, and in row order each row takes its
+first minimum column unless an earlier row holds it; only the rows left
+unmatched are searched.  (The column duals are left at zero: a
+column-reduction start raises the duals of tied columns and makes tie-heavy
+matrices far slower.)  Each Dijkstra step is a few full-width masked numpy
+operations; among equally near columns it scans a free one first, which ends
+the search, so on tied costs (pruned units, zero blocks) a row augments in
+one step instead of growing a tree over every matched column.
+
+Because every optimal assignment is complementary to any optimal duals, the
+set of optimal assignments equals the set of perfect matchings on the
+zero-reduced-cost ("tight") edges, whichever optimum the search reached; a
+second pass walks the rows in order and greedily commits the smallest tight
+column that still leaves the rest matchable, so ties always resolve to the
+lexicographically smallest optimal permutation.  That pass works only where
+the ties are: a row whose first tight column is already its own is frozen
+without a search, and a row's list of tight columns is built only when an
+alternating path enters it.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -34,14 +45,20 @@ def _check_cost(c) -> np.ndarray:
 def _shortest_augmenting_paths(cost: np.ndarray):
     """Solve min-cost assignment; return (col_of_row, u, v) with optimal duals."""
     n = cost.shape[0]
-    u = np.zeros(n)
+    # Row reduction: every row's first minimum column is tight under these
+    # duals, and a row takes it unless an earlier row already holds it.
+    u = cost.min(axis=1)
     v = np.zeros(n)
     col_of_row = [-1] * n
     row_of_col = [-1] * n
-    free = np.ones(n, dtype=bool)  # columns no row holds yet
+    for i, j in enumerate(cost.argmin(axis=1).tolist()):
+        if row_of_col[j] < 0:
+            row_of_col[j] = i
+            col_of_row[i] = j
+    free = np.array(row_of_col) < 0  # columns no row holds yet
     dist = np.empty(n)
 
-    for cur in range(n):
+    for cur in [i for i, j in enumerate(col_of_row) if j < 0]:
         # Dijkstra over columns, growing an alternating tree from row `cur`.
         # `key` is an unscanned column's tentative distance and +inf once the
         # column is scanned; `dist` keeps the distance it was scanned at.
@@ -90,18 +107,28 @@ def _shortest_augmenting_paths(cost: np.ndarray):
     return np.array(col_of_row, dtype=np.int64), u, v
 
 
-def _augment(start_row: int, tight: list, row_of: list, col_of: list, visited: bytearray) -> bool:
+def _tight_columns(tight: list, mask: np.ndarray, row: int) -> list:
+    """Ascending tight columns of ``row``, listed from ``mask`` on first use."""
+    cols = tight[row]
+    if cols is None:
+        cols = tight[row] = np.flatnonzero(mask[row]).tolist()
+    return cols
+
+
+def _augment(start_row: int, tight: list, mask: np.ndarray, row_of: list, col_of: list,
+             visited: bytearray) -> list | None:
     """Kuhn-style alternating path over tight edges from the unmatched
     ``start_row``, skipping columns already marked in ``visited``.
 
     Depth-first in column order, like the textbook recursion, but on an
     explicit stack so path length is not bounded by the interpreter's
-    recursion limit.  Flips the matching along the path it finds and leaves
-    it untouched when there is none.
+    recursion limit.  Flips the matching along the path it finds and returns
+    the rows on it; returns None, with the matching untouched, when there is
+    none.
     """
     rows = [start_row]
     cols: list[int] = []
-    scans = [iter(tight[start_row])]
+    scans = [iter(_tight_columns(tight, mask, start_row))]
     while scans:
         for j in scans[-1]:
             if visited[j]:
@@ -113,10 +140,10 @@ def _augment(start_row: int, tight: list, row_of: list, col_of: list, visited: b
                 for r, c in zip(rows, cols):
                     row_of[c] = r
                     col_of[r] = c
-                return True
+                return rows
             rows.append(holder)
             cols.append(j)
-            scans.append(iter(tight[holder]))
+            scans.append(iter(_tight_columns(tight, mask, holder)))
             break
         else:
             # Every tight column of the deepest row is spent: backtrack.
@@ -124,7 +151,7 @@ def _augment(start_row: int, tight: list, row_of: list, col_of: list, visited: b
             rows.pop()
             if cols:
                 cols.pop()
-    return False
+    return None
 
 
 def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -132,26 +159,33 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
 
     Operates on the bipartite graph of tight edges (reduced cost ~ 0); any
     perfect matching there is optimal, so committing the smallest feasible
-    column per row, in row order, yields the lexicographic minimum.
+    column per row, in row order, yields the lexicographic minimum.  Only a
+    row with a tight column left of its own can move, so only such rows are
+    walked: those found at the start, and those an alternating path enters.
     """
     n = cost.shape[0]
-    reduced = cost - u[:, None] - v[None, :]
     scale = max(1.0, float(np.abs(cost).max()))
-    tight = [np.flatnonzero(row).tolist() for row in reduced <= _TIGHT_RTOL * scale]
+    mask = cost - u[:, None] - v[None, :] <= _TIGHT_RTOL * scale
+    first = mask.argmax(axis=1)  # each row's first tight column
+    pending = np.flatnonzero(first < col_of_row).tolist()  # sorted, so a heap
+    first = first.tolist()
+    tight = [None] * n
 
     col_of = col_of_row.tolist()
     row_of = [-1] * n
     for r, c in enumerate(col_of):
         row_of[c] = r
-    frozen = bytearray(n)  # columns committed to rows already walked
+    frozen = np.zeros(n, dtype=bool)  # columns committed to rows already walked
+    walked = 0  # rows below this one hold frozen columns
 
-    for i in range(n):
+    while pending:
+        i = heapq.heappop(pending)
         current = col_of[i]
-        for j in tight[i]:
-            if j >= current:
-                break  # ascending scan; the current column wins from here on
-            if frozen[j]:
-                continue
+        if i < walked or first[i] >= current:
+            continue  # queued twice, or a path moved it onto its first
+        frozen[col_of[walked:i]] = True
+        walked = i + 1
+        for j in np.flatnonzero(mask[i, :current] & ~frozen[:current]).tolist():
             holder = row_of[j]
             # Tentatively hand j to row i; the displaced row must re-augment.
             col_of[i] = j
@@ -160,17 +194,30 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
             col_of[holder] = -1
             visited = bytearray(frozen)  # the path may not take j back
             visited[j] = 1
-            if _augment(holder, tight, row_of, col_of, visited):
+            path = _augment(holder, tight, mask, row_of, col_of, visited)
+            if path is not None:
                 current = j
+                # The path's rows all come after i (earlier rows hold frozen
+                # columns) and may now sit right of their first tight column.
+                for r in path:
+                    if first[r] < col_of[r]:
+                        heapq.heappush(pending, r)
                 break
             # Roll back.
             col_of[i] = current
             row_of[current] = i
             row_of[j] = holder
             col_of[holder] = j
-        frozen[current] = 1
+        frozen[current] = True
 
     return np.array(col_of, dtype=np.int64)
+
+
+def _solve(c: np.ndarray) -> tuple[Perm, float]:
+    """solve_min on a cost matrix that ``_check_cost`` has accepted."""
+    col_of_row, u, v = _shortest_augmenting_paths(c)
+    p = _lex_smallest_on_tight(c, col_of_row, u, v)
+    return p, float(np.sum(c[np.arange(c.shape[0]), p]))
 
 
 def solve_min(cost) -> tuple[Perm, float]:
@@ -183,15 +230,10 @@ def solve_min(cost) -> tuple[Perm, float]:
     depend on evaluation order and carry no information).  Raises ValueError
     on non-square or non-finite input.
     """
-    c = _check_cost(cost)
-    col_of_row, u, v = _shortest_augmenting_paths(c)
-    p = _lex_smallest_on_tight(c, col_of_row, u, v)
-    total = float(np.sum(c[np.arange(c.shape[0]), p]))
-    return p.astype(np.int64), total
+    return _solve(_check_cost(cost))
 
 
 def solve_max(values) -> tuple[Perm, float]:
     """Maximize sum_i values[i, p[i]]; same determinism contract as solve_min."""
-    c = _check_cost(values)
-    p, neg_total = solve_min(-c)
+    p, neg_total = _solve(-_check_cost(values))
     return p, -neg_total

@@ -8,6 +8,11 @@ head pairs that the spectral stage matched.  Sweeps repeat in seeded random
 order until a full sweep changes nothing (or a cap is hit).
 The objective being ascended is the summed Frobenius inner product between
 model B's weight matrices and the fully permuted model A.
+
+A value matrix reads only A, B and the permutations of the variable's
+neighbours (the other variables acting on one of its 2-D tensors), so a visit
+that finds no neighbour changed since the variable's last solve is skipped:
+the solve would rebuild a bit-identical matrix and return the same answer.
 """
 
 from __future__ import annotations
@@ -73,6 +78,18 @@ def _value_matrix(
     return value
 
 
+def _neighbours(var_id: str, ws: WeightSet, graph: CouplingGraph) -> list[str]:
+    """The other variables acting on one of ``var_id``'s 2-D tensors: the
+    only permutations its value matrix reads."""
+    found: list[str] = []
+    for app in graph.applications_of(var_id):
+        if ws[app.tensor].ndim == 2:
+            for other in graph.applications_on(app.tensor):
+                if other.variable != var_id and other.variable not in found:
+                    found.append(other.variable)
+    return found
+
+
 def solve_plain_variable(
     var_id: str,
     ws_a: WeightSet,
@@ -128,10 +145,12 @@ def weight_match(
 
     Visits the free variables in a fresh seeded-random order each sweep,
     re-solving each against the others' current values; stops after the
-    first sweep with zero changes.  Head pairing depends only on the raw
-    weights (spectra ignore the incoming column permutation), so it is
-    solved once per attention variable before the first sweep; with it
-    fixed, the per-sweep objective trace is non-decreasing.
+    first sweep with zero changes.  A visit is skipped when no neighbour of
+    the variable has changed since its last solve, which would return the
+    same answer.  Head pairing depends only on the raw weights (spectra
+    ignore the incoming column permutation), so it is solved once per
+    attention variable before the first sweep; with it fixed, the per-sweep
+    objective trace is non-decreasing.
     """
     require_same_arch(ws_a.arch, ws_b.arch, "models to match")
     require_same_arch(ws_a.arch, graph.arch, "model and coupling graph")
@@ -154,6 +173,10 @@ def weight_match(
                 graph.arch.n_heads,
             )
 
+    neighbours = {var_id: _neighbours(var_id, ws_a, graph) for var_id in free}
+    version = dict.fromkeys(graph.variables, 0)  # how often each variable changed
+    solved_at: dict[str, tuple[int, ...]] = {}  # neighbour versions at the last solve
+
     trace: list[float] = []
     changed_per_sweep: list[int] = []
     converged = False
@@ -162,18 +185,23 @@ def weight_match(
         order = [free[i] for i in rng.permutation(len(free))]
         changed = 0
         for var_id in order:
+            stamp = tuple(version[other] for other in neighbours[var_id])
+            if solved_at.get(var_id) == stamp:
+                continue
+            solved_at[var_id] = stamp
             if graph.variables[var_id].is_attention:
                 bp = solve_attention_variable(
                     var_id, ws_a, ws_b, graph, assignment, pairings[var_id]
                 )
-                if not np.array_equal(bp.flattened(), assignment.perms[var_id]):
-                    changed += 1
+                moved = not np.array_equal(bp.flattened(), assignment.perms[var_id])
                 assignment.set_block(var_id, bp)
             else:
                 perm = solve_plain_variable(var_id, ws_a, ws_b, graph, assignment)
-                if not np.array_equal(perm, assignment.perms[var_id]):
-                    changed += 1
+                moved = not np.array_equal(perm, assignment.perms[var_id])
                 assignment.perms[var_id] = perm
+            if moved:
+                changed += 1
+                version[var_id] += 1
         sweeps_done += 1
         trace.append(matching_objective(ws_a, ws_b, assignment, graph))
         changed_per_sweep.append(changed)

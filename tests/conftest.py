@@ -1,11 +1,13 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's own code paths: assignment
-problems are enumerated, singular values come from characteristic-polynomial
-roots of the Gram matrix, permutation application is cross-checked with
-dense 0/1 matrices, attention equivariance is checked on a row-vector
-single-layer attention written out here, and the model forward is checked
-against a token-at-a-time loop.
+problems are enumerated (and larger ones solved by a pinned copy of the
+earlier solver), the matcher's sweep loop is re-run without its skip rule,
+singular values come from characteristic-polynomial roots of the Gram
+matrix, permutation application is cross-checked with dense 0/1 matrices,
+attention equivariance is checked on a row-vector single-layer attention
+written out here, and the model forward is checked against a
+token-at-a-time loop.
 """
 
 import itertools
@@ -14,6 +16,13 @@ import numpy as np
 import pytest
 
 from taskport.checkpoint import ArchSpec
+from taskport.matching import (
+    MatchOptions,
+    matching_objective,
+    pair_heads,
+    solve_attention_variable,
+    solve_plain_variable,
+)
 from taskport.model import EvalBatch
 from taskport.perms import BlockPermutation
 
@@ -56,6 +65,196 @@ def brute_force_min_assignment(cost: np.ndarray):
             best_cost = total
             best_perm = perm
     return np.array(best_perm, dtype=np.int64), best_cost
+
+
+# The assignment solver as it stood before its row-reduction start and its
+# tied-rows-only refinement, pinned verbatim: every optimization of
+# ``taskport.lap`` must return what it returns, bit for bit.
+REFERENCE_TIGHT_RTOL = 1e-10
+
+
+def reference_shortest_augmenting_paths(cost: np.ndarray):
+    """Solve min-cost assignment; return (col_of_row, u, v) with optimal duals."""
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    col_of_row = [-1] * n
+    row_of_col = [-1] * n
+    free = np.ones(n, dtype=bool)  # columns no row holds yet
+    dist = np.empty(n)
+
+    for cur in range(n):
+        # Dijkstra over columns, growing an alternating tree from row `cur`.
+        # `key` is an unscanned column's tentative distance and +inf once the
+        # column is scanned; `dist` keeps the distance it was scanned at.
+        key = np.full(n, np.inf)
+        pred = np.full(n, cur, dtype=np.int64)
+        unscanned = np.ones(n, dtype=bool)
+        scanned_rows = [cur]
+        min_val = 0.0
+        i = cur
+        while True:
+            cand = (min_val - u[i]) + cost[i] - v
+            better = (cand < key) & unscanned  # scanned columns keep +inf
+            np.copyto(key, cand, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(key.argmin())
+            min_val = key[j]
+            if row_of_col[j] >= 0:
+                # Of equally near columns, a free one ends the search now.
+                tied_free = (key == min_val) & free
+                k = int(tied_free.argmax())
+                j = k if tied_free[k] else j
+            dist[j] = min_val
+            key[j] = np.inf
+            unscanned[j] = False
+            i = row_of_col[j]
+            if i < 0:
+                break
+            scanned_rows.append(i)
+        free[j] = False
+
+        # Dual update keeps reduced costs non-negative and tight on the tree.
+        u[cur] += min_val
+        for r in scanned_rows[1:]:
+            u[r] += min_val - dist[col_of_row[r]]
+        scanned_cols = np.flatnonzero(~unscanned)
+        v[scanned_cols] -= min_val - dist[scanned_cols]
+
+        # Augment backwards along the predecessor chain from the free column j.
+        while True:
+            i = int(pred[j])
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == cur:
+                break
+
+    return np.array(col_of_row, dtype=np.int64), u, v
+
+
+def _reference_augment(start_row: int, tight: list, row_of: list, col_of: list, visited: bytearray) -> bool:
+    """Kuhn-style alternating path over tight edges from the unmatched
+    ``start_row``, skipping columns already marked in ``visited``.
+
+    Depth-first in column order, like the textbook recursion, but on an
+    explicit stack so path length is not bounded by the interpreter's
+    recursion limit.  Flips the matching along the path it finds and leaves
+    it untouched when there is none.
+    """
+    rows = [start_row]
+    cols: list[int] = []
+    scans = [iter(tight[start_row])]
+    while scans:
+        for j in scans[-1]:
+            if visited[j]:
+                continue
+            visited[j] = 1
+            holder = row_of[j]
+            if holder < 0:
+                cols.append(j)
+                for r, c in zip(rows, cols):
+                    row_of[c] = r
+                    col_of[r] = c
+                return True
+            rows.append(holder)
+            cols.append(j)
+            scans.append(iter(tight[holder]))
+            break
+        else:
+            # Every tight column of the deepest row is spent: backtrack.
+            scans.pop()
+            rows.pop()
+            if cols:
+                cols.pop()
+    return False
+
+
+def reference_lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Refine an optimal assignment to the lexicographically smallest one.
+
+    Operates on the bipartite graph of tight edges (reduced cost ~ 0); any
+    perfect matching there is optimal, so committing the smallest feasible
+    column per row, in row order, yields the lexicographic minimum.
+    """
+    n = cost.shape[0]
+    reduced = cost - u[:, None] - v[None, :]
+    scale = max(1.0, float(np.abs(cost).max()))
+    tight = [np.flatnonzero(row).tolist() for row in reduced <= REFERENCE_TIGHT_RTOL * scale]
+
+    col_of = col_of_row.tolist()
+    row_of = [-1] * n
+    for r, c in enumerate(col_of):
+        row_of[c] = r
+    frozen = bytearray(n)  # columns committed to rows already walked
+
+    for i in range(n):
+        current = col_of[i]
+        for j in tight[i]:
+            if j >= current:
+                break  # ascending scan; the current column wins from here on
+            if frozen[j]:
+                continue
+            holder = row_of[j]
+            # Tentatively hand j to row i; the displaced row must re-augment.
+            col_of[i] = j
+            row_of[j] = i
+            row_of[current] = -1
+            col_of[holder] = -1
+            visited = bytearray(frozen)  # the path may not take j back
+            visited[j] = 1
+            if _reference_augment(holder, tight, row_of, col_of, visited):
+                current = j
+                break
+            # Roll back.
+            col_of[i] = current
+            row_of[current] = i
+            row_of[j] = holder
+            col_of[holder] = j
+        frozen[current] = 1
+
+    return np.array(col_of, dtype=np.int64)
+
+
+def reference_solve_min(cost: np.ndarray):
+    """``solve_min`` of the pinned reference solver (no input checks)."""
+    col_of_row, u, v = reference_shortest_augmenting_paths(cost)
+    p = reference_lex_smallest_on_tight(cost, col_of_row, u, v)
+    return p, float(np.sum(cost[np.arange(cost.shape[0]), p]))
+
+
+def reference_weight_match(ws_a, ws_b, graph, opts=MatchOptions()):
+    """The matcher's sweep loop without its skip rule: every free variable
+    is re-solved on every visit.  Returns (assignment, trace, changed,
+    n_sweeps)."""
+    assignment = graph.identity_assignment()
+    rng = np.random.default_rng(opts.seed)
+    free = graph.free_variables()
+    pairings = {
+        var_id: pair_heads(
+            tuple(ws_a[f"{var_id}.{proj}.weight"] for proj in ("q", "k", "v")),
+            tuple(ws_b[f"{var_id}.{proj}.weight"] for proj in ("q", "k", "v")),
+            graph.arch.n_heads,
+        )
+        for var_id in free
+        if graph.variables[var_id].is_attention
+    }
+    trace, changed_per_sweep = [], []
+    for _ in range(opts.max_sweeps):
+        changed = 0
+        for var_id in [free[i] for i in rng.permutation(len(free))]:
+            if var_id in pairings:
+                bp = solve_attention_variable(var_id, ws_a, ws_b, graph, assignment, pairings[var_id])
+                changed += not np.array_equal(bp.flattened(), assignment.perms[var_id])
+                assignment.set_block(var_id, bp)
+            else:
+                perm = solve_plain_variable(var_id, ws_a, ws_b, graph, assignment)
+                changed += not np.array_equal(perm, assignment.perms[var_id])
+                assignment.perms[var_id] = perm
+        trace.append(matching_objective(ws_a, ws_b, assignment, graph))
+        changed_per_sweep.append(changed)
+        if changed == 0:
+            break
+    return assignment, trace, changed_per_sweep, len(trace)
 
 
 def charpoly_singular_values(m: np.ndarray) -> np.ndarray:

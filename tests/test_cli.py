@@ -197,18 +197,31 @@ class TestMalformedInputs:
             ("verify", "--tol", "inf"),
             ("demo", "--tol", "nan"),
             ("demo", "--tol", "1e400"),
+            ("demo", "--points", "0"),
+            ("demo", "--points", "1"),
+            ("demo", "--noise", "nan"),
+            ("demo", "--noise", "-0.01"),
+            ("demo", "--train-steps", "-1"),
+            ("demo", "--max-sweeps", "0"),
+            ("match", "--max-sweeps", "0"),
         ],
     )
     def test_meaningless_samples_or_tol_is_a_usage_error(self, workspace, capsys,
                                                          subcommand, flag, value):
         """No samples has no maximum deviation, a nan or negative tolerance
         fails every model and an infinite one certifies any: all are usage
-        errors (exit 1), not a verification verdict (exit 4 or 0)."""
+        errors (exit 1), not a verification verdict (exit 4 or 0).  So are a
+        curve of fewer than two points, a nan or negative noise, a negative
+        step count and a sweep cap below one, and each is refused before any
+        work: nothing is written."""
         tmp_path, arch, _, model_a = workspace
         if subcommand == "verify":
             perm = str(tmp_path / "id.perm")
             write_permutation_assignment(build_coupling_graph(arch, "compose").identity_assignment(), perm)
             argv = ["verify", "--model", model_a, "--perm", perm]
+        elif subcommand == "match":
+            argv = ["match", "--model-a", model_a, "--model-b", model_a,
+                    "--out", str(tmp_path / "demo" / "out.perm")]
         else:
             argv = ["demo", "--out-dir", str(tmp_path / "demo")]
         with pytest.raises(SystemExit) as exc:

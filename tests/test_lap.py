@@ -7,8 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_min_assignment
+import taskport.lap
+from conftest import brute_force_min_assignment, reference_solve_min
+from taskport.checkpoint import ArchSpec
+from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.lap import _shortest_augmenting_paths, solve_max, solve_min
+from taskport.matching import MatchOptions, weight_match
+from taskport.model import init_random
 
 
 class TestAgainstEnumeration:
@@ -176,6 +181,13 @@ class TestDuals:
             yield 1e6 * rng.integers(0, 2, size=(n, n)).astype(float)
             yield _zero_block(n, max(1, n // 4), n)
             yield -_zero_block(n, max(1, n // 4), n + 1)
+            # near a permutation: a permuted diagonal plus 1% noise
+            yield -np.eye(n)[rng.permutation(n)] + 0.01 * rng.normal(size=(n, n))
+            # rows share their minimum column, so the row-minimum start leaves
+            # all but one row of each group for the search
+            shared = rng.normal(size=(n, n)) + 5.0
+            shared[np.arange(n), rng.integers(0, max(1, n // 3), n)] = -rng.random(n)
+            yield shared
 
     def test_reduced_costs_feasible_and_tight(self):
         for c in self._instances():
@@ -198,6 +210,79 @@ class TestDuals:
             _, total = solve_min(c)
             rows, cols = optimize.linear_sum_assignment(c)
             assert total == pytest.approx(float(c[rows, cols].sum()), rel=1e-12, abs=1e-9)
+
+
+def _captured_laps(monkeypatch, ws_a, ws_b, graph):
+    """Every cost matrix the solver is handed during ``weight_match``."""
+    captured = []
+    real = taskport.lap._solve
+
+    def recording(c):
+        captured.append(c.copy())
+        return real(c)
+
+    monkeypatch.setattr(taskport.lap, "_solve", recording)
+    weight_match(ws_a, ws_b, graph, MatchOptions(seed=0))
+    monkeypatch.undo()
+    return captured
+
+
+def _noisy_nonzero(ws, sigma, rng):
+    """Gaussian noise of ``sigma`` times each tensor's std on its nonzero entries."""
+    out = ws.copy()
+    for name, arr in out.tensors.items():
+        std = float(arr.std())
+        if std > 0:
+            out.tensors[name] = arr + rng.normal(0.0, sigma * std, arr.shape) * (arr != 0)
+    return out
+
+
+class TestAgainstReference:
+    """Every LAP of a real match gives what the pinned earlier solver gives:
+    the same permutation and the same total, bit for bit."""
+
+    @staticmethod
+    def _check(captured):
+        assert captured
+        for c in captured:
+            p, total = solve_min(c)
+            ref_p, ref_total = reference_solve_min(c)
+            assert np.array_equal(p, ref_p)
+            assert total == ref_total
+
+    def test_tie_heavy_instances_beyond_enumeration(self):
+        rng = np.random.default_rng(33)
+        instances = []
+        for n in (20, 60, 150):
+            instances += [
+                rng.integers(0, 2, size=(n, n)).astype(float),
+                rng.integers(0, 3, size=(n, n)).astype(float),
+                _zero_block(n, n // 4, n),
+                np.tile(rng.integers(0, 3, n).astype(float), (n, 1)),
+            ]
+        self._check(instances)
+
+    def test_planted_compose_match(self, monkeypatch, toy_arch):
+        rng = np.random.default_rng(31)
+        ws = init_random(toy_arch, 31)
+        graph = build_coupling_graph(toy_arch, "compose")
+        ws_b = _noisy_nonzero(apply_assignment(ws, graph, graph.random_assignment(rng)), 0.01, rng)
+        self._check(_captured_laps(monkeypatch, ws, ws_b, graph))
+
+    def test_pruned_tie_match(self, monkeypatch):
+        """75% of the hidden units dead, so the hidden LAPs are tie-heavy."""
+        arch = ArchSpec(1, 4, 16, 96, 6, 3)
+        rng = np.random.default_rng(32)
+        ws = init_random(arch, 32)
+        dead = rng.choice(96, size=72, replace=False)
+        ws.tensors["block.0.mlp.fc1.weight"][dead, :] = 0.0
+        ws.tensors["block.0.mlp.fc1.bias"][dead] = 0.0
+        ws.tensors["block.0.mlp.fc2.weight"][:, dead] = 0.0
+        graph = build_coupling_graph(arch, "tie", pin_embedding=False)
+        ws_b = _noisy_nonzero(apply_assignment(ws, graph, graph.random_assignment(rng)), 0.01, rng)
+        captured = _captured_laps(monkeypatch, ws, ws_b, graph)
+        assert any(c.shape[0] == 96 for c in captured)
+        self._check(captured)
 
 
 class TestSolveMax:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import taskport.matching
+from conftest import reference_weight_match
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.errors import ArchMismatchError, NonFiniteTensorError
 from taskport.matching import (
@@ -244,3 +245,45 @@ class TestWeightMatch:
             assert np.array_equal(
                 result.assignment.blocks[var].inter, plant.blocks[var].inter
             )
+
+
+class TestSkipRule:
+    """A visit whose neighbours have not changed since the variable's last
+    solve is skipped; the match must not notice."""
+
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    def test_same_result_as_solving_every_visit(self, toy_arch, mode):
+        for seed in range(4):
+            ws = init_random(toy_arch, 500 + seed)
+            graph = build_coupling_graph(toy_arch, mode, pin_embedding=(mode == "compose"))
+            plant = graph.random_assignment(np.random.default_rng(600 + seed))
+            ws_b = _noisy_copy(apply_assignment(ws, graph, plant), 0.05 * seed, 700 + seed)
+            opts = MatchOptions(seed=seed)
+            result = weight_match(ws, ws_b, graph, opts)
+            assignment, trace, changed, n_sweeps = reference_weight_match(ws, ws_b, graph, opts)
+            assert result.trace == trace, f"seed {seed}"
+            assert result.changed == changed
+            assert result.n_sweeps == n_sweeps
+            assert result.assignment == assignment
+
+    def test_solve_count_is_pinned(self, toy_arch, monkeypatch):
+        """On this planted match the skip rule solves 29 of the 48 visits
+        (6 sweeps over 8 free variables)."""
+        ws = init_random(toy_arch, 14)
+        graph = build_coupling_graph(toy_arch, "compose")
+        plant = graph.random_assignment(np.random.default_rng(15))
+        ws_b = _noisy_copy(apply_assignment(ws, graph, plant), 0.01, 16)
+        solves = []
+        for name in ("solve_plain_variable", "solve_attention_variable"):
+            real = getattr(taskport.matching, name)
+
+            def counting(*args, _real=real, **kwargs):
+                solves.append(args[0])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(taskport.matching, name, counting)
+        result = weight_match(ws, ws_b, graph, MatchOptions(seed=2))
+        visits = result.n_sweeps * len(graph.free_variables())
+        assert (result.n_sweeps, visits) == (6, 48)
+        assert len(solves) == 29
+
