@@ -72,7 +72,8 @@ def _int_at_least(minimum: int):
 
 def _finite_nonnegative(text: str) -> float:
     """An argparse type: a finite number >= 0 (a nan tolerance would fail
-    every model and an infinite one certify any; a nan noise would add none)."""
+    every model and an infinite one certify any; a nan noise would add none;
+    a nan or infinite alpha would make the ported model non-finite)."""
     try:
         value = float(text)
     except ValueError:
@@ -135,11 +136,11 @@ def cmd_task_vector(args) -> int:
 
 
 def cmd_transport(args) -> int:
+    scaling = _read_alpha(args)  # refuse a bad scaling before reading two models
     base = read_checkpoint(args.base)
     tv = read_task_vector(args.task_vector)
     assignment = read_permutation_assignment(args.perm)
     graph = _graph(args, base.arch)
-    scaling = _read_alpha(args)
     write_checkpoint(transport(base, tv, graph, assignment, scaling), args.out)
     return EXIT_OK
 
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-vector", required=True)
     p.add_argument("--perm", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_nonnegative, default=1.0)
     p.add_argument("--alpha-file", default=None)
     _add_graph_flags(p)
     p.set_defaults(func=cmd_transport)
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", required=True)
     p.add_argument("--batch", required=True)
-    p.add_argument("--points", type=int, default=11)
+    p.add_argument("--points", type=_int_at_least(2), default=11)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lmc)
 

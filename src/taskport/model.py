@@ -17,10 +17,19 @@ derived skip permutations instead.
 Every linear layer runs as one GEMM on the ``(n*s, d)`` token matrix rather
 than one small product per sample, in the forward and the backward pass
 alike; only the per-head score and value products stay batched by sample.
+The forward pass reuses buffers in place (scores, ReLU, residual sums,
+LayerNorm input) in the same operation order, so results stay bit-identical;
+without a training cache it also drops each activation once no later step
+reads it.  ``verify_equivalence`` runs one contiguous batch slice per usable
+core on threads: numpy releases the interpreter lock inside its BLAS
+products and ufunc loops.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,18 +81,23 @@ class EquivalenceReport:
 
 
 def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    """LayerNorm over the last axis; ``x`` is overwritten with its
+    normalised form, which the backward pass keeps."""
+    x -= x.mean(axis=-1, keepdims=True)
+    var = np.mean(x * x, axis=-1, keepdims=True)
     istd = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * istd
-    return gain * xhat + bias, (xhat, istd)
+    x *= istd
+    y = gain * x
+    y += bias
+    return y, (x, istd)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in ``x`` and returned."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _split_heads(t: np.ndarray, n_heads: int) -> np.ndarray:
@@ -113,7 +127,9 @@ def _attention(ws: WeightSet, b: str, z: np.ndarray, c: dict | None) -> np.ndarr
         _split_heads(_linear(z, ws[f"{b}.attn.{p}.weight"], ws[f"{b}.attn.{p}.bias"]), n_heads)
         for p in ("q", "k", "v")
     )
-    attn = _softmax((qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(ws.arch.head_dim)))
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= 1.0 / np.sqrt(ws.arch.head_dim)
+    attn = _softmax(scores)
     o = _merge_heads(attn @ vh)
     if c is not None:
         c.update(qh=qh, kh=kh, vh=vh, attn=attn, o=o)
@@ -122,19 +138,33 @@ def _attention(ws: WeightSet, b: str, z: np.ndarray, c: dict | None) -> np.ndarr
 
 def _mlp(ws: WeightSet, b: str, z_mid: np.ndarray, c: dict | None) -> np.ndarray:
     """MLP output of block ``b``, caching like ``_attention``."""
-    a1 = _linear(z_mid, ws[f"{b}.mlp.fc1.weight"], ws[f"{b}.mlp.fc1.bias"])
-    h1 = np.maximum(a1, 0.0)
+    h1 = _linear(z_mid, ws[f"{b}.mlp.fc1.weight"], ws[f"{b}.mlp.fc1.bias"])
+    np.maximum(h1, 0.0, out=h1)
     if c is not None:
-        c.update(a1=a1, h1=h1)
-    del a1
+        c["h1"] = h1
     return _linear(h1, ws[f"{b}.mlp.fc2.weight"], ws[f"{b}.mlp.fc2.bias"])
+
+
+def _add_and_norm(ws: WeightSet, i: int, k: int, y: np.ndarray, z: np.ndarray, skip, c: dict | None):
+    """The stream after sublayer ``k`` (1 attention, 2 MLP) of block ``i``:
+    the branch output ``y`` plus ``z``, whose features ``skip`` permutes when
+    given, checked finite, then LayerNorm ``ln{k}`` if the arch has one.  The
+    sum is formed in ``y``; the LayerNorm cache goes to ``c`` when given."""
+    y += z if skip is None else z[..., skip]
+    if not np.all(np.isfinite(y)):
+        raise NumericalFailureError(f"non-finite activations in block {i}")
+    if ws.arch.has_layernorm:
+        y, ln = _layernorm(y, ws[f"block.{i}.ln{k}.gain"], ws[f"block.{i}.ln{k}.bias"])
+        if c is not None:
+            c[f"ln{k}"] = ln
+    return y
 
 
 def _forward(ws: WeightSet, X: np.ndarray, residual_perms=None, cache: dict | None = None):
     """Logits; when ``cache`` is a dict it also receives every activation the
-    backward pass needs.  Without one, the attention and MLP activations are
-    freed as soon as they are used, which keeps evaluation memory to a few
-    activations of one block."""
+    backward pass needs.  Without one, each activation is dropped as soon as
+    no later step reads it, which keeps evaluation memory to a few
+    activations of one sublayer."""
     arch = ws.arch
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != arch.input_dim:
@@ -146,25 +176,14 @@ def _forward(ws: WeightSet, X: np.ndarray, residual_perms=None, cache: dict | No
     blocks = []
     for i in range(arch.n_blocks):
         b = f"block.{i}"
-        c = {"x_in": z}
-        kept = c if cache is not None else None
-        skip1 = z if residual_perms is None else z[..., residual_perms[i][0]]
-        z_mid = _attention(ws, b, z, kept) + skip1
-        if not np.all(np.isfinite(z_mid)):
-            raise NumericalFailureError(f"non-finite activations in block {i}")
-        if arch.has_layernorm:
-            z_mid, c["ln1"] = _layernorm(z_mid, ws[f"{b}.ln1.gain"], ws[f"{b}.ln1.bias"])
-        c["z_mid"] = z_mid
-
-        skip2 = z_mid if residual_perms is None else z_mid[..., residual_perms[i][1]]
-        z_out = _mlp(ws, b, z_mid, kept) + skip2
-        if not np.all(np.isfinite(z_out)):
-            raise NumericalFailureError(f"non-finite activations in block {i}")
-        if arch.has_layernorm:
-            z_out, c["ln2"] = _layernorm(z_out, ws[f"{b}.ln2.gain"], ws[f"{b}.ln2.bias"])
-        if cache is not None:
+        c = {"x_in": z} if cache is not None else None
+        skip1, skip2 = (None, None) if residual_perms is None else residual_perms[i]
+        z = _add_and_norm(ws, i, 1, _attention(ws, b, z, c), z, skip1, c)
+        if c is not None:
+            c["z_mid"] = z
+        z = _add_and_norm(ws, i, 2, _mlp(ws, b, z, c), z, skip2, c)
+        if c is not None:
             blocks.append(c)
-        z = z_out
 
     pooled = z.mean(axis=1)
     logits = pooled @ ws["head.weight"].T
@@ -246,7 +265,7 @@ def loss_and_grads(ws: WeightSet, batch: EvalBatch) -> tuple[float, dict[str, np
         dh1, grads[f"{b}.mlp.fc2.weight"], grads[f"{b}.mlp.fc2.bias"] = _linear_backward(
             dz, c["h1"], ws[f"{b}.mlp.fc2.weight"]
         )
-        da1 = dh1 * (c["a1"] > 0.0)
+        da1 = dh1 * (c["h1"] > 0.0)
         dx1, grads[f"{b}.mlp.fc1.weight"], grads[f"{b}.mlp.fc1.bias"] = _linear_backward(
             da1, c["z_mid"], ws[f"{b}.mlp.fc1.weight"]
         )
@@ -324,6 +343,11 @@ def verify_equivalence(
     The permuted model runs with the skip permutations its residual mode
     requires (identities in tie mode).  The classifier's column coupling
     undoes the final stream permutation, so outputs must agree directly.
+
+    The batch is cut into one contiguous slice per usable core (at most one
+    per sample).  The calling thread runs the first slice and a pool opened
+    for this call runs the others; the deviation is the maximum over the
+    slices, and an error in any slice is raised here.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -331,10 +355,30 @@ def verify_equivalence(
     skips = graph.residual_perms(assignment)
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_samples, seq_len, ws.arch.input_dim))
-    ref = forward(ws, X)
-    out = forward(permuted, X, residual_perms=skips)
-    max_dev = float(np.max(np.abs(out - ref)))
+
+    def deviation(x: np.ndarray) -> float:
+        out = forward(permuted, x, residual_perms=skips)
+        out -= forward(ws, x)
+        return float(np.max(np.abs(out)))
+
+    slices = np.array_split(X, min(n_samples, _usable_cores()))
+    if len(slices) == 1:
+        devs = [deviation(X)]
+    else:
+        with ThreadPoolExecutor(len(slices) - 1) as pool:
+            # Each slice runs under the caller's numpy error state.
+            futures = [pool.submit(contextvars.copy_context().run, deviation, x) for x in slices[1:]]
+            devs = [deviation(slices[0])] + [f.result() for f in futures]
+    max_dev = float(np.max(devs))  # a nan deviation stays nan and fails
     return EquivalenceReport(max_dev=max_dev, tol=tol, passed=max_dev <= tol)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def lmc_curve(ws_left: WeightSet, ws_right: WeightSet, batch: EvalBatch, n_points: int = 11) -> LmcCurve:

@@ -10,6 +10,7 @@ matched assignment can carry any number of task vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .perms import PermutationAssignment
 
 @dataclass(frozen=True)
 class ScalingSpec:
-    """Scalar or per-block non-negative scaling for a transported vector.
+    """Scalar or per-block finite, non-negative scaling for a transported vector.
 
     In per-block form, tensors of block i scale by ``factors[i]``; the
     embedding scales with the first block and the classifier with the last.
@@ -31,8 +32,8 @@ class ScalingSpec:
     per_block: bool
 
     def __post_init__(self):
-        if any(f < 0 for f in self.factors):
-            raise ValueError(f"scaling factors must be non-negative, got {self.factors}")
+        if not all(math.isfinite(f) and f >= 0 for f in self.factors):
+            raise ValueError(f"scaling factors must be finite and non-negative, got {self.factors}")
         if not self.per_block and len(self.factors) != 1:
             raise ValueError("scalar scaling takes exactly one factor")
 

@@ -8,14 +8,17 @@ matrix, permutation application is cross-checked with dense 0/1 matrices,
 attention equivariance is checked on a row-vector single-layer attention
 written out here, and the model forward is checked against a
 token-at-a-time loop.
+
+Every test must leave no more threads alive than it found.
 """
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
 
-from taskport.checkpoint import ArchSpec
+from taskport.checkpoint import ArchSpec, WeightSet
 from taskport.matching import (
     MatchOptions,
     matching_objective,
@@ -25,6 +28,16 @@ from taskport.matching import (
 )
 from taskport.model import EvalBatch
 from taskport.perms import BlockPermutation
+
+
+@pytest.fixture(autouse=True)
+def no_stray_threads():
+    """Fail a test that leaves more threads alive than it started with."""
+    before = threading.active_count()
+    yield
+    after = threading.active_count()
+    if after > before:
+        pytest.fail(f"{after - before} thread(s) left alive: {threading.enumerate()}")
 
 
 @pytest.fixture
@@ -42,6 +55,25 @@ def small_arch():
         n_blocks=1, n_heads=2, embed_dim=8, mlp_hidden=12,
         input_dim=5, output_dim=3, has_layernorm=False,
     )
+
+
+def overflowing_model(threshold: float) -> WeightSet:
+    """A 5-block model, float32-representable, whose activations overflow
+    float64 for exactly the samples that hold an input token above
+    ``threshold`` (|threshold| < 3.4).
+
+    Attention is all zeros.  Each block's ReLU opens on stream unit 0 only
+    above ``threshold``; once open, each block multiplies that unit by about
+    8e76, which passes float64's range in the fifth block.
+    """
+    arch = ArchSpec(5, 1, 2, 8, 1, 2, has_layernorm=False)
+    tensors = {name: np.zeros(shape) for name, shape in arch.tensor_shapes().items()}
+    tensors["embed.weight"][0, 0] = 1.0
+    for i in range(arch.n_blocks):
+        tensors[f"block.{i}.mlp.fc1.weight"][:, 0] = 1e38
+        tensors[f"block.{i}.mlp.fc1.bias"][:] = -1e38 * threshold
+        tensors[f"block.{i}.mlp.fc2.weight"][0, :] = 1e38
+    return WeightSet(arch, tensors)
 
 
 def make_random_batch(arch: ArchSpec, n: int, seq_len: int, seed: int) -> EvalBatch:

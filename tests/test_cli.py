@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
+import taskport.model as model_mod
+from conftest import overflowing_model
 from taskport.checkpoint import (
     ArchSpec,
     read_checkpoint,
@@ -276,14 +279,43 @@ class TestTransport:
                 got.tensors[name], expect.astype(np.float32).astype(np.float64)
             )
 
-    def test_negative_alpha_exit_one(self, transport_setup):
+    def test_negative_alpha_exit_one(self, transport_setup, capsys):
         tmp_path, arch, model_a, tv_path, perm, base, tv = transport_setup
         out = str(tmp_path / "out")
-        code = main(
-            ["transport", "--base", model_a, "--task-vector", tv_path, "--perm", perm,
-             "--out", out, "--alpha", "-1"]
-        )
+        with pytest.raises(SystemExit) as exc:
+            main(["transport", "--base", model_a, "--task-vector", tv_path, "--perm", perm,
+                  "--out", out, "--alpha", "-1"])
+        assert exc.value.code == 1
+        error_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and "argument --alpha:" in error_lines[0]
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "scaling", [["--alpha", "nan"], ["--alpha", "inf"], "nan", "1.0\ninf", "1.0\n-1"]
+    )
+    def test_meaningless_scaling_refused_before_reading(self, tmp_path, capsys, scaling):
+        """A nan, infinite or negative ``--alpha`` or ``--alpha-file`` line
+        exits 1 with one error line before any checkpoint is read: the
+        checkpoint paths here do not exist."""
+        if isinstance(scaling, str):
+            alpha_file = tmp_path / "alphas.txt"
+            alpha_file.write_text(scaling + "\n")
+            scaling = ["--alpha-file", str(alpha_file)]
+        out = str(tmp_path / "out")
+        argv = ["transport", "--base", str(tmp_path / "no_base"), "--task-vector",
+                str(tmp_path / "no_tv"), "--perm", str(tmp_path / "no.perm"), "--out", out]
+        if scaling[0] == "--alpha":
+            with pytest.raises(SystemExit) as exc:
+                main(argv + scaling)
+            code = exc.value.code
+        else:
+            code = main(argv + scaling)
         assert code == 1
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and "Traceback" not in err
+        assert "--alpha" in error_lines[0] or "scaling factors" in error_lines[0]
+        assert not os.path.exists(out)
 
     def test_float32_overflow_exit_one(self, transport_setup, capsys):
         tmp_path, arch, model_a, tv_path, perm, base, tv = transport_setup
@@ -339,6 +371,26 @@ class TestVerify:
         write_permutation_assignment(assignment, perm)
         assert main(["verify", "--model", model_a, "--perm", perm]) == 4
 
+    def test_overflow_in_a_worker_slice_exit_one(self, tmp_path, capsys, monkeypatch):
+        """Only the second of two samples overflows, in the pool's thread:
+        exit 1 with one error line, and no thread outlives the call."""
+        X = np.random.default_rng(3).normal(size=(2, 8, 1))  # verify's inputs at seed 3
+        ws = overflowing_model((X[0].max() + X[1].max()) / 2)
+        model = str(tmp_path / "model")
+        write_checkpoint(ws, model)
+        perm = str(tmp_path / "id.perm")
+        write_permutation_assignment(build_coupling_graph(ws.arch, "compose").identity_assignment(), perm)
+        monkeypatch.setattr(model_mod, "_usable_cores", lambda: 2)
+        before = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["verify", "--model", model, "--perm", perm, "--samples", "2", "--seed", "3"])
+        assert code == 1
+        assert threading.active_count() == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "non-finite activations in block 4" in captured.err
+
 
 class TestLmc:
     def test_same_model_constant_curve(self, workspace):
@@ -356,16 +408,22 @@ class TestLmc:
         losses = {row.split(",")[1] for row in rows[1:]}
         assert len(rows) == 6 and len(losses) == 1
 
-    def test_fewer_than_two_points_exit_one(self, workspace):
+    def test_fewer_than_two_points_exit_one(self, workspace, capsys):
+        """A usage error, refused before any input is read: the second case
+        names checkpoints that do not exist, and the error is about
+        ``--points``."""
         tmp_path, arch, ws, model_a = workspace
         batch_path = str(tmp_path / "batch")
         write_eval_batch(make_blob_batch(arch, 8, 4, 8), arch, batch_path)
         out = str(tmp_path / "curve.csv")
-        code = main(
-            ["lmc", "--model-a", model_a, "--model-b", model_a, "--batch", batch_path,
-             "--points", "1", "--out", out]
-        )
-        assert code == 1
+        for model, points in ((model_a, "1"), (str(tmp_path / "missing"), "0")):
+            with pytest.raises(SystemExit) as exc:
+                main(["lmc", "--model-a", model, "--model-b", model, "--batch", batch_path,
+                      "--points", points, "--out", out])
+            assert exc.value.code == 1
+            error_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert len(error_lines) == 1 and "argument --points:" in error_lines[0]
+            assert not os.path.exists(out)
 
 
 class TestDemo:

@@ -4,7 +4,9 @@
 array a call allocates and still holds at its peak.  A read holds the model
 it returns plus one record in flight; a write holds one or two tensors'
 float32 bytes; a transport holds its output plus the temporaries of one
-tensor; the ``task-vector`` subcommand holds the two models it reads.
+tensor; the ``task-vector`` subcommand holds the two models it reads; a
+verify holds the permuted model plus the activations of its batch slices,
+whose buffers the forward pass reuses in place.
 """
 
 import tracemalloc
@@ -12,10 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import taskport.model as model_mod
 from taskport.checkpoint import ArchSpec, read_checkpoint, write_checkpoint
 from taskport.cli import main
 from taskport.coupling import build_coupling_graph
-from taskport.model import init_random
+from taskport.model import init_random, verify_equivalence
 from taskport.transport import compute_task_vector, transport
 
 ARCH = ArchSpec(2, 4, 128, 512, 16, 4, has_layernorm=True)
@@ -67,3 +70,24 @@ def test_task_vector_cli_holds_two_models(model, tmp_path):
     write_checkpoint(init_random(ARCH, 2), tuned)
     argv = ["task-vector", "--finetuned", tuned, "--base", base, "--out", str(tmp_path / "tv")]
     assert _peak_ratio(model, main, argv) <= 2.3
+
+
+def _verify_peak_ratio(ws, monkeypatch, cores: int) -> float:
+    graph = build_coupling_graph(ARCH, "compose")
+    assignment = graph.random_assignment(np.random.default_rng(1))
+    monkeypatch.setattr(model_mod, "_usable_cores", lambda: cores)
+    return _peak_ratio(ws, verify_equivalence, ws, graph, assignment, 1000)
+
+
+def test_verify_reuses_activation_buffers(model, monkeypatch):
+    """1000 samples of 8 tokens: measured 17.4x, and 34.7x before the
+    forward pass reused its buffers in place and dropped each activation
+    once no later step read it."""
+    assert _verify_peak_ratio(model, monkeypatch, 1) <= 19.0
+
+
+def test_verify_slices_hold_no_more_than_one_batch(model, monkeypatch):
+    """Two slices in flight hold half the activations each (measured
+    equal to one slice's peak)."""
+    one = _verify_peak_ratio(model, monkeypatch, 1)
+    assert _verify_peak_ratio(model, monkeypatch, 2) <= 1.05 * one

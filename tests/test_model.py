@@ -1,13 +1,18 @@
 """Toy transformer: forward semantics, equivalence, gradients, interpolation."""
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import make_random_batch, token_loop_forward
+import taskport.model as model_mod
+from conftest import make_random_batch, overflowing_model, token_loop_forward
 from taskport.checkpoint import ArchSpec, WeightSet
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.errors import NumericalFailureError, ShapeMismatchError
 from taskport.model import (
+    _forward,
     EvalBatch,
     batch_loss,
     forward,
@@ -64,6 +69,23 @@ class TestForward:
         x = np.random.default_rng(54).normal(size=(6, 5, toy_arch.input_dim))
         alone = np.concatenate([forward(ws, x[i : i + 1]) for i in range(len(x))])
         np.testing.assert_allclose(forward(ws, x), alone, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("has_ln", [False, True])
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    def test_inference_path_equals_training_path_bit_for_bit(self, has_ln, mode):
+        """Inference reuses activation buffers in place that the training
+        path keeps; the logits must not drift by a bit."""
+        arch = ArchSpec(2, 4, 16, 24, 6, 3, has_layernorm=has_ln)
+        ws = init_random(arch, 56)
+        graph = build_coupling_graph(arch, mode, pin_embedding=False)
+        assignment = graph.random_assignment(np.random.default_rng(57), include_pinned=True)
+        permuted = apply_assignment(ws, graph, assignment)
+        skips = graph.residual_perms(assignment)
+        x = np.random.default_rng(58).normal(size=(5, 7, arch.input_dim))
+        np.testing.assert_array_equal(forward(ws, x), _forward(ws, x, cache={}))
+        np.testing.assert_array_equal(
+            forward(permuted, x, skips), _forward(permuted, x, skips, cache={})
+        )
 
     def test_bad_input_shape_rejected(self, toy_arch):
         ws = init_random(toy_arch, 4)
@@ -140,7 +162,8 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="n_samples"):
             verify_equivalence(ws, graph, graph.identity_assignment(), n_samples=0)
 
-    def test_contaminated_attention_fails(self, toy_arch):
+    def test_contaminated_attention_fails(self, toy_arch, monkeypatch):
+        """At every slice count: one failing slice fails the whole check."""
         ws = init_random(toy_arch, 15)
         graph = build_coupling_graph(toy_arch, "compose")
         assignment = graph.random_assignment(np.random.default_rng(16))
@@ -149,8 +172,68 @@ class TestEquivalence:
         flat[[0, d_k]] = flat[[d_k, 0]]  # mix units across heads 0 and 1
         assignment.perms["block.0.attn"] = flat
         assignment.blocks.pop("block.0.attn", None)
-        report = verify_equivalence(ws, graph, assignment, n_samples=16, tol=1e-9)
-        assert not report.passed
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(model_mod, "_usable_cores", lambda: cores)
+            report = verify_equivalence(ws, graph, assignment, n_samples=16, tol=1e-9)
+            assert not report.passed, cores
+
+
+class TestEquivalenceSlices:
+    """``verify_equivalence`` runs one batch slice per usable core."""
+
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    @pytest.mark.parametrize("n_samples", [1, 2, 7])
+    def test_verdict_and_deviation_at_every_slice_count(self, toy_arch, monkeypatch,
+                                                         mode, n_samples):
+        """k = 1, 2, 3 slices, including one sample and fewer samples than
+        cores, give the same verdict within float64 noise."""
+        ws = init_random(toy_arch, 59)
+        graph = build_coupling_graph(toy_arch, mode, pin_embedding=False)
+        assignment = graph.random_assignment(np.random.default_rng(60), include_pinned=True)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(model_mod, "_usable_cores", lambda: cores)
+            report = verify_equivalence(ws, graph, assignment, n_samples=n_samples, tol=1e-12)
+            assert report.passed and report.max_dev <= 1e-12, (cores, report.max_dev)
+
+    def test_slices_are_cut_per_usable_core_and_sample(self, toy_arch, monkeypatch):
+        """min(n_samples, cores) slices; only slices past the first start a
+        thread, and every thread is gone when the call returns."""
+        ws = init_random(toy_arch, 61)
+        graph = build_coupling_graph(toy_arch, "compose")
+        seen: list = []
+        original = model_mod.forward
+
+        def spy(ws_, x, residual_perms=None):
+            seen.append((len(x), threading.current_thread() is threading.main_thread()))
+            return original(ws_, x, residual_perms)
+
+        monkeypatch.setattr(model_mod, "forward", spy)
+        for cores, n_samples, sizes in ((1, 5, [5]), (2, 5, [3, 2]), (3, 7, [3, 2, 2]), (3, 2, [1, 1]),
+                                        (4, 1, [1])):
+            monkeypatch.setattr(model_mod, "_usable_cores", lambda: cores)
+            seen.clear()
+            before = threading.active_count()
+            verify_equivalence(ws, graph, graph.identity_assignment(), n_samples=n_samples)
+            assert threading.active_count() == before
+            assert sorted(n for n, _ in seen) == sorted(2 * sizes)
+            assert sum(main for _, main in seen) == 2  # slice 0, both models
+
+    def test_overflow_in_a_worker_slice_is_raised(self, monkeypatch):
+        """Only the second of two samples overflows, so the error starts in
+        the pool's thread; it reaches the caller, the pool is gone, and the
+        worker ran under the caller's numpy error state (no warning)."""
+        X = np.random.default_rng(3).normal(size=(2, 8, 1))  # verify's inputs at seed 3
+        assert X[1].max() > X[0].max()
+        ws = overflowing_model((X[0].max() + X[1].max()) / 2)
+        forward(ws, X[:1])  # the calling thread's slice alone is finite
+        graph = build_coupling_graph(ws.arch, "compose")
+        monkeypatch.setattr(model_mod, "_usable_cores", lambda: 2)
+        before = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="non-finite activations in block 4"):
+                verify_equivalence(ws, graph, graph.identity_assignment(), n_samples=2, seed=3)
+        assert threading.active_count() == before
 
 
 class TestGradients:

@@ -89,6 +89,15 @@ class TestTransport:
         with pytest.raises(ValueError):
             transport(base, tv, graph, assignment, scaling=-0.5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ScalingSpec.uniform(float("nan")),
+        lambda: ScalingSpec.uniform(float("inf")),
+        lambda: ScalingSpec.per_block_factors([1.0, float("nan")]),
+    ])
+    def test_non_finite_scaling_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_per_block_scaling(self, setup, toy_arch):
         base, finetuned, graph, assignment = setup
         tv = compute_task_vector(finetuned, base)
