@@ -30,7 +30,6 @@ from .attention import (
     split_heads,
 )
 from .lap import solve_max, solve_min
-from .linalg import frobenius_inner, singular_values
 from .matching import MatchOptions, MatchResult, matching_objective, recovery_fraction, weight_match
 from .model import (
     EvalBatch,
@@ -70,7 +69,6 @@ __all__ = [
     "compose",
     "compute_task_vector",
     "forward",
-    "frobenius_inner",
     "identity",
     "init_random",
     "inter_head_distance_matrix",
@@ -87,7 +85,6 @@ __all__ = [
     "read_permutation_assignment",
     "read_task_vector",
     "recovery_fraction",
-    "singular_values",
     "solve_max",
     "solve_min",
     "split_heads",

@@ -13,14 +13,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalFailureError
 from .lap import solve_max, solve_min
-from .linalg import as_matrix, singular_values
 from .perms import BlockPermutation, Perm, check_permutation
+
+
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """Descending singular values of a matrix, or of each matrix of a stack
+    ``(..., rows, cols)``: numpy's LAPACK SVD without the singular vectors."""
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailureError(f"SVD did not converge on shape {m.shape}: {e}") from e
 
 
 def split_heads(w: np.ndarray, n_heads: int) -> np.ndarray:
     """View a (d_m, d') projection as (H, d_k, d'): head i owns row block i."""
-    w = as_matrix(w)
     d_m = w.shape[0]
     if d_m % n_heads != 0:
         raise ValueError(f"cannot split {d_m} rows into {n_heads} heads")

@@ -127,25 +127,6 @@ class ArchSpec:
             raise MalformedManifestError(f"invalid arch in manifest: {e}") from e
 
 
-def _validate_tensors(arch: ArchSpec, tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    # The names are walked lazily, so an arch read from a hostile manifest
-    # (n_blocks = 10**12, say) fails at its first missing tensor.
-    out: dict[str, np.ndarray] = {}
-    for name, shape in arch._iter_tensor_shapes():
-        if name not in tensors:
-            raise MissingTensorError(name)
-        arr = np.asarray(tensors[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise ShapeMismatchError(name, f"got {arr.shape}, arch implies {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteTensorError(name)
-        out[name] = arr
-    extra = set(tensors) - set(out)
-    if extra:
-        raise ShapeMismatchError(sorted(extra)[0], "tensor not implied by arch")
-    return out
-
-
 @dataclass
 class WeightSet:
     """All parameters of one model, keyed by canonical tensor name."""
@@ -154,7 +135,22 @@ class WeightSet:
     tensors: dict[str, np.ndarray]
 
     def __post_init__(self):
-        self.tensors = _validate_tensors(self.arch, self.tensors)
+        # The names are walked lazily, so an arch read from a hostile manifest
+        # (n_blocks = 10**12, say) fails at its first missing tensor.
+        out: dict[str, np.ndarray] = {}
+        for name, shape in self.arch._iter_tensor_shapes():
+            if name not in self.tensors:
+                raise MissingTensorError(name)
+            arr = np.asarray(self.tensors[name], dtype=np.float64)
+            if arr.shape != shape:
+                raise ShapeMismatchError(name, f"got {arr.shape}, arch implies {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise NonFiniteTensorError(name)
+            out[name] = arr
+        extra = set(self.tensors) - set(out)
+        if extra:
+            raise ShapeMismatchError(sorted(extra)[0], "tensor not implied by arch")
+        self.tensors = out
 
     def copy(self):
         """A deep copy of the same type."""
@@ -193,17 +189,20 @@ def atomic_write(path: str, data: bytes | str | Iterable) -> None:
 
 
 def _as_float32(name: str, arr: np.ndarray) -> np.ndarray:
-    try:
-        with np.errstate(over="raise"):
-            return np.ascontiguousarray(arr, dtype="<f4")
-    except FloatingPointError as e:
-        raise NonFiniteTensorError(name) from e
+    """The writer's one check: a value not finite in float32 (nan, inf, or
+    beyond float32's range) raises NonFiniteTensorError."""
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteTensorError(name)
+    return out
 
 
 def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.ndarray]) -> None:
     """Low-level container writer; tensor order follows the dict order.  The
-    blob is streamed one tensor at a time.  A value beyond float32's range
-    raises NonFiniteTensorError and leaves any container at ``path`` as it was."""
+    blob is streamed one tensor at a time.  A value that is not finite in
+    float32 raises NonFiniteTensorError and leaves any container at ``path``
+    as it was."""
     records = []
     offset = 0
     for name, arr in tensors.items():
@@ -312,8 +311,7 @@ def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec,
 
 
 def write_checkpoint(ws: WeightSet, path: str) -> None:
-    tensors = _validate_tensors(ws.arch, ws.tensors)
-    write_container(path, ws.arch, KIND_WEIGHT_SET, tensors)
+    write_container(path, ws.arch, KIND_WEIGHT_SET, ws.tensors)
 
 
 def read_checkpoint(path: str) -> WeightSet:
@@ -322,8 +320,7 @@ def read_checkpoint(path: str) -> WeightSet:
 
 
 def write_task_vector(tv: TaskVector, path: str) -> None:
-    tensors = _validate_tensors(tv.arch, tv.tensors)
-    write_container(path, tv.arch, KIND_TASK_VECTOR, tensors)
+    write_container(path, tv.arch, KIND_TASK_VECTOR, tv.tensors)
 
 
 def read_task_vector(path: str) -> TaskVector:

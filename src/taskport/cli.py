@@ -73,7 +73,8 @@ def _int_at_least(minimum: int):
 def _finite_nonnegative(text: str) -> float:
     """An argparse type: a finite number >= 0 (a nan tolerance would fail
     every model and an infinite one certify any; a nan noise would add none;
-    a nan or infinite alpha would make the ported model non-finite)."""
+    a nan or infinite alpha would make the ported model non-finite, and a
+    nan, infinite or negative learning rate would not descend)."""
     try:
         value = float(text)
     except ValueError:
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-sweeps", type=_int_at_least(1), default=50)
     p.add_argument("--trace", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_graph_flags(p)
     p.add_argument("--dump-graph", action="store_true",
                    help="print the permutation application table")
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", required=True)
     p.add_argument("--samples", type=_int_at_least(1), default=100)
     p.add_argument("--tol", type=_finite_nonnegative, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_graph_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -335,11 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dim", type=int, default=4)
     p.add_argument("--layernorm", action="store_true")
     p.add_argument("--train-steps", type=_int_at_least(0), default=150)
-    p.add_argument("--train-lr", type=float, default=0.02)
+    p.add_argument("--train-lr", type=_finite_nonnegative, default=0.02)
     p.add_argument("--max-sweeps", type=_int_at_least(1), default=50)
     p.add_argument("--points", type=_int_at_least(2), default=11)
     p.add_argument("--tol", type=_finite_nonnegative, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_demo)
 
     return parser

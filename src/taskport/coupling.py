@@ -92,17 +92,6 @@ class CouplingGraph:
     def free_variables(self) -> list[str]:
         return [v for v in self.variables if v not in self.pinned]
 
-    def stream_in_variable(self, block: int) -> str:
-        if self.residual_mode == RESIDUAL_TIE:
-            return "stream"
-        return "embed.out" if block == 0 else f"block.{block - 1}.mlp_out"
-
-    def attn_out_variable(self, block: int) -> str:
-        return "stream" if self.residual_mode == RESIDUAL_TIE else f"block.{block}.attn_out"
-
-    def mlp_out_variable(self, block: int) -> str:
-        return "stream" if self.residual_mode == RESIDUAL_TIE else f"block.{block}.mlp_out"
-
     # -- assignments -----------------------------------------------------------
 
     def identity_assignment(self) -> PermutationAssignment:
@@ -143,19 +132,24 @@ class CouplingGraph:
     def residual_perms(self, assignment: PermutationAssignment) -> list[tuple[Perm, Perm]]:
         """Per block, the two skip permutations of the permuted model.
 
-        In compose mode the first skip becomes ``p_in^-1 ∘ p_w0`` (undo the
-        incoming stream permutation, then re-apply the attention-output one)
-        and the second ``p_w0^-1 ∘ p_w2``.  In tie mode both are identities.
+        The first skip becomes ``p_in^-1 ∘ p_w0`` (undo the incoming stream
+        permutation, then re-apply the attention-output one) and the second
+        ``p_w0^-1 ∘ p_w2``.  The wiring is read off the applications: p_in
+        permutes the columns of the block's q projection, p_w0 the rows of
+        its attention output and p_w2 the rows of fc2.  In tie mode all three
+        are the one stream variable, so both skips are identities.
         """
+
+        def perm(tensor: str, axis: Axis) -> Perm:
+            var_id = next(a.variable for a in self.applications_on(tensor) if a.axis is axis)
+            return assignment.perms[var_id]
+
         perms = []
-        d_m = self.arch.embed_dim
         for i in range(self.arch.n_blocks):
-            if self.residual_mode == RESIDUAL_TIE:
-                perms.append((identity(d_m), identity(d_m)))
-                continue
-            p_in = assignment.perms[self.stream_in_variable(i)]
-            p_w0 = assignment.perms[self.attn_out_variable(i)]
-            p_w2 = assignment.perms[self.mlp_out_variable(i)]
+            b = f"block.{i}"
+            p_in = perm(f"{b}.attn.q.weight", Axis.COLS)
+            p_w0 = perm(f"{b}.attn.out.weight", Axis.ROWS)
+            p_w2 = perm(f"{b}.mlp.fc2.weight", Axis.ROWS)
             skip_attn = compose(inverse(p_in), p_w0)
             skip_mlp = compose(inverse(p_w0), p_w2)
             perms.append((skip_attn, skip_mlp))

@@ -24,9 +24,8 @@ import numpy as np
 from .attention import align_within_heads, pair_heads
 from .checkpoint import WeightSet, require_same_arch
 from .coupling import Axis, CouplingGraph, apply_assignment, permuted_tensor
-from .errors import NonFiniteTensorError, UnknownVariableError
+from .errors import NonFiniteTensorError
 from .lap import solve_max
-from .linalg import frobenius_inner
 from .perms import BlockPermutation, Perm, PermutationAssignment
 
 
@@ -62,10 +61,8 @@ def _value_matrix(
     (i, j) is the objective's gain from gathering A's unit j into B's unit i.
     Sums B W-tilde^T over row couplings and B^T W-tilde over column couplings
     (W-tilde carries the fixed neighbors); 1-D tensors are never priced."""
-    var = graph.variables.get(var_id)
-    if var is None:
-        raise UnknownVariableError(f"variable {var_id!r} is not in the coupling graph")
-    value = np.zeros((var.size, var.size))
+    size = graph.variables[var_id].size
+    value = np.zeros((size, size))
     for app in graph.applications_of(var_id):
         if ws_a[app.tensor].ndim != 2:
             continue
@@ -130,7 +127,7 @@ def matching_objective(
     total = 0.0
     for name, arr in permuted.tensors.items():
         if arr.ndim == 2:
-            total += frobenius_inner(ws_b[name], arr)
+            total += float(np.sum(ws_b[name] * arr))
     return total
 
 

@@ -59,8 +59,8 @@ class EvalBatch:
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.targets = np.asarray(self.targets, dtype=np.int64)
-        if self.inputs.ndim != 3:
-            raise ValueError(f"inputs must be (n, seq, input_dim), got {self.inputs.shape}")
+        if self.inputs.ndim != 3 or 0 in self.inputs.shape:
+            raise ValueError(f"inputs must be (n, seq, input_dim) with positive dims, got {self.inputs.shape}")
         if self.targets.shape != (self.inputs.shape[0],):
             raise ValueError("targets must be one label per input row")
         if not np.all(np.isfinite(self.inputs)):
@@ -426,6 +426,10 @@ def read_eval_batch(path: str) -> tuple[EvalBatch, ArchSpec]:
         raise MalformedManifestError("targets are not exactly integral")
     if inputs.ndim != 3 or inputs.shape[2] != arch.input_dim:
         raise ShapeMismatchError("inputs", f"expected (n, seq, {arch.input_dim}), got {inputs.shape}")
+    try:
+        batch = EvalBatch(inputs, targets)
+    except ValueError as e:
+        raise MalformedManifestError(f"invalid eval batch: {e}") from e
     if targets.min() < 0 or targets.max() >= arch.output_dim:
         raise MalformedManifestError("targets out of range for arch output_dim")
-    return EvalBatch(inputs, targets), arch
+    return batch, arch

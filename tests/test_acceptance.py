@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_min_assignment, make_random_batch
+from taskport.attention import singular_values
 from taskport.checkpoint import (
     ArchSpec,
     read_checkpoint,
@@ -23,7 +24,6 @@ from taskport.checkpoint import (
 from taskport.cli import main
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.lap import solve_min
-from taskport.linalg import singular_values
 from taskport.matching import MatchOptions, recovery_fraction, weight_match
 from taskport.model import (
     init_random,

@@ -314,19 +314,21 @@ class TestCheckpointErrors:
         with pytest.raises(MissingTensorError, match="block.1.attn.q.weight"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [-1e300, np.nan, np.inf])
     @pytest.mark.parametrize("existing", [True, False])
-    def test_float32_overflow_in_last_tensor_leaves_target_as_it_was(self, tmp_path, small_arch, existing):
-        """The blob streams tensor by tensor, so the overflow is found after
-        earlier tensors were written to the temporary file: an existing
-        checkpoint keeps its bytes, a new one leaves no directory, and no
-        temporary file survives."""
+    def test_float32_overflow_in_last_tensor_leaves_target_as_it_was(self, tmp_path, small_arch, existing, bad):
+        """The blob streams tensor by tensor, so a value that is not finite
+        in float32 (an overflow, or a nan or inf put into the WeightSet after
+        it was built) is found after earlier tensors were written to the
+        temporary file: an existing checkpoint keeps its bytes, a new one
+        leaves no directory, and no temporary file survives."""
         path = tmp_path / "ckpt"
         if existing:
             write_checkpoint(_random_weight_set(small_arch, 18), str(path))
             before = {p.name: p.read_bytes() for p in path.iterdir()}
         ws = _random_weight_set(small_arch, 19)
         assert list(ws.tensors)[-1] == "head.weight"
-        ws.tensors["head.weight"][-1, -1] = -1e300
+        ws.tensors["head.weight"][-1, -1] = bad
         with pytest.raises(NonFiniteTensorError, match="head.weight"):
             write_checkpoint(ws, str(path))
         if existing:

@@ -207,6 +207,11 @@ class TestMalformedInputs:
             ("demo", "--train-steps", "-1"),
             ("demo", "--max-sweeps", "0"),
             ("match", "--max-sweeps", "0"),
+            ("match", "--seed", "-1"),
+            ("verify", "--seed", "-1"),
+            ("demo", "--seed", "-1"),
+            ("demo", "--train-lr", "nan"),
+            ("demo", "--train-lr", "inf"),
         ],
     )
     def test_meaningless_samples_or_tol_is_a_usage_error(self, workspace, capsys,
@@ -215,8 +220,9 @@ class TestMalformedInputs:
         fails every model and an infinite one certifies any: all are usage
         errors (exit 1), not a verification verdict (exit 4 or 0).  So are a
         curve of fewer than two points, a nan or negative noise, a negative
-        step count and a sweep cap below one, and each is refused before any
-        work: nothing is written."""
+        step count, a sweep cap below one, a negative seed and a learning
+        rate that is not finite, and each is refused before any work: nothing
+        is written."""
         tmp_path, arch, _, model_a = workspace
         if subcommand == "verify":
             perm = str(tmp_path / "id.perm")

@@ -297,8 +297,8 @@ class TestResidualPerms:
         rng = np.random.default_rng(14)
         z = rng.normal(size=toy_arch.embed_dim)
         for i, (skip_attn, skip_mlp) in enumerate(graph.residual_perms(assignment)):
-            p_in = assignment.perms[graph.stream_in_variable(i)]
-            p_w0 = assignment.perms[graph.attn_out_variable(i)]
-            p_w2 = assignment.perms[graph.mlp_out_variable(i)]
+            p_in = assignment.perms["embed.out" if i == 0 else f"block.{i - 1}.mlp_out"]
+            p_w0 = assignment.perms[f"block.{i}.attn_out"]
+            p_w2 = assignment.perms[f"block.{i}.mlp_out"]
             np.testing.assert_array_equal(z[p_in][skip_attn], z[p_w0])
             np.testing.assert_array_equal(z[p_w0][skip_mlp], z[p_w2])

@@ -1,13 +1,14 @@
-"""Dense kernels: singular values, inner products, permutation application."""
+"""Dense kernels: singular values (``attention``) and the row and column
+gather of permutation application (``coupling``)."""
 
 import numpy as np
 import pytest
 
 from conftest import charpoly_singular_values, dense_perm_matrix
+from taskport.attention import singular_values
 from taskport.checkpoint import ArchSpec
 from taskport.coupling import build_coupling_graph, permuted_tensor
 from taskport.errors import NumericalFailureError
-from taskport.linalg import frobenius_inner, singular_values
 
 
 class TestSingularValues:
@@ -69,38 +70,6 @@ class TestSingularValues:
             for mine, m in zip(got.reshape(len(flat), -1), flat):
                 oracle = charpoly_singular_values(m)
                 np.testing.assert_allclose(mine, oracle, atol=1e-8 * max(1.0, oracle.max()))
-
-    def test_rejects_empty_dims(self):
-        for shape in [(3,), (0, 3), (2, 3, 0), (0, 2, 2)]:
-            with pytest.raises(ValueError):
-                singular_values(np.zeros(shape))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            singular_values(np.array([[1.0, np.nan]]))
-
-
-class TestFrobeniusInner:
-    def test_identity_with_itself(self):
-        assert frobenius_inner(np.eye(2), np.eye(2)) == 2.0
-
-    def test_zero(self):
-        assert frobenius_inner(np.ones((3, 2)), np.zeros((3, 2))) == 0.0
-
-    def test_hand_value(self):
-        assert frobenius_inner([[1, 2], [3, 4]], [[1, 0], [0, 1]]) == 5.0
-
-    def test_symmetry_and_bilinearity(self):
-        rng = np.random.default_rng(14)
-        a, b, c = (rng.normal(size=(4, 5)) for _ in range(3))
-        assert frobenius_inner(a, b) == pytest.approx(frobenius_inner(b, a))
-        assert frobenius_inner(a, 2.0 * b + c) == pytest.approx(
-            2.0 * frobenius_inner(a, b) + frobenius_inner(a, c)
-        )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            frobenius_inner(np.eye(2), np.eye(3))
 
 
 class TestPermuteRowsCols:

@@ -2,6 +2,7 @@
 
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import taskport.model as model_mod
 from conftest import make_random_batch, overflowing_model, token_loop_forward
 from taskport.checkpoint import ArchSpec, WeightSet
 from taskport.coupling import apply_assignment, build_coupling_graph
-from taskport.errors import NumericalFailureError, ShapeMismatchError
+from taskport.errors import MalformedManifestError, NumericalFailureError, ShapeMismatchError
 from taskport.model import (
     _forward,
     EvalBatch,
@@ -337,18 +338,32 @@ class TestEvalBatchIO:
         np.testing.assert_array_equal(back.inputs, batch.inputs)
         np.testing.assert_array_equal(back.targets, batch.targets)
 
-    def test_targets_must_be_integral(self, tmp_path, small_arch):
+    @staticmethod
+    def _write_batch(path, arch, case):
         from taskport.checkpoint import KIND_EVAL_BATCH, write_container
 
+        rows = 0 if case == "zero_rows" else 2
+        n_targets = {"more_targets": 3, "fewer_targets": 1}.get(case, rows)
+        targets = np.array([0.5, 1.0]) if case == "fractional" else np.arange(n_targets) % arch.output_dim
+        inputs = np.zeros((rows, 3, arch.input_dim))
+        write_container(path, arch, KIND_EVAL_BATCH, {"inputs": inputs, "targets": targets})
+        if case in ("nan_input", "inf_input"):  # the writer refuses them, so patch the blob
+            blob = Path(path, "tensors.bin")
+            raw = bytearray(blob.read_bytes())
+            raw[0:4] = np.array([np.nan if case == "nan_input" else -np.inf], dtype="<f4").tobytes()
+            blob.write_bytes(bytes(raw))
+
+    def test_targets_must_be_integral(self, tmp_path, small_arch):
         path = str(tmp_path / "batch")
-        write_container(
-            path,
-            small_arch,
-            KIND_EVAL_BATCH,
-            {
-                "inputs": np.zeros((2, 3, small_arch.input_dim)),
-                "targets": np.array([0.5, 1.0]),
-            },
-        )
-        with pytest.raises(Exception):
+        self._write_batch(path, small_arch, "fractional")
+        with pytest.raises(MalformedManifestError, match="integral"):
+            read_eval_batch(path)
+
+    @pytest.mark.parametrize("case", ["zero_rows", "nan_input", "inf_input", "more_targets", "fewer_targets"])
+    def test_malformed_batch_is_a_manifest_error(self, tmp_path, small_arch, case):
+        """No rows, a non-finite input, or a target count that is not the
+        row count is a MalformedManifestError, like fractional targets."""
+        path = str(tmp_path / "batch")
+        self._write_batch(path, small_arch, case)
+        with pytest.raises(MalformedManifestError):
             read_eval_batch(path)
