@@ -11,7 +11,6 @@ import numpy as np
 
 from taskport import (
     ArchSpec,
-    MatchOptions,
     apply_assignment,
     build_coupling_graph,
     init_random,
@@ -45,7 +44,7 @@ for name, arr in model_b.tensors.items():
 identity_obj = matching_objective(model_a, model_b, graph.identity_assignment(), graph)
 print(f"\nobjective before matching (identity assignment): {identity_obj:.3f}")
 
-result = weight_match(model_a, model_b, graph, MatchOptions(seed=1))
+result = weight_match(model_a, model_b, graph, seed=1)
 print(f"matcher converged: {result.converged} after {result.n_sweeps} sweeps")
 for sweep, (obj, changed) in enumerate(zip(result.trace, result.changed), start=1):
     print(f"  sweep {sweep}: objective {obj:10.3f}   variables changed {changed}")

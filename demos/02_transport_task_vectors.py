@@ -14,7 +14,6 @@ import numpy as np
 
 from taskport import (
     ArchSpec,
-    MatchOptions,
     batch_loss,
     build_coupling_graph,
     compute_task_vector,
@@ -48,7 +47,7 @@ tau2 = compute_task_vector(tuned2, base_a)
 # Match once: align base A onto base B.  Tie mode keeps the permuted model a
 # standard transformer, which is what adding deltas onto base B assumes.
 graph = build_coupling_graph(arch, residual_mode="tie", pin_embedding=False)
-result = weight_match(base_a, base_b, graph, MatchOptions(seed=7))
+result = weight_match(base_a, base_b, graph, seed=7)
 print(f"matched A onto B in {result.n_sweeps} sweeps (converged: {result.converged})")
 
 print("\ntask 1 cross-entropy:")

@@ -11,7 +11,6 @@ import numpy as np
 
 from taskport import (
     ArchSpec,
-    MatchOptions,
     apply_assignment,
     build_coupling_graph,
     init_random,
@@ -37,7 +36,7 @@ for name, arr in model_b.tensors.items():
     if std > 0:
         model_b.tensors[name] = arr + rng.normal(0.0, 0.01 * std, arr.shape)
 
-result = weight_match(model_a, model_b, graph, MatchOptions(seed=3))
+result = weight_match(model_a, model_b, graph, seed=3)
 matched_a = apply_assignment(model_a, graph, result.assignment)
 
 naive = lmc_curve(model_a, model_b, batch, n_points=11)

@@ -30,7 +30,7 @@ from .attention import (
     split_heads,
 )
 from .lap import solve_max, solve_min
-from .matching import MatchOptions, MatchResult, matching_objective, recovery_fraction, weight_match
+from .matching import MatchResult, matching_objective, recovery_fraction, weight_match
 from .model import (
     EvalBatch,
     LmcCurve,
@@ -46,7 +46,7 @@ from .model import (
     write_eval_batch,
 )
 from .perms import BlockPermutation, PermutationAssignment, compose, identity, inverse
-from .transport import ScalingSpec, compute_task_vector, merge_task_vectors, transport
+from .transport import compute_task_vector, merge_task_vectors, transport
 
 __version__ = "0.1.0"
 
@@ -56,10 +56,8 @@ __all__ = [
     "CouplingGraph",
     "EvalBatch",
     "LmcCurve",
-    "MatchOptions",
     "MatchResult",
     "PermutationAssignment",
-    "ScalingSpec",
     "TaskVector",
     "WeightSet",
     "align_within_heads",

@@ -23,22 +23,10 @@ import numpy as np
 
 from .attention import align_within_heads, pair_heads
 from .checkpoint import WeightSet, require_same_arch
-from .coupling import Axis, CouplingGraph, apply_assignment, permuted_tensor
+from .coupling import Axis, CouplingGraph, permuted_tensor
 from .errors import NonFiniteTensorError
 from .lap import solve_max
 from .perms import BlockPermutation, Perm, PermutationAssignment
-
-
-@dataclass(frozen=True)
-class MatchOptions:
-    """Knobs for the sweep: its cap and the seed of its visiting order."""
-
-    max_sweeps: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
 
 
 @dataclass
@@ -121,13 +109,13 @@ def matching_objective(
     graph: CouplingGraph,
 ) -> float:
     """Sum of Frobenius inner products between B's weight matrices and the
-    fully permuted A.  Biases and layernorm vectors stay out, matching the
-    per-variable value matrices."""
-    permuted = apply_assignment(ws_a, graph, assignment)
+    fully permuted A, one tensor at a time in canonical order.  Biases and
+    layernorm vectors stay out, matching the per-variable value matrices."""
+    graph.check_assignment(assignment)
     total = 0.0
-    for name, arr in permuted.tensors.items():
+    for name, arr in ws_a.tensors.items():
         if arr.ndim == 2:
-            total += float(np.sum(ws_b[name] * arr))
+            total += float(np.sum(ws_b[name] * permuted_tensor(ws_a, graph, assignment, name)))
     return total
 
 
@@ -135,20 +123,24 @@ def weight_match(
     ws_a: WeightSet,
     ws_b: WeightSet,
     graph: CouplingGraph,
-    opts: MatchOptions = MatchOptions(),
+    *,
+    max_sweeps: int = 50,
+    seed: int = 0,
     initial: PermutationAssignment | None = None,
 ) -> MatchResult:
     """Align model A's hidden units onto model B's.
 
-    Visits the free variables in a fresh seeded-random order each sweep,
-    re-solving each against the others' current values; stops after the
-    first sweep with zero changes.  A visit is skipped when no neighbour of
+    Visits the free variables in a fresh order drawn from ``seed`` each
+    sweep, re-solving each against the others' current values; stops after
+    the first sweep with zero changes, or after ``max_sweeps`` (at least 1).  A visit is skipped when no neighbour of
     the variable has changed since its last solve, which would return the
     same answer.  Head pairing depends only on the raw weights (spectra
     ignore the incoming column permutation), so it is solved once per
     attention variable before the first sweep; with it fixed, the per-sweep
     objective trace is non-decreasing.
     """
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     require_same_arch(ws_a.arch, ws_b.arch, "models to match")
     require_same_arch(ws_a.arch, graph.arch, "model and coupling graph")
     for ws in (ws_a, ws_b):
@@ -158,7 +150,7 @@ def weight_match(
 
     assignment = graph.identity_assignment() if initial is None else initial.copy()
     graph.check_assignment(assignment)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     free = graph.free_variables()
     pairings = {}
     for var_id in free:
@@ -178,7 +170,7 @@ def weight_match(
     changed_per_sweep: list[int] = []
     converged = False
     sweeps_done = 0
-    for _ in range(opts.max_sweeps):
+    for _ in range(max_sweeps):
         order = [free[i] for i in rng.permutation(len(free))]
         changed = 0
         for var_id in order:

@@ -47,6 +47,8 @@ from .errors import MalformedManifestError, NumericalFailureError, ShapeMismatch
 from .perms import PermutationAssignment
 
 _LN_EPS = 1e-5
+_VERIFY_SEQ_LEN = 8  # tokens per random input of ``verify_equivalence``
+_BLOB_SPREAD = 3.0  # scale of the class means of ``make_blob_batch``
 
 
 @dataclass
@@ -336,7 +338,6 @@ def verify_equivalence(
     n_samples: int = 100,
     tol: float = 1e-8,
     seed: int = 0,
-    seq_len: int = 8,
 ) -> EquivalenceReport:
     """Compare the model against its permuted self on random inputs.
 
@@ -354,7 +355,7 @@ def verify_equivalence(
     permuted = apply_assignment(ws, graph, assignment)
     skips = graph.residual_perms(assignment)
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n_samples, seq_len, ws.arch.input_dim))
+    X = rng.normal(size=(n_samples, _VERIFY_SEQ_LEN, ws.arch.input_dim))
 
     def deviation(x: np.ndarray) -> float:
         out = forward(permuted, x, residual_perms=skips)
@@ -401,10 +402,10 @@ def lmc_curve(ws_left: WeightSet, ws_right: WeightSet, batch: EvalBatch, n_point
     return LmcCurve(alphas=alphas, losses=losses)
 
 
-def make_blob_batch(arch: ArchSpec, n: int, seq_len: int, seed: int, spread: float = 3.0) -> EvalBatch:
+def make_blob_batch(arch: ArchSpec, n: int, seq_len: int, seed: int) -> EvalBatch:
     """Linearly-separable-ish synthetic task: one Gaussian blob per class."""
     rng = np.random.default_rng(seed)
-    means = rng.normal(size=(arch.output_dim, arch.input_dim)) * spread
+    means = rng.normal(size=(arch.output_dim, arch.input_dim)) * _BLOB_SPREAD
     y = np.arange(n) % arch.output_dim
     X = means[y][:, None, :] + rng.normal(size=(n, seq_len, arch.input_dim))
     return EvalBatch(X, y)
@@ -421,15 +422,15 @@ def read_eval_batch(path: str) -> tuple[EvalBatch, ArchSpec]:
         raise MalformedManifestError("eval batch needs 'inputs' and 'targets' tensors")
     inputs = tensors["inputs"]
     raw_targets = tensors["targets"]
-    targets = raw_targets.astype(np.int64)
-    if not np.array_equal(targets.astype(np.float64), raw_targets):
+    # Checked as floats, so a nan, infinite or huge target never reaches the cast.
+    if not np.all(np.isfinite(raw_targets)) or np.any(raw_targets != np.floor(raw_targets)):
         raise MalformedManifestError("targets are not exactly integral")
     if inputs.ndim != 3 or inputs.shape[2] != arch.input_dim:
         raise ShapeMismatchError("inputs", f"expected (n, seq, {arch.input_dim}), got {inputs.shape}")
+    if raw_targets.size and (raw_targets.min() < 0 or raw_targets.max() >= arch.output_dim):
+        raise MalformedManifestError("targets out of range for arch output_dim")
     try:
-        batch = EvalBatch(inputs, targets)
+        batch = EvalBatch(inputs, raw_targets.astype(np.int64))
     except ValueError as e:
         raise MalformedManifestError(f"invalid eval batch: {e}") from e
-    if targets.min() < 0 or targets.max() >= arch.output_dim:
-        raise MalformedManifestError("targets out of range for arch output_dim")
     return batch, arch

@@ -20,7 +20,6 @@ import pytest
 
 from taskport.checkpoint import ArchSpec, WeightSet
 from taskport.matching import (
-    MatchOptions,
     matching_objective,
     pair_heads,
     solve_attention_variable,
@@ -254,12 +253,12 @@ def reference_solve_min(cost: np.ndarray):
     return p, float(np.sum(cost[np.arange(cost.shape[0]), p]))
 
 
-def reference_weight_match(ws_a, ws_b, graph, opts=MatchOptions()):
+def reference_weight_match(ws_a, ws_b, graph, *, max_sweeps=50, seed=0):
     """The matcher's sweep loop without its skip rule: every free variable
     is re-solved on every visit.  Returns (assignment, trace, changed,
     n_sweeps)."""
     assignment = graph.identity_assignment()
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     free = graph.free_variables()
     pairings = {
         var_id: pair_heads(
@@ -271,7 +270,7 @@ def reference_weight_match(ws_a, ws_b, graph, opts=MatchOptions()):
         if graph.variables[var_id].is_attention
     }
     trace, changed_per_sweep = [], []
-    for _ in range(opts.max_sweeps):
+    for _ in range(max_sweeps):
         changed = 0
         for var_id in [free[i] for i in rng.permutation(len(free))]:
             if var_id in pairings:

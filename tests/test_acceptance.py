@@ -24,7 +24,7 @@ from taskport.checkpoint import (
 from taskport.cli import main
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.lap import solve_min
-from taskport.matching import MatchOptions, recovery_fraction, weight_match
+from taskport.matching import recovery_fraction, weight_match
 from taskport.model import (
     init_random,
     lmc_curve,
@@ -131,10 +131,10 @@ def test_criterion_4_plant_and_recover():
     plant = graph.random_assignment(np.random.default_rng(5))
     ws_b = apply_assignment(ws, graph, plant)
 
-    clean = weight_match(ws, ws_b, graph, MatchOptions(seed=0))
+    clean = weight_match(ws, ws_b, graph, seed=0)
     frac_clean = recovery_fraction(clean.assignment, plant, graph)
 
-    noisy = weight_match(ws, _noisy(ws_b, 0.01, 6), graph, MatchOptions(seed=0))
+    noisy = weight_match(ws, _noisy(ws_b, 0.01, 6), graph, seed=0)
     frac_noisy = recovery_fraction(noisy.assignment, plant, graph)
 
     norm_sq = sum(float(np.sum(a * a)) for a in ws.tensors.values() if a.ndim == 2)
@@ -153,7 +153,7 @@ def test_criterion_5_sweep_monotonicity():
     for seed in range(20):
         a = init_random(TOY, 500 + seed)
         b = init_random(TOY, 600 + seed)
-        result = weight_match(a, b, graph, MatchOptions(seed=seed))
+        result = weight_match(a, b, graph, seed=seed)
         for prev, nxt in zip(result.trace, result.trace[1:]):
             if nxt < prev - 1e-9 * abs(prev):
                 violations += 1
@@ -175,7 +175,7 @@ def test_criterion_6_interpolation_barrier(tmp_path):
         ws_a = train_toy(init_random(TOY, 800 + seed), batch, steps=150, lr=0.02)
         plant = graph.random_assignment(np.random.default_rng(900 + seed), include_pinned=True)
         ws_b = _noisy(apply_assignment(ws_a, graph, plant), 0.01, 1000 + seed)
-        result = weight_match(ws_a, ws_b, graph, MatchOptions(seed=seed))
+        result = weight_match(ws_a, ws_b, graph, seed=seed)
         matched_a = apply_assignment(ws_a, graph, result.assignment)
         curve_m = lmc_curve(matched_a, ws_b, batch, n_points=11)
         curve_n = lmc_curve(ws_a, ws_b, batch, n_points=11)
@@ -291,7 +291,7 @@ def test_criterion_9_complexity_scaling():
         a, b = init_random(arch, 1), init_random(arch, 2)
         graph = build_coupling_graph(arch, "compose")
         start = time.perf_counter()
-        weight_match(a, b, graph, MatchOptions(seed=0))
+        weight_match(a, b, graph, seed=0)
         return time.perf_counter() - start
 
     run(32)  # warm-up

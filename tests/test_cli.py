@@ -1,9 +1,11 @@
 """Subcommand behavior and the exit-code contract."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +352,23 @@ class TestTransport:
             np.testing.assert_array_equal(got.tensors[name], base.tensors[name])
 
 
+    @pytest.mark.parametrize("alpha", ["1.0", "0.5"])
+    def test_alpha_with_alpha_file_refused_before_reading(self, tmp_path, capsys, alpha):
+        """Both scalings at once is a usage error, even when ``--alpha`` spells
+        its default; the checkpoint paths here do not exist."""
+        alpha_file = tmp_path / "alphas.txt"
+        alpha_file.write_text("1.0\n1.0\n")
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["transport", "--base", str(tmp_path / "no_base"), "--task-vector",
+                  str(tmp_path / "no_tv"), "--perm", str(tmp_path / "no.perm"), "--out", out,
+                  "--alpha", alpha, "--alpha-file", str(alpha_file)])
+        assert exc.value.code == 1
+        error_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and "not allowed with argument" in error_lines[0]
+        assert not os.path.exists(out)
+
+
 class TestVerify:
     def test_identity_passes(self, workspace):
         tmp_path, arch, ws, model_a = workspace
@@ -432,6 +451,19 @@ class TestLmc:
             assert not os.path.exists(out)
 
 
+    def test_batch_for_another_arch_exit_two(self, workspace, capsys):
+        tmp_path, arch, ws, model_a = workspace
+        other = dataclasses.replace(arch, output_dim=arch.output_dim + 3)
+        batch_path = str(tmp_path / "batch")
+        write_eval_batch(make_blob_batch(other, 8, 4, 7), other, batch_path)
+        out = str(tmp_path / "curve.csv")
+        code = main(["lmc", "--model-a", model_a, "--model-b", model_a, "--batch", batch_path,
+                     "--out", out])
+        assert code == 2
+        assert "disagree on architecture" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestDemo:
     def test_fixed_seed_reports_are_byte_identical(self, tmp_path):
         args = ["demo", "--seed", "11", "--noise", "0.0", "--train-steps", "30",
@@ -477,6 +509,18 @@ class TestDemo:
             "midpoint loss matched: 3.44105480572e-05",
             "midpoint loss naive: 0.71010630354",
         ]
+
+    def test_diverging_training_leaves_nothing(self, tmp_path, capsys):
+        """A finite ``--train-lr`` that makes training diverge exits 1 with the
+        one divergence error: no numpy warning, and no ``--out-dir``."""
+        out = str(tmp_path / "demo")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["demo", "--out-dir", out, "--train-lr", "1000", "--train-steps", "20"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged") and err.count("\n") == 1
+        assert not os.path.exists(out)
 
     def test_zero_noise_full_recovery(self, tmp_path):
         out = str(tmp_path / "demo")

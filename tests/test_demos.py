@@ -1,6 +1,7 @@
-"""The walkthroughs under ``demos/`` run clean, and every public name resolves.
+"""The walkthroughs under ``demos/`` and the README's library tour run clean,
+and every public name resolves.
 
-Each demo runs in its own interpreter from an empty working directory, with
+Each script runs in its own interpreter from an empty working directory, with
 the package found the same way this test found it.
 """
 
@@ -13,7 +14,22 @@ import pytest
 
 import taskport
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run_clean(argv, cwd):
+    """Run ``argv`` in a fresh interpreter in ``cwd``; it must exit 0 with no
+    traceback and leave ``cwd`` empty."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(taskport.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert list(cwd.iterdir()) == []
 
 
 def test_demos_are_found():
@@ -22,15 +38,13 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero_and_writes_nothing(demo, tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(taskport.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stderr
-    assert list(tmp_path.iterdir()) == []
+    _run_clean([str(demo)], tmp_path)
+
+
+def test_readme_library_tour_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    _run_clean(["-c", tour], tmp_path)
 
 
 def test_every_public_name_resolves():

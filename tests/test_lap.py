@@ -12,7 +12,7 @@ from conftest import brute_force_min_assignment, reference_solve_min
 from taskport.checkpoint import ArchSpec
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.lap import _shortest_augmenting_paths, solve_max, solve_min
-from taskport.matching import MatchOptions, weight_match
+from taskport.matching import weight_match
 from taskport.model import init_random
 
 
@@ -222,7 +222,7 @@ def _captured_laps(monkeypatch, ws_a, ws_b, graph):
         return real(c)
 
     monkeypatch.setattr(taskport.lap, "_solve", recording)
-    weight_match(ws_a, ws_b, graph, MatchOptions(seed=0))
+    weight_match(ws_a, ws_b, graph, seed=0)
     monkeypatch.undo()
     return captured
 

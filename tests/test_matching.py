@@ -10,7 +10,6 @@ from conftest import reference_weight_match
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.errors import ArchMismatchError, NonFiniteTensorError
 from taskport.matching import (
-    MatchOptions,
     matching_objective,
     recovery_fraction,
     solve_attention_variable,
@@ -48,7 +47,7 @@ class TestObjective:
         b = init_random(toy_arch, 2)
         graph = build_coupling_graph(toy_arch, "compose")
         identity_obj = matching_objective(a, b, graph.identity_assignment(), graph)
-        result = weight_match(a, b, graph, MatchOptions(seed=0))
+        result = weight_match(a, b, graph, seed=0)
         assert result.trace[-1] >= identity_obj
 
     def test_invariant_under_joint_permutation(self, toy_arch):
@@ -146,7 +145,7 @@ class TestWeightMatch:
         graph = build_coupling_graph(toy_arch, mode, pin_embedding=(mode == "compose"))
         plant = graph.random_assignment(np.random.default_rng(13))
         ws_b = apply_assignment(ws, graph, plant)
-        result = weight_match(ws, ws_b, graph, MatchOptions(seed=1))
+        result = weight_match(ws, ws_b, graph, seed=1)
         assert recovery_fraction(result.assignment, plant, graph) == 1.0
         norm_sq = sum(float(np.sum(a * a)) for a in ws.tensors.values() if a.ndim == 2)
         assert result.trace[-1] == pytest.approx(norm_sq, rel=1e-6)
@@ -165,7 +164,7 @@ class TestWeightMatch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(taskport.matching, "pair_heads", counting)
-        result = weight_match(ws, ws_b, graph, MatchOptions(seed=1))
+        result = weight_match(ws, ws_b, graph, seed=1)
         assert result.n_sweeps > 1
         assert len(calls) == toy_arch.n_blocks
 
@@ -174,7 +173,7 @@ class TestWeightMatch:
         graph = build_coupling_graph(toy_arch, "compose")
         plant = graph.random_assignment(np.random.default_rng(15))
         ws_b = _noisy_copy(apply_assignment(ws, graph, plant), 0.01, 16)
-        result = weight_match(ws, ws_b, graph, MatchOptions(seed=2))
+        result = weight_match(ws, ws_b, graph, seed=2)
         assert recovery_fraction(result.assignment, plant, graph) >= 0.99
 
     def test_monotone_objective_trace(self, toy_arch):
@@ -183,7 +182,7 @@ class TestWeightMatch:
             a = init_random(toy_arch, 300 + seed)
             b = init_random(toy_arch, 400 + seed)
             graph = build_coupling_graph(toy_arch, "compose")
-            result = weight_match(a, b, graph, MatchOptions(seed=seed))
+            result = weight_match(a, b, graph, seed=seed)
             for prev, nxt in zip(result.trace, result.trace[1:]):
                 assert nxt >= prev - 1e-9 * abs(prev)
 
@@ -191,8 +190,8 @@ class TestWeightMatch:
         a = init_random(toy_arch, 17)
         b = init_random(toy_arch, 18)
         graph = build_coupling_graph(toy_arch, "compose")
-        r1 = weight_match(a, b, graph, MatchOptions(seed=5))
-        r2 = weight_match(a, b, graph, MatchOptions(seed=5))
+        r1 = weight_match(a, b, graph, seed=5)
+        r2 = weight_match(a, b, graph, seed=5)
         assert r1.assignment == r2.assignment
         assert r1.trace == r2.trace
 
@@ -202,9 +201,9 @@ class TestWeightMatch:
         a = init_random(toy_arch, 19)
         b = init_random(toy_arch, 20)
         graph = build_coupling_graph(toy_arch, "compose")
-        first = weight_match(a, b, graph, MatchOptions(seed=6))
+        first = weight_match(a, b, graph, seed=6)
         assert first.converged
-        again = weight_match(a, b, graph, MatchOptions(seed=99), initial=first.assignment)
+        again = weight_match(a, b, graph, seed=99, initial=first.assignment)
         assert again.converged and again.n_sweeps == 1
         assert again.assignment == first.assignment
 
@@ -212,9 +211,16 @@ class TestWeightMatch:
         a = init_random(toy_arch, 21)
         b = init_random(toy_arch, 22)
         graph = build_coupling_graph(toy_arch, "compose")
-        result = weight_match(a, b, graph, MatchOptions(max_sweeps=1, seed=0))
+        result = weight_match(a, b, graph, max_sweeps=1, seed=0)
         assert result.n_sweeps == 1
         assert not result.converged  # one sweep from identity always changes something
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_max_sweeps_below_one_rejected(self, toy_arch, max_sweeps):
+        ws = init_random(toy_arch, 21)
+        graph = build_coupling_graph(toy_arch, "compose")
+        with pytest.raises(ValueError, match="max_sweeps"):
+            weight_match(ws, ws, graph, max_sweeps=max_sweeps)
 
     def test_arch_mismatch_rejected(self, toy_arch):
         other = ArchSpec(1, 2, 8, 16, 4, 3)
@@ -239,7 +245,7 @@ class TestWeightMatch:
         graph = build_coupling_graph(toy_arch, "compose")
         plant = graph.random_assignment(np.random.default_rng(26))
         ws_b = apply_assignment(ws, graph, plant)
-        result = weight_match(ws, ws_b, graph, MatchOptions(seed=3))
+        result = weight_match(ws, ws_b, graph, seed=3)
         for i in range(toy_arch.n_blocks):
             var = f"block.{i}.attn"
             assert np.array_equal(
@@ -258,9 +264,8 @@ class TestSkipRule:
             graph = build_coupling_graph(toy_arch, mode, pin_embedding=(mode == "compose"))
             plant = graph.random_assignment(np.random.default_rng(600 + seed))
             ws_b = _noisy_copy(apply_assignment(ws, graph, plant), 0.05 * seed, 700 + seed)
-            opts = MatchOptions(seed=seed)
-            result = weight_match(ws, ws_b, graph, opts)
-            assignment, trace, changed, n_sweeps = reference_weight_match(ws, ws_b, graph, opts)
+            result = weight_match(ws, ws_b, graph, seed=seed)
+            assignment, trace, changed, n_sweeps = reference_weight_match(ws, ws_b, graph, seed=seed)
             assert result.trace == trace, f"seed {seed}"
             assert result.changed == changed
             assert result.n_sweeps == n_sweeps
@@ -282,7 +287,7 @@ class TestSkipRule:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(taskport.matching, name, counting)
-        result = weight_match(ws, ws_b, graph, MatchOptions(seed=2))
+        result = weight_match(ws, ws_b, graph, seed=2)
         visits = result.n_sweeps * len(graph.free_variables())
         assert (result.n_sweeps, visits) == (6, 48)
         assert len(solves) == 29

@@ -359,6 +359,24 @@ class TestEvalBatchIO:
         with pytest.raises(MalformedManifestError, match="integral"):
             read_eval_batch(path)
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf, 1e30])
+    def test_unusable_target_refused_without_warning(self, tmp_path, small_arch, target):
+        """Targets are checked as floats before the integer cast, so a nan,
+        infinite or huge target raises with no numpy warning."""
+        from taskport.checkpoint import KIND_EVAL_BATCH, write_container
+
+        path = str(tmp_path / "batch")
+        tensors = {"inputs": np.zeros((2, 3, small_arch.input_dim)), "targets": np.zeros(2)}
+        write_container(path, small_arch, KIND_EVAL_BATCH, tensors)
+        blob = Path(path, "tensors.bin")  # the writer refuses nan and inf, so patch the blob
+        raw = bytearray(blob.read_bytes())
+        raw[-4:] = np.array([target], dtype="<f4").tobytes()
+        blob.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedManifestError):
+                read_eval_batch(path)
+
     @pytest.mark.parametrize("case", ["zero_rows", "nan_input", "inf_input", "more_targets", "fewer_targets"])
     def test_malformed_batch_is_a_manifest_error(self, tmp_path, small_arch, case):
         """No rows, a non-finite input, or a target count that is not the
