@@ -29,7 +29,7 @@ model_a = train_toy(init_random(arch, seed=0), batch, steps=150, lr=0.02)
 
 graph = build_coupling_graph(arch, residual_mode="tie", pin_embedding=False)
 rng = np.random.default_rng(12)
-plant = graph.random_assignment(rng, include_pinned=True)
+plant = graph.random_assignment(rng)
 model_b = apply_assignment(model_a, graph, plant)
 for name, arr in model_b.tensors.items():
     std = float(arr.std())

@@ -71,10 +71,15 @@ class ArchSpec:
     has_layernorm: bool = False
 
     def __post_init__(self):
-        for name in ("n_blocks", "n_heads", "embed_dim", "mlp_hidden", "input_dim", "output_dim"):
+        # Stored as plain int and bool, so a manifest writes JSON numbers and booleans.
+        for name in _ARCH_FIELDS[:-1]:
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.has_layernorm, (bool, np.bool_)):
+            raise ValueError(f"has_layernorm must be a boolean, got {self.has_layernorm!r}")
+        object.__setattr__(self, "has_layernorm", bool(self.has_layernorm))
         if self.embed_dim % self.n_heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} is not divisible by n_heads {self.n_heads}"
@@ -119,8 +124,6 @@ class ArchSpec:
             kwargs = {name: d[name] for name in _ARCH_FIELDS}
         except KeyError as e:
             raise MalformedManifestError(f"manifest arch is missing field {e.args[0]!r}") from e
-        if not isinstance(kwargs["has_layernorm"], bool):
-            raise MalformedManifestError("arch field 'has_layernorm' must be a boolean")
         try:
             return ArchSpec(**kwargs)
         except (TypeError, ValueError) as e:
@@ -208,12 +211,10 @@ def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.
     for name, arr in tensors.items():
         records.append({"name": name, "shape": list(arr.shape), "offset": offset, "length": 4 * arr.size})
         offset += 4 * arr.size
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "arch": arch.to_json_dict(),
-        "tensors": records,
-    }
+    manifest = json.dumps(  # before the blob: a failure here leaves ``path`` as it was
+        {"format_version": FORMAT_VERSION, "kind": kind, "arch": arch.to_json_dict(), "tensors": records},
+        indent=1,
+    )
     created = not os.path.isdir(path)
     os.makedirs(path, exist_ok=True)
     try:
@@ -226,7 +227,7 @@ def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.
             with contextlib.suppress(OSError):
                 os.rmdir(path)
         raise
-    atomic_write(os.path.join(path, MANIFEST_NAME), json.dumps(manifest, indent=1))
+    atomic_write(os.path.join(path, MANIFEST_NAME), manifest)
 
 
 def _is_count(x) -> bool:
@@ -342,9 +343,9 @@ def _format_record(var_id: str, vec) -> str:
 
 
 def write_permutation_assignment(assignment: PermutationAssignment, path: str) -> None:
-    """One text record per variable; an attention variable whose head
-    structure is current (``assignment.block``) is stored as its inter record
-    plus one intra record per head."""
+    """One text record per variable; an attention variable whose index vector
+    keeps each head's units together (``assignment.block``) is stored as its
+    inter record plus one intra record per head."""
     lines = []
     for var_id in sorted(assignment.perms):
         bp = assignment.block(var_id)
@@ -369,17 +370,15 @@ def read_permutation_assignment(path: str) -> PermutationAssignment:
     """Parse and validate an assignment file.
 
     Raises AssignmentFormatError on syntax problems, duplicate records,
-    duplicate or out-of-range indices, or incomplete intra-head groups.
+    duplicate or out-of-range indices, incomplete intra-head groups, or intra
+    records outside a group.
     """
-    flat: dict[str, np.ndarray] = {}
-    inters: dict[str, np.ndarray] = {}
-    intras: dict[str, dict[int, np.ndarray]] = {}
-
     try:
         with open(path, "rb") as f:
             text = f.read().decode("utf-8")
     except UnicodeDecodeError as e:
         raise AssignmentFormatError(f"{path}: not UTF-8 text: {e}") from e
+    records: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -389,40 +388,22 @@ def read_permutation_assignment(path: str) -> PermutationAssignment:
         var_id, _, rest = line.partition(":")
         var_id = var_id.strip()
         vec = _parse_index_vector(rest.strip(), f"{path}:{lineno}")
-        if var_id.endswith(".inter"):
-            base = var_id[: -len(".inter")]
-            if base in inters:
-                raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
-            inters[base] = vec
-        elif ".intra." in var_id:
-            base, _, head = var_id.rpartition(".intra.")
-            try:
-                head_idx = int(head)
-            except ValueError as e:
-                raise AssignmentFormatError(f"{path}:{lineno}: bad head index in {var_id!r}") from e
-            intras.setdefault(base, {})
-            if head_idx in intras[base]:
-                raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
-            intras[base][head_idx] = vec
-        else:
-            if var_id in flat:
-                raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
-            flat[var_id] = vec
+        if var_id in records:
+            raise AssignmentFormatError(f"{path}:{lineno}: duplicate record for {var_id!r}")
+        records[var_id] = vec
 
     assignment = PermutationAssignment()
-    for base in sorted(set(inters) | set(intras)):
-        if base in flat:
-            raise AssignmentFormatError(f"{base!r} has both flat and structured records")
-        if base not in inters:
-            raise AssignmentFormatError(f"{base!r} has intra records but no inter record")
-        inter = inters[base]
-        heads = intras.get(base, {})
-        if sorted(heads) != list(range(inter.size)):
-            raise AssignmentFormatError(
-                f"{base!r} needs intra records for heads 0..{inter.size - 1}, found {sorted(heads)}"
-            )
-        bp = BlockPermutation(inter, tuple(heads[h] for h in range(inter.size)))
-        assignment.set_block(base, bp)
-    for var_id, vec in flat.items():
+    for name in [name for name in records if name.endswith(".inter")]:
+        base = name[: -len(".inter")]
+        inter = records.pop(name)
+        group = [f"{base}.intra.{h}" for h in range(inter.size)]
+        if not all(h in records for h in group):
+            raise AssignmentFormatError(f"{base!r} needs intra records for heads 0..{inter.size - 1}")
+        assignment.set_block(base, BlockPermutation(inter, tuple(records.pop(h) for h in group)))
+    for var_id, vec in records.items():
+        if ".intra." in var_id:
+            raise AssignmentFormatError(f"{var_id!r} is an intra record outside any inter group")
+        if var_id in assignment.perms:
+            raise AssignmentFormatError(f"{var_id!r} has both flat and structured records")
         assignment.perms[var_id] = vec
     return assignment

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes are stable for scripting: 0 success, 1 I/O, format or usage
-problem, 2 architecture mismatch, 3 matcher hit its sweep cap (assignment
-still written), 4 verification failed.  All randomness flows from ``--seed``,
-so every subcommand is reproducible; no subcommand mutates its inputs.
+Exit codes are stable for scripting: 0 success, 1 I/O, format, usage or
+out-of-memory problem, 2 architecture mismatch, 3 matcher hit its sweep cap
+(assignment still written), 4 verification failed.  All randomness flows from
+``--seed``, so every subcommand is reproducible; no subcommand mutates its
+inputs.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def cmd_task_vector(args) -> int:
 def cmd_transport(args) -> int:
     scaling = _read_alpha(args)  # refuse a bad scaling before reading two models
     base = read_checkpoint(args.base)
+    if isinstance(scaling, list) and len(scaling) != base.arch.n_blocks:
+        raise ValueError(f"--alpha-file needs {base.arch.n_blocks} factors, one per block, got {len(scaling)}")
     tv = read_task_vector(args.task_vector)
     assignment = read_permutation_assignment(args.perm)
     graph = _graph(args, base.arch)
@@ -362,6 +365,9 @@ def main(argv=None) -> int:
         return EXIT_ARCH
     except (TaskportError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_IO
 
 

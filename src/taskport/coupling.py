@@ -103,11 +103,11 @@ class CouplingGraph:
                 a.perms[var.id] = identity(var.size)
         return a
 
-    def random_assignment(self, rng: np.random.Generator, include_pinned: bool = False) -> PermutationAssignment:
-        """Random structured assignment; pinned variables stay identity unless asked."""
+    def random_assignment(self, rng: np.random.Generator) -> PermutationAssignment:
+        """Random structured assignment; pinned variables stay identity."""
         a = self.identity_assignment()
         for var in self.variables.values():
-            if var.id in self.pinned and not include_pinned:
+            if var.id in self.pinned:
                 continue
             if var.is_attention:
                 inter = random_permutation(self.arch.n_heads, rng)
@@ -277,15 +277,9 @@ def apply_assignment(ws, graph: CouplingGraph, assignment: PermutationAssignment
 
 
 def inverse_assignment(graph: CouplingGraph, assignment: PermutationAssignment) -> PermutationAssignment:
-    """Variable-wise inverse that keeps each attention variable's head
-    structure; applying it after the original restores any input."""
+    """Variable-wise inverse; applying it after the original restores any
+    input.  The inverse of a vector that keeps each head's units together
+    keeps them together too, so the head counts carry over."""
     graph.check_assignment(assignment)
-    inv = PermutationAssignment()
-    for var_id, p in assignment.perms.items():
-        bp = assignment.block(var_id)
-        if bp is None:
-            inv.perms[var_id] = inverse(p)
-        else:
-            ii = inverse(bp.inter)
-            inv.set_block(var_id, BlockPermutation(ii, tuple(inverse(bp.intras[h]) for h in ii)))
-    return inv
+    perms = {var_id: inverse(p) for var_id, p in assignment.perms.items()}
+    return PermutationAssignment(perms, dict(assignment.heads))

@@ -161,6 +161,7 @@ def weight_match(
                 tuple(ws_b[name] for name in qkv),
                 graph.arch.n_heads,
             )
+            assignment.heads[var_id] = graph.arch.n_heads
 
     neighbours = {var_id: _neighbours(var_id, ws_a, graph) for var_id in free}
     version = dict.fromkeys(graph.variables, 0)  # how often each variable changed
@@ -178,16 +179,13 @@ def weight_match(
             if solved_at.get(var_id) == stamp:
                 continue
             solved_at[var_id] = stamp
-            if graph.variables[var_id].is_attention:
-                bp = solve_attention_variable(
-                    var_id, ws_a, ws_b, graph, assignment, pairings[var_id]
-                )
-                moved = not np.array_equal(bp.flattened(), assignment.perms[var_id])
-                assignment.set_block(var_id, bp)
+            if var_id in pairings:
+                bp = solve_attention_variable(var_id, ws_a, ws_b, graph, assignment, pairings[var_id])
+                perm = bp.flattened()
             else:
                 perm = solve_plain_variable(var_id, ws_a, ws_b, graph, assignment)
-                moved = not np.array_equal(perm, assignment.perms[var_id])
-                assignment.perms[var_id] = perm
+            moved = not np.array_equal(perm, assignment.perms[var_id])
+            assignment.perms[var_id] = perm
             if moved:
                 changed += 1
                 version[var_id] += 1

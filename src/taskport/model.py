@@ -317,11 +317,15 @@ def init_random(arch: ArchSpec, seed: int) -> WeightSet:
 
 
 def train_toy(ws: WeightSet, batch: EvalBatch, steps: int, lr: float) -> WeightSet:
-    """Full-batch gradient descent on cross-entropy; deterministic."""
+    """Full-batch gradient descent on cross-entropy; deterministic.  The loss
+    is checked before every step and at the weights the last step leaves."""
     current = ws.copy()
-    for step in range(steps):
+    for step in range(steps + 1):
         try:
-            loss, grads = loss_and_grads(current, batch)
+            if step < steps:
+                loss, grads = loss_and_grads(current, batch)
+            else:
+                loss, grads = batch_loss(current, batch), {}
         except NumericalFailureError as e:
             raise NumericalFailureError(f"training diverged at step {step}: {e}") from e
         if not np.isfinite(loss):

@@ -130,31 +130,34 @@ class BlockPermutation:
 class PermutationAssignment:
     """Maps permutation-variable ids to index vectors.
 
-    For attention variables the flattened permutation always lives in ``perms``;
-    the structured (inter, intras) detail is kept alongside in ``blocks`` when
-    known, so files can round-trip the head structure and theorem-level checks
-    can inspect it.
+    ``heads`` holds the head count of each attention variable.  Its head
+    structure is read off the index vector (``block``), so files can
+    round-trip it and theorem-level checks can inspect it.
     """
 
     perms: dict[str, Perm] = field(default_factory=dict)
-    blocks: dict[str, BlockPermutation] = field(default_factory=dict)
+    heads: dict[str, int] = field(default_factory=dict)
 
     def set_block(self, var_id: str, bp: BlockPermutation) -> None:
-        self.blocks[var_id] = bp
         self.perms[var_id] = bp.flattened()
+        self.heads[var_id] = bp.n_heads
 
     def block(self, var_id: str) -> BlockPermutation | None:
-        """The head structure of ``var_id`` while it still flattens to
-        ``perms[var_id]``; None if there is none or ``perms`` was overwritten."""
-        bp = self.blocks.get(var_id)
-        if bp is None or not np.array_equal(bp.flattened(), self.perms[var_id]):
+        """The head structure of ``var_id``; None if it has no head count or
+        its index vector mixes units across heads."""
+        n_heads = self.heads.get(var_id)
+        p = np.asarray(self.perms[var_id])
+        if n_heads is None or p.size % n_heads:
             return None
-        return bp
+        rows = p.reshape(n_heads, -1)
+        d_k = rows.shape[1]
+        inter = rows[:, 0] // d_k
+        if not np.all(rows // d_k == inter[:, None]):
+            return None
+        return BlockPermutation(inter, tuple(rows % d_k))
 
     def copy(self) -> "PermutationAssignment":
-        return PermutationAssignment(
-            {k: v.copy() for k, v in self.perms.items()}, dict(self.blocks)
-        )
+        return PermutationAssignment({k: v.copy() for k, v in self.perms.items()}, dict(self.heads))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermutationAssignment):

@@ -173,7 +173,7 @@ def test_criterion_6_interpolation_barrier(tmp_path):
     for seed in range(5):
         batch = make_blob_batch(TOY, 64, 8, 700 + seed)
         ws_a = train_toy(init_random(TOY, 800 + seed), batch, steps=150, lr=0.02)
-        plant = graph.random_assignment(np.random.default_rng(900 + seed), include_pinned=True)
+        plant = graph.random_assignment(np.random.default_rng(900 + seed))
         ws_b = _noisy(apply_assignment(ws_a, graph, plant), 0.01, 1000 + seed)
         result = weight_match(ws_a, ws_b, graph, seed=seed)
         matched_a = apply_assignment(ws_a, graph, result.assignment)
@@ -265,7 +265,6 @@ def test_criterion_8_head_contamination_control(tmp_path):
     flat = contaminated.perms["block.0.attn"].copy()
     flat[[0, TOY.head_dim]] = flat[[TOY.head_dim, 0]]
     contaminated.perms["block.0.attn"] = flat
-    contaminated.blocks.pop("block.0.attn", None)
     perm_path = str(tmp_path / "contaminated.perm")
     write_permutation_assignment(contaminated, perm_path)
 

@@ -13,6 +13,7 @@ from taskport.checkpoint import (
     atomic_write,
     WeightSet,
     read_container,
+    write_container,
     read_checkpoint,
     read_permutation_assignment,
     read_task_vector,
@@ -53,6 +54,31 @@ class TestArchSpec:
     def test_zero_blocks_forbidden(self):
         with pytest.raises(ValueError):
             ArchSpec(0, 2, 8, 16, 4, 2)
+
+    def test_numpy_integers_stored_as_plain_ints(self, tmp_path):
+        """A numpy integer dimension becomes a plain int, so the manifest
+        serialises and reads back the same arch."""
+        arch = ArchSpec(np.int64(1), np.int32(2), np.uint8(8), 16, 4, 2, has_layernorm=np.True_)
+        assert arch == ArchSpec(1, 2, 8, 16, 4, 2, has_layernorm=True)
+        assert {type(v) for v in arch.to_json_dict().values()} == {int, bool}
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(arch, 0), path)
+        assert read_checkpoint(path).arch == arch
+
+    def test_bool_dimension_refused(self, tmp_path, small_arch):
+        """``True`` is not a block count, whether given in code or read from
+        a manifest, where it would otherwise pass for 1."""
+        assert small_arch.n_blocks == 1
+        with pytest.raises(ValueError):
+            ArchSpec(**dict(small_arch.to_json_dict(), n_blocks=True))
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(small_arch, 0), path)
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["arch"]["n_blocks"] = True
+        json.dump(manifest, open(manifest_path, "w"))
+        with pytest.raises(MalformedManifestError):
+            read_checkpoint(path)
 
     def test_layernorm_toggles_tensor_names(self):
         with_ln = ArchSpec(1, 2, 8, 16, 4, 2, has_layernorm=True).tensor_shapes()
@@ -336,6 +362,16 @@ class TestCheckpointErrors:
         else:
             assert not path.exists()
 
+    def test_unserialisable_manifest_leaves_target_as_it_was(self, tmp_path, small_arch):
+        """The manifest is serialised before the blob is written, so a
+        failure there keeps an existing checkpoint's bytes."""
+        path = tmp_path / "ckpt"
+        write_checkpoint(_random_weight_set(small_arch, 20), str(path))
+        before = {p.name: p.read_bytes() for p in path.iterdir()}
+        with pytest.raises(TypeError):
+            write_container(str(path), small_arch, object(), _random_weight_set(small_arch, 21).tensors)
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+
 
 class TestAssignmentFiles:
     def test_flat_round_trip(self, tmp_path):
@@ -356,17 +392,30 @@ class TestAssignmentFiles:
         write_permutation_assignment(a, path)
         back = read_permutation_assignment(path)
         assert back == a
-        assert back.blocks["block.0.attn"] == bp
+        assert back.block("block.0.attn") == bp
 
-    def test_overwritten_flat_vector_wins_over_stale_head_detail(self, tmp_path):
+    def test_overwritten_vector_is_written_by_its_own_head_structure(self, tmp_path):
+        """An attention vector overwritten in place is written structured,
+        with the structure it has now, while it keeps each head's units
+        together, and flat once it mixes units across heads."""
         graph = build_coupling_graph(ArchSpec(1, 2, 4, 8, 3, 2))
         a = graph.identity_assignment()
-        a.perms["block.0.attn"] = np.array([1, 0, 2, 3], dtype=np.int64)
         path = str(tmp_path / "c.perm")
+        a.perms["block.0.attn"] = np.array([3, 2, 0, 1], dtype=np.int64)
         write_permutation_assignment(a, path)
+        text = open(path, encoding="utf-8").read()
+        assert "block.0.attn.inter : 1,0\nblock.0.attn.intra.0 : 1,0\nblock.0.attn.intra.1 : 0,1\n" in text
         back = read_permutation_assignment(path)
-        assert np.array_equal(back.perms["block.0.attn"], [1, 0, 2, 3])
-        assert a.block("block.0.attn") is None
+        assert np.array_equal(back.perms["block.0.attn"], [3, 2, 0, 1])
+        assert back.block("block.0.attn") == BlockPermutation(np.array([1, 0]), (np.array([1, 0]), np.array([0, 1])))
+
+        a.perms["block.0.attn"] = np.array([1, 2, 0, 3], dtype=np.int64)
+        write_permutation_assignment(a, path)
+        text = open(path, encoding="utf-8").read()
+        assert "block.0.attn : 1,2,0,3\n" in text and ".inter" not in text
+        back = read_permutation_assignment(path)
+        assert np.array_equal(back.perms["block.0.attn"], [1, 2, 0, 3])
+        assert back.block("block.0.attn") is None
 
     def test_duplicate_index_rejected(self, tmp_path):
         path = tmp_path / "bad.perm"
@@ -381,10 +430,19 @@ class TestAssignmentFiles:
             read_permutation_assignment(str(path))
 
     def test_missing_intra_head_rejected(self, tmp_path):
+        """A group needs intra records for heads 0..H-1, spelled that way,
+        and no intra record may stand outside a group."""
         path = tmp_path / "bad.perm"
-        path.write_text("block.0.attn.inter : 1,0\nblock.0.attn.intra.0 : 0,1\n")
-        with pytest.raises(AssignmentFormatError):
-            read_permutation_assignment(str(path))
+        inter = "block.0.attn.inter : 1,0\n"
+        for text in (
+            inter + "block.0.attn.intra.0 : 0,1\n",
+            inter + "block.0.attn.intra.0 : 0,1\nblock.0.attn.intra.01 : 0,1\n",
+            inter + "block.0.attn.intra.0 : 0,1\nblock.0.attn.intra.1 : 0,1\nblock.0.attn.intra.2 : 0,1\n",
+            "block.0.attn.intra.0 : 0,1\n",
+        ):
+            path.write_text(text)
+            with pytest.raises(AssignmentFormatError):
+                read_permutation_assignment(str(path))
 
     def test_index_beyond_int64_rejected(self, tmp_path):
         path = tmp_path / "bad.perm"

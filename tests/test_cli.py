@@ -4,12 +4,16 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import taskport
 import taskport.model as model_mod
 from conftest import overflowing_model
 from taskport.checkpoint import (
@@ -352,6 +356,22 @@ class TestTransport:
             np.testing.assert_array_equal(got.tensors[name], base.tensors[name])
 
 
+    def test_alpha_file_count_refused_after_reading_only_the_base(self, transport_setup, capsys):
+        """A wrong number of ``--alpha-file`` factors exits 1 once the base
+        has given the block count: the task-vector path here does not exist."""
+        tmp_path, arch, model_a, tv_path, perm, base, tv = transport_setup
+        alpha_file = tmp_path / "alphas.txt"
+        out = str(tmp_path / "out")
+        for factors in ([], [1.0] * (arch.n_blocks + 1)):
+            alpha_file.write_text("".join(f"{f}\n" for f in factors))
+            code = main(["transport", "--base", model_a, "--task-vector", str(tmp_path / "no_tv"),
+                         "--perm", perm, "--out", out, "--alpha-file", str(alpha_file)])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: --alpha-file needs {arch.n_blocks} factors, one per block, got {len(factors)}\n"
+            )
+            assert not os.path.exists(out)
+
     @pytest.mark.parametrize("alpha", ["1.0", "0.5"])
     def test_alpha_with_alpha_file_refused_before_reading(self, tmp_path, capsys, alpha):
         """Both scalings at once is a usage error, even when ``--alpha`` spells
@@ -391,7 +411,6 @@ class TestVerify:
         flat = assignment.perms["block.0.attn"].copy()
         flat[[0, arch.head_dim]] = flat[[arch.head_dim, 0]]
         assignment.perms["block.0.attn"] = flat
-        assignment.blocks.pop("block.0.attn", None)
         perm = str(tmp_path / "bad.perm")
         write_permutation_assignment(assignment, perm)
         assert main(["verify", "--model", model_a, "--perm", perm]) == 4
@@ -512,15 +531,17 @@ class TestDemo:
 
     def test_diverging_training_leaves_nothing(self, tmp_path, capsys):
         """A finite ``--train-lr`` that makes training diverge exits 1 with the
-        one divergence error: no numpy warning, and no ``--out-dir``."""
+        one divergence error: no numpy warning, and no ``--out-dir``.  With 2
+        steps the loss stays finite until the weights the last step leaves."""
         out = str(tmp_path / "demo")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["demo", "--out-dir", out, "--train-lr", "1000", "--train-steps", "20"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: training diverged") and err.count("\n") == 1
-        assert not os.path.exists(out)
+        for steps in ("20", "2"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["demo", "--out-dir", out, "--train-lr", "1000", "--train-steps", steps])
+            assert code == 1, steps
+            err = capsys.readouterr().err
+            assert err.startswith("error: training diverged") and err.count("\n") == 1, steps
+            assert not os.path.exists(out), steps
 
     def test_zero_noise_full_recovery(self, tmp_path):
         out = str(tmp_path / "demo")
@@ -542,3 +563,31 @@ class TestDemo:
         assert code == 0
         report = open(os.path.join(out, "report.txt")).read()
         assert "recovery_ok: no" in report
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("subcommand", ["lmc", "verify"])
+    def test_exhausted_memory_exit_one(self, workspace, subcommand):
+        """An allocation the address space cannot hold exits 1 with one error
+        line and no traceback.  The child runs under its own 2 GiB
+        ``RLIMIT_AS``, so the refusal does not depend on the machine."""
+        tmp_path, arch, ws, model_a = workspace
+        if subcommand == "lmc":
+            batch = str(tmp_path / "batch")
+            write_eval_batch(make_blob_batch(arch, 8, 4, 9), arch, batch)
+            argv = ["lmc", "--model-a", model_a, "--model-b", model_a, "--batch", batch,
+                    "--points", "1000000000000", "--out", str(tmp_path / "curve.csv")]
+        else:
+            perm = str(tmp_path / "id.perm")
+            write_permutation_assignment(build_coupling_graph(arch, "compose").identity_assignment(), perm)
+            argv = ["verify", "--model", model_a, "--perm", perm, "--samples", "1000000000000"]
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = os.path.dirname(os.path.dirname(taskport.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-m", "taskport.cli", *argv], capture_output=True,
+                              text=True, env=env, preexec_fn=limit_address_space, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1

@@ -20,7 +20,7 @@ from taskport.coupling import (
 )
 from taskport.errors import AssignmentFormatError, IncompleteAssignmentError, UnknownVariableError
 from taskport.model import init_random
-from taskport.perms import PermutationAssignment
+from taskport.perms import BlockPermutation, PermutationAssignment, inverse
 
 GOLDEN_TABLE = """\
 # residual_mode=compose arch={'n_blocks': 1, 'n_heads': 2, 'embed_dim': 4, 'mlp_hidden': 8, 'input_dim': 3, 'output_dim': 2, 'has_layernorm': True}
@@ -142,7 +142,7 @@ class TestApplyAssignment:
         rng = np.random.default_rng(2)
         for mode in ("compose", "tie"):
             graph = build_coupling_graph(toy_arch, mode, pin_embedding=False)
-            for assignment in (graph.random_assignment(rng, include_pinned=True), _swap_first_two(graph)):
+            for assignment in (graph.random_assignment(rng), _swap_first_two(graph)):
                 permuted = apply_assignment(ws, graph, assignment)
                 restored = apply_assignment(permuted, graph, inverse_assignment(graph, assignment))
                 for name in ws.tensors:
@@ -152,13 +152,16 @@ class TestApplyAssignment:
         """The inverse of a structured assignment is structured too, and its
         file form keeps the per-head records."""
         graph = build_coupling_graph(toy_arch, "compose", pin_embedding=False)
-        assignment = graph.random_assignment(np.random.default_rng(20), include_pinned=True)
+        assignment = graph.random_assignment(np.random.default_rng(20))
         inv = inverse_assignment(graph, assignment)
         attention = [v.id for v in graph.variables.values() if v.is_attention]
-        assert sorted(inv.blocks) == sorted(attention)
         for var_id in attention:
             flat = assignment.perms[var_id]
-            assert np.array_equal(inv.blocks[var_id].flattened(), np.argsort(flat))
+            bp = assignment.block(var_id)
+            ii = inverse(bp.inter)
+            want = BlockPermutation(ii, tuple(inverse(bp.intras[h]) for h in ii))
+            assert inv.block(var_id) == want
+            assert np.array_equal(want.flattened(), np.argsort(flat))
             assert np.array_equal(inv.perms[var_id][flat], np.arange(flat.size))
         path = str(tmp_path / "inv.perm")
         write_permutation_assignment(inv, path)
@@ -168,13 +171,15 @@ class TestApplyAssignment:
             assert f"{var_id}.intra.{toy_arch.n_heads - 1} : " in text
         back = read_permutation_assignment(path)
         assert back == inv
-        assert all(back.blocks[v] == inv.blocks[v] for v in attention)
+        assert all(back.block(v) == inv.block(v) for v in attention)
 
-        # a flat write leaves stale head detail behind; the flat vector wins
-        stale = assignment.copy()
-        stale.perms["block.0.attn"] = np.roll(np.arange(toy_arch.embed_dim), 1)
-        got = inverse_assignment(graph, stale).perms["block.0.attn"]
-        assert np.array_equal(got, np.argsort(stale.perms["block.0.attn"]))
+        # a vector that mixes units across heads has no head structure, and
+        # neither has its inverse
+        mixed = assignment.copy()
+        mixed.perms["block.0.attn"] = np.roll(np.arange(toy_arch.embed_dim), 1)
+        got = inverse_assignment(graph, mixed)
+        assert np.array_equal(got.perms["block.0.attn"], np.argsort(mixed.perms["block.0.attn"]))
+        assert got.block("block.0.attn") is None
 
     def test_linearity_over_weight_space(self, toy_arch):
         """apply(x - y) == apply(x) - apply(y), exactly: this is what makes
@@ -201,7 +206,7 @@ class TestApplyAssignment:
         ws = init_random(small_arch, 6)
         for mode in ("compose", "tie"):
             graph = build_coupling_graph(small_arch, mode, pin_embedding=False)
-            random = graph.random_assignment(np.random.default_rng(7), include_pinned=True)
+            random = graph.random_assignment(np.random.default_rng(7))
             for assignment in (random, _swap_first_two(graph)):
                 out = apply_assignment(ws, graph, assignment)
                 for name, arr in ws.tensors.items():
@@ -233,7 +238,7 @@ class TestApplyAssignment:
         arch = ArchSpec(2, 2, 8, 12, 5, 3, has_layernorm=True)
         ws = init_random(arch, 21)
         graph = build_coupling_graph(arch, mode, pin_embedding=False)
-        assignment = graph.random_assignment(np.random.default_rng(22), include_pinned=True)
+        assignment = graph.random_assignment(np.random.default_rng(22))
         full = apply_assignment(ws, graph, assignment)
         pairs = 0
         for name in ws.tensors:
@@ -293,7 +298,7 @@ class TestResidualPerms:
         """skip1 applied after the incoming stream permutation must equal the
         attention-output permutation, and likewise for the second skip."""
         graph = build_coupling_graph(toy_arch, "compose", pin_embedding=False)
-        assignment = graph.random_assignment(np.random.default_rng(13), include_pinned=True)
+        assignment = graph.random_assignment(np.random.default_rng(13))
         rng = np.random.default_rng(14)
         z = rng.normal(size=toy_arch.embed_dim)
         for i, (skip_attn, skip_mlp) in enumerate(graph.residual_perms(assignment)):

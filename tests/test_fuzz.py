@@ -2,7 +2,8 @@
 
 Every input - byte flips, truncation, JSON field mutation, aliased or
 overlapping records, mangled assignment lines - must either read back valid
-or raise a TaskportError; any other exception is a bug.
+or raise a TaskportError; any other exception is a bug.  An assignment file
+the reader accepts must also survive write -> read -> write byte for byte.
 """
 
 import json
@@ -82,6 +83,11 @@ def _check_assignment(text: bytes) -> None:
             assignment = read_permutation_assignment(path)
         except TaskportError:
             return
+        # whatever the reader accepts, write -> read -> write is byte stable
+        write_permutation_assignment(assignment, path)
+        written = open(path, "rb").read()
+        write_permutation_assignment(read_permutation_assignment(path), path)
+        assert open(path, "rb").read() == written
     for var_id, perm in assignment.perms.items():
         check_permutation(perm)
         bp = assignment.block(var_id)

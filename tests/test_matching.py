@@ -248,9 +248,7 @@ class TestWeightMatch:
         result = weight_match(ws, ws_b, graph, seed=3)
         for i in range(toy_arch.n_blocks):
             var = f"block.{i}.attn"
-            assert np.array_equal(
-                result.assignment.blocks[var].inter, plant.blocks[var].inter
-            )
+            assert np.array_equal(result.assignment.block(var).inter, plant.block(var).inter)
 
 
 class TestSkipRule:

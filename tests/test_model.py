@@ -79,7 +79,7 @@ class TestForward:
         arch = ArchSpec(2, 4, 16, 24, 6, 3, has_layernorm=has_ln)
         ws = init_random(arch, 56)
         graph = build_coupling_graph(arch, mode, pin_embedding=False)
-        assignment = graph.random_assignment(np.random.default_rng(57), include_pinned=True)
+        assignment = graph.random_assignment(np.random.default_rng(57))
         permuted = apply_assignment(ws, graph, assignment)
         skips = graph.residual_perms(assignment)
         x = np.random.default_rng(58).normal(size=(5, 7, arch.input_dim))
@@ -128,7 +128,7 @@ class TestEquivalence:
         ws = init_random(toy_arch, 10)
         graph = build_coupling_graph(toy_arch, "tie", pin_embedding=False)
         rng = np.random.default_rng(11)
-        assignment = graph.random_assignment(rng, include_pinned=True)
+        assignment = graph.random_assignment(rng)
         permuted = apply_assignment(ws, graph, assignment)
         x = rng.normal(size=(4, 8, toy_arch.input_dim))
         np.testing.assert_allclose(forward(permuted, x), forward(ws, x), atol=1e-10)
@@ -142,7 +142,7 @@ class TestEquivalence:
                 ws = init_random(arch, 41 + n_blocks)
                 for mode in ("compose", "tie"):
                     graph = build_coupling_graph(arch, mode, pin_embedding=False)
-                    assignment = graph.random_assignment(rng, include_pinned=True)
+                    assignment = graph.random_assignment(rng)
                     report = verify_equivalence(ws, graph, assignment, n_samples=8, tol=1e-9)
                     assert report.passed, (n_blocks, has_ln, mode, report.max_dev)
 
@@ -172,7 +172,6 @@ class TestEquivalence:
         d_k = toy_arch.head_dim
         flat[[0, d_k]] = flat[[d_k, 0]]  # mix units across heads 0 and 1
         assignment.perms["block.0.attn"] = flat
-        assignment.blocks.pop("block.0.attn", None)
         for cores in (1, 2, 3):
             monkeypatch.setattr(model_mod, "_usable_cores", lambda: cores)
             report = verify_equivalence(ws, graph, assignment, n_samples=16, tol=1e-9)
@@ -190,7 +189,7 @@ class TestEquivalenceSlices:
         cores, give the same verdict within float64 noise."""
         ws = init_random(toy_arch, 59)
         graph = build_coupling_graph(toy_arch, mode, pin_embedding=False)
-        assignment = graph.random_assignment(np.random.default_rng(60), include_pinned=True)
+        assignment = graph.random_assignment(np.random.default_rng(60))
         for cores in (1, 2, 3):
             monkeypatch.setattr(model_mod, "_usable_cores", lambda: cores)
             report = verify_equivalence(ws, graph, assignment, n_samples=n_samples, tol=1e-12)
