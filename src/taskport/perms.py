@@ -27,21 +27,36 @@ def identity(n: int) -> Perm:
 def check_permutation(p, size: int | None = None) -> Perm:
     """Validate and return ``p`` as an int64 index vector.
 
-    Raises AssignmentFormatError on duplicate or out-of-range indices, or when
-    the length does not match ``size``.
+    Raises AssignmentFormatError on a dtype that is not integer (bool
+    included), on duplicate or out-of-range indices, or when the length does
+    not match ``size``.  Messages name the first offending position and the
+    count, never the whole vector.
     """
-    arr = np.asarray(p, dtype=np.int64)
+    arr = np.asarray(p)
     if arr.ndim != 1 or arr.size == 0:
         raise AssignmentFormatError(f"permutation must be a non-empty 1-D index vector, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise AssignmentFormatError(f"permutation must hold integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     n = arr.size
     if size is not None and n != size:
         raise AssignmentFormatError(f"permutation has length {n}, expected {size}")
-    if arr.min() < 0 or arr.max() >= n:
-        raise AssignmentFormatError(f"permutation index out of range 0..{n - 1}: {arr.tolist()}")
+    bad = np.flatnonzero((arr < 0) | (arr >= n))
+    if bad.size:
+        raise AssignmentFormatError(
+            f"permutation has {bad.size} index(es) out of range 0..{n - 1}, "
+            f"the first at position {bad[0]}: {arr[bad[0]]}"
+        )
     seen = np.zeros(n, dtype=bool)
     seen[arr] = True
     if not seen.all():
-        raise AssignmentFormatError(f"duplicate index in permutation: {arr.tolist()}")
+        order = np.argsort(arr, kind="stable")
+        repeats = order[1:][arr[order[1:]] == arr[order[:-1]]]
+        first = int(repeats.min())
+        raise AssignmentFormatError(
+            f"permutation repeats {repeats.size} index(es), "
+            f"the first at position {first}: {arr[first]}"
+        )
     return arr
 
 

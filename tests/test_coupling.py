@@ -261,6 +261,17 @@ class TestApplyAssignment:
             with pytest.raises(AssignmentFormatError, match="length"):
                 apply_assignment(ws, graph, assignment)
 
+    def test_non_integer_permutation_rejected(self, toy_arch):
+        ws = init_random(toy_arch, 24)
+        graph = build_coupling_graph(toy_arch, "compose")
+        assignment = graph.identity_assignment()
+        size = graph.variables["block.0.mlp_hidden"].size
+        assignment.perms["block.0.mlp_hidden"] = np.arange(size) + np.eye(1, size, size - 1)[0] * 0.5
+        with pytest.raises(AssignmentFormatError, match="integers"):
+            graph.check_assignment(assignment)
+        with pytest.raises(AssignmentFormatError, match="integers"):
+            apply_assignment(ws, graph, assignment)
+
     def test_incomplete_assignment_rejected(self, toy_arch):
         ws = init_random(toy_arch, 8)
         graph = build_coupling_graph(toy_arch, "compose")

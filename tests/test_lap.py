@@ -1,8 +1,10 @@
 """Assignment solver vs exhaustive enumeration, plus its classical invariances."""
 
+import collections
 import gc
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +94,58 @@ def _zero_block(n, m, seed):
     cols = rng.choice(n, m, replace=False)
     c[np.ix_(rows, cols)] = rng.normal(size=(m, m))
     return c
+
+
+def _planted(n, seed, d=16, sigma=1.0):
+    """Value matrix A @ B.T of rank d, with B = A[plant] + noise: the row
+    minimum of its negation leaves about half the rows free."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, d))
+    b = a[rng.permutation(n)] + sigma * rng.normal(size=(n, d))
+    return a @ b.T, a, b
+
+
+def _shared_nearest(n, seed):
+    """Every row's nearest column is one of n // 3, each row at its own
+    distance, so rows collide there with strict gaps to the runner-up."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(n, n)) + 5.0
+    c[np.arange(n), rng.integers(0, max(1, n // 3), n)] = -rng.random(n)
+    return c
+
+
+def _price_war(n, seed):
+    """Two cheap columns and a wall of ones: each row the start frees bids a
+    cheap column's dual down by a gap of about 1e-4, so displacement chains
+    would need thousands of steps to reach the wall."""
+    c = np.ones((n, n))
+    c[:, :2] = 1e-3 * np.random.default_rng(seed).random(c[:, :2].shape)
+    return c
+
+
+class _SolverCounters:
+    """Counts, on ``taskport.lap``, the row-reduction queue's pops and the
+    Dijkstra loop's per-row ``key`` allocations (one per searched row)."""
+
+    def __init__(self, monkeypatch):
+        self.pops = self.searched = 0
+        counters = self
+
+        class CountingDeque(collections.deque):
+            def popleft(self):
+                counters.pops += 1
+                return super().popleft()
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def full(self, shape, fill, *args, **kwargs):
+                counters.searched += fill == np.inf
+                return np.full(shape, fill, *args, **kwargs)
+
+        monkeypatch.setattr(taskport.lap, "deque", CountingDeque)
+        monkeypatch.setattr(taskport.lap, "np", CountingNumpy())
 
 
 def _timed(fn, *args):
@@ -188,16 +242,40 @@ class TestDuals:
             shared = rng.normal(size=(n, n)) + 5.0
             shared[np.arange(n), rng.integers(0, max(1, n // 3), n)] = -rng.random(n)
             yield shared
+            yield _price_war(n, n)
+
+    @staticmethod
+    def assert_optimal_duals(c, col_of_row, u, v):
+        n = c.shape[0]
+        assert np.array_equal(np.sort(col_of_row), np.arange(n))
+        reduced = c - u[:, None] - v[None, :]
+        tol = 1e-10 * max(1.0, float(np.abs(c).max()))
+        assert reduced.min() >= -tol, (n, reduced.min())
+        assert np.abs(reduced[np.arange(n), col_of_row]).max() <= tol
 
     def test_reduced_costs_feasible_and_tight(self):
         for c in self._instances():
-            n = c.shape[0]
-            col_of_row, u, v = _shortest_augmenting_paths(c)
-            assert np.array_equal(np.sort(col_of_row), np.arange(n))
-            reduced = c - u[:, None] - v[None, :]
-            tol = 1e-10 * max(1.0, float(np.abs(c).max()))
-            assert reduced.min() >= -tol, (n, reduced.min())
-            assert np.abs(reduced[np.arange(n), col_of_row]).max() <= tol
+            self.assert_optimal_duals(c, *_shortest_augmenting_paths(c))
+
+    def test_row_reduction_leaves_few_rows_to_search(self, monkeypatch):
+        """On a 256-wide planted matrix the augmenting row reduction matches
+        more than half of the rows the row-minimum start leaves free."""
+        values, _, _ = _planted(256, 3)
+        c = -values
+        left = c.shape[0] - np.unique(c.argmin(axis=1)).size
+        counters = _SolverCounters(monkeypatch)
+        _shortest_augmenting_paths(c)
+        assert left > 64
+        assert counters.searched < left / 2, (counters.searched, left)
+
+    def test_tied_rows_take_free_columns_without_search(self, monkeypatch):
+        """On all-zero costs every row but the first ties on every column;
+        each takes its first free one in a single step and none is searched."""
+        counters = _SolverCounters(monkeypatch)
+        col_of_row, _, v = _shortest_augmenting_paths(np.zeros((300, 300)))
+        assert np.array_equal(col_of_row, np.arange(300))
+        assert counters.pops == 299 and counters.searched == 0
+        assert not v.any()
 
     @pytest.mark.parametrize("n", [64, 256, 512])
     def test_totals_match_scipy(self, n):
@@ -261,6 +339,30 @@ class TestAgainstReference:
                 np.tile(rng.integers(0, 3, n).astype(float), (n, 1)),
             ]
         self._check(instances)
+
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_dense_planted_plus_noise(self, n):
+        values, a, b = _planted(n, n)
+        p, value = solve_max(values)
+        ref_p, ref_total = reference_solve_min(-values)
+        assert np.array_equal(p, ref_p)
+        assert value == -ref_total
+        # and the squared distances between the rows of A and B, minimised
+        self._check([np.add.outer((a * a).sum(1), (b * b).sum(1)) - 2.0 * a @ b.T])
+
+    def test_rows_sharing_nearest_column_with_strict_gaps(self):
+        self._check([_shared_nearest(n, n) for n in (64, 256, 512)])
+
+    def test_displacement_chains_past_the_cap(self, monkeypatch):
+        """The start stops after 4n steps with rows still free; the search
+        finishes them, with optimal duals and the reference answer."""
+        n = 100
+        c = _price_war(n, 5)
+        counters = _SolverCounters(monkeypatch)
+        col_of_row, u, v = _shortest_augmenting_paths(c)
+        assert counters.pops == 4 * n and counters.searched > 0
+        TestDuals.assert_optimal_duals(c, col_of_row, u, v)
+        self._check([c])
 
     def test_planted_compose_match(self, monkeypatch, toy_arch):
         rng = np.random.default_rng(31)
@@ -332,6 +434,35 @@ class TestInvariances:
         c[1, 1] = np.inf
         with pytest.raises(ValueError):
             solve_min(c)
+
+    @pytest.mark.parametrize("c", [np.array([[1e308, -1e308], [-1e308, 1e308]]),
+                                   np.full((3, 3), 1.7e308),
+                                   np.full((1000, 1000), 1e306)],
+                             ids=["opposed-1e308", "full-1.7e308", "n1000-1e306"])
+    def test_rejects_magnitudes_that_overflow(self, c):
+        """Finite costs whose total or duals would leave float64's range are
+        refused up front, with no overflow warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large"):
+                solve_min(c)
+            with pytest.raises(ValueError, match="too large"):
+                solve_max(c)
+
+    def test_float32_range_value_matrices_still_solve(self):
+        """Weights at float32's limit give value entries near 1e80, far
+        below the refusal bound: they solve as before, without warnings."""
+        rng = np.random.default_rng(28)
+        a = rng.uniform(-3e38, 3e38, size=(64, 1024)).astype(np.float32).astype(np.float64)
+        plant = rng.permutation(64)
+        values = a @ a[plant].T
+        assert np.abs(values).max() > 1e79
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, value = solve_max(values)
+        ref_p, ref_total = reference_solve_min(-values)
+        assert np.array_equal(p, ref_p) and value == -ref_total
+        assert np.array_equal(p, np.argsort(plant))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -59,6 +59,32 @@ class TestValidation:
         with pytest.raises(AssignmentFormatError):
             check_permutation([0, 1, 2], size=2)
 
+    @pytest.mark.parametrize("p", [[0.7, 1.2], [1.0, 0.0], [True, False], ["0", "1"]],
+                             ids=["fractional", "whole-floats", "bool", "str"])
+    def test_non_integer_dtype_rejected(self, p):
+        with pytest.raises(AssignmentFormatError, match="integers"):
+            check_permutation(p)
+
+    def test_unsigned_and_narrow_integers_accepted(self):
+        for dtype in (np.uint8, np.int16, np.uint64):
+            p = check_permutation(np.array([2, 0, 1], dtype=dtype))
+            assert p.dtype == np.int64 and np.array_equal(p, [2, 0, 1])
+
+    def test_messages_name_first_offender_not_whole_vector(self):
+        n = 3072
+        p = np.arange(n)
+        p[[5, 900]] = [n, -1]
+        with pytest.raises(AssignmentFormatError) as e:
+            check_permutation(p)
+        assert "2 index(es) out of range" in str(e.value) and "position 5:" in str(e.value)
+        assert len(str(e.value)) < 200
+        p = np.arange(n)
+        p[[7, 11, 2000]] = [3, 3, 4]
+        with pytest.raises(AssignmentFormatError) as e:
+            check_permutation(p)
+        assert "repeats 3 index(es)" in str(e.value) and "position 7: 3" in str(e.value)
+        assert len(str(e.value)) < 200
+
     def test_valid_roundtrip(self):
         p = check_permutation([2, 0, 1])
         assert p.dtype == np.int64
