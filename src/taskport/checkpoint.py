@@ -25,7 +25,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -130,6 +130,28 @@ class ArchSpec:
             raise MalformedManifestError(f"invalid arch in manifest: {e}") from e
 
 
+def check_tensor_set(arch: ArchSpec, shapes: Mapping[str, tuple[int, ...]]) -> list[str]:
+    """``arch``'s tensor names, in order, once ``shapes`` has exactly those
+    with the implied shapes; a hostile arch fails at its first missing name."""
+    names = []
+    for name, shape in arch._iter_tensor_shapes():
+        if name not in shapes:
+            raise MissingTensorError(name)
+        if tuple(shapes[name]) != shape:
+            raise ShapeMismatchError(name, f"got {tuple(shapes[name])}, arch implies {shape}")
+        names.append(name)
+    extra = set(shapes) - set(names)
+    if extra:
+        raise ShapeMismatchError(sorted(extra)[0], "tensor not implied by arch")
+    return names
+
+
+def require_finite(name: str, arr: np.ndarray) -> None:
+    """Refuse ``arr`` unless it is all finite, like its float64 promotion."""
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteTensorError(name)
+
+
 @dataclass
 class WeightSet:
     """All parameters of one model, keyed by canonical tensor name."""
@@ -138,22 +160,11 @@ class WeightSet:
     tensors: dict[str, np.ndarray]
 
     def __post_init__(self):
-        # The names are walked lazily, so an arch read from a hostile manifest
-        # (n_blocks = 10**12, say) fails at its first missing tensor.
-        out: dict[str, np.ndarray] = {}
-        for name, shape in self.arch._iter_tensor_shapes():
-            if name not in self.tensors:
-                raise MissingTensorError(name)
-            arr = np.asarray(self.tensors[name], dtype=np.float64)
-            if arr.shape != shape:
-                raise ShapeMismatchError(name, f"got {arr.shape}, arch implies {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteTensorError(name)
-            out[name] = arr
-        extra = set(self.tensors) - set(out)
-        if extra:
-            raise ShapeMismatchError(sorted(extra)[0], "tensor not implied by arch")
-        self.tensors = out
+        arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in self.tensors.items()}
+        names = check_tensor_set(self.arch, {name: arr.shape for name, arr in arrays.items()})
+        for name in names:
+            require_finite(name, arrays[name])
+        self.tensors = {name: arrays[name] for name in names}
 
     def copy(self):
         """A deep copy of the same type."""
@@ -196,21 +207,24 @@ def _as_float32(name: str, arr: np.ndarray) -> np.ndarray:
     beyond float32's range) raises NonFiniteTensorError."""
     with np.errstate(over="ignore"):
         out = np.ascontiguousarray(arr, dtype="<f4")
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteTensorError(name)
+    require_finite(name, out)
     return out
 
 
-def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.ndarray]) -> None:
-    """Low-level container writer; tensor order follows the dict order.  The
-    blob is streamed one tensor at a time.  A value that is not finite in
-    float32 raises NonFiniteTensorError and leaves any container at ``path``
-    as it was."""
+def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, tuple[int, ...]],
+                    arrays: Iterable[np.ndarray]) -> None:
+    """Low-level container writer: one record per entry of ``shapes``, in its
+    order, holding the matching array of ``arrays``.  The manifest is
+    serialised before the blob, which is streamed one array at a time, so
+    ``arrays`` may compute each tensor when it is asked for.  A value that is
+    not finite in float32 raises NonFiniteTensorError and leaves any
+    container at ``path`` as it was."""
     records = []
     offset = 0
-    for name, arr in tensors.items():
-        records.append({"name": name, "shape": list(arr.shape), "offset": offset, "length": 4 * arr.size})
-        offset += 4 * arr.size
+    for name, shape in shapes.items():
+        length = 4 * math.prod(shape)
+        records.append({"name": name, "shape": list(shape), "offset": offset, "length": length})
+        offset += length
     manifest = json.dumps(  # before the blob: a failure here leaves ``path`` as it was
         {"format_version": FORMAT_VERSION, "kind": kind, "arch": arch.to_json_dict(), "tensors": records},
         indent=1,
@@ -220,7 +234,7 @@ def write_container(path: str, arch: ArchSpec, kind: str, tensors: dict[str, np.
     try:
         atomic_write(
             os.path.join(path, TENSORS_NAME),
-            (_as_float32(name, arr) for name, arr in tensors.items()),
+            (_as_float32(name, arr) for name, arr in zip(shapes, arrays, strict=True)),
         )
     except BaseException:
         if created:
@@ -270,49 +284,86 @@ def _record_layout(records: list, blob_size: int) -> list[tuple[str, list, int, 
     return layout
 
 
-def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec, str, dict[str, np.ndarray]]:
-    """Low-level container reader.  Promotes to float64; never coerces shapes;
-    refuses a repeated tensor name, records whose byte ranges overlap, and
-    blob bytes no record covers.  Each record is read into its own float32
-    buffer, so the whole blob is never in memory."""
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "rb") as f:
-            manifest = json.loads(f.read().decode("utf-8"))
-    except OSError as e:
-        raise MalformedManifestError(f"cannot read {manifest_path}: {e}") from e
-    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
-        raise MalformedManifestError(f"manifest is not valid JSON: {e}") from e
-    if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
-        raise MalformedManifestError("unknown or missing format_version")
-    kind = manifest.get("kind")
-    if expect_kind is not None and kind != expect_kind:
-        raise MalformedManifestError(f"expected kind {expect_kind!r}, found {kind!r}")
-    arch = ArchSpec.from_json_dict(manifest.get("arch", {}))
-    records = manifest.get("tensors")
-    if not isinstance(records, list):
-        raise MalformedManifestError("manifest has no tensor list")
+class ContainerReader:
+    """An open container.  Its manifest, record layout and (for weights) the
+    tensor names and shapes are checked on opening, before any tensor data
+    is read.  ``read(name)`` reads a record through one reused float32 buffer
+    and promotes it to float64; ``reader[name]`` also refuses a non-finite
+    value.  The blob's handle stays open for the ``with`` block, so an output
+    renamed over the container leaves the bytes it reads unchanged."""
 
-    tensors: dict[str, np.ndarray] = {}
-    try:
-        with open(os.path.join(path, TENSORS_NAME), "rb") as f:
-            layout = _record_layout(records, os.fstat(f.fileno()).st_size)
-            for name, shape, offset, count in layout:
-                buf = np.empty(count, dtype="<f4")
-                f.seek(offset)
-                if f.readinto(buf) != buf.nbytes:
-                    raise MalformedManifestError(f"tensor data ended inside record {name!r}")
-                try:
-                    tensors[name] = buf.reshape(shape).astype(np.float64)
-                except ValueError as e:  # too many axes, or a huge axis of an empty tensor
-                    raise ShapeMismatchError(name, str(e)) from e
-    except OSError as e:
-        raise MalformedManifestError(f"cannot read tensor data: {e}") from e
-    return arch, kind, tensors
+    def __init__(self, path: str, expect_kind: str | None = None):
+        manifest_path = os.path.join(path, MANIFEST_NAME)
+        try:
+            with open(manifest_path, "rb") as f:
+                manifest = json.loads(f.read().decode("utf-8"))
+        except OSError as e:
+            raise MalformedManifestError(f"cannot read {manifest_path}: {e}") from e
+        except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+            raise MalformedManifestError(f"manifest is not valid JSON: {e}") from e
+        if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
+            raise MalformedManifestError("unknown or missing format_version")
+        self.kind = manifest.get("kind")
+        if expect_kind is not None and self.kind != expect_kind:
+            raise MalformedManifestError(f"expected kind {expect_kind!r}, found {self.kind!r}")
+        self.arch = ArchSpec.from_json_dict(manifest.get("arch", {}))
+        records = manifest.get("tensors")
+        if not isinstance(records, list):
+            raise MalformedManifestError("manifest has no tensor list")
+        try:
+            self._file = open(os.path.join(path, TENSORS_NAME), "rb")
+        except OSError as e:
+            raise MalformedManifestError(f"cannot read tensor data: {e}") from e
+        try:
+            layout = _record_layout(records, os.fstat(self._file.fileno()).st_size)
+            self.shapes = {name: tuple(shape) for name, shape, _, _ in layout}
+            if expect_kind in (KIND_WEIGHT_SET, KIND_TASK_VECTOR):
+                check_tensor_set(self.arch, self.shapes)
+        except BaseException:
+            self._file.close()
+            raise
+        self._spans = {name: (offset, count) for name, _, offset, count in layout}
+        self._scratch = np.empty(max((count for *_, count in layout), default=0), dtype="<f4")
+
+    def read(self, name: str, finite: bool = False) -> np.ndarray:
+        offset, count = self._spans[name]
+        buf = self._scratch[:count]
+        try:
+            self._file.seek(offset)
+            if self._file.readinto(buf) != buf.nbytes:
+                raise MalformedManifestError(f"tensor data ended inside record {name!r}")
+        except OSError as e:
+            raise MalformedManifestError(f"cannot read tensor data: {e}") from e
+        if finite:
+            require_finite(name, buf)
+        try:
+            return buf.reshape(self.shapes[name]).astype(np.float64)
+        except ValueError as e:  # too many axes, or a huge axis of an empty tensor
+            raise ShapeMismatchError(name, str(e)) from e
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.read(name, finite=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+
+def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec, str, dict[str, np.ndarray]]:
+    """Every record of a ``ContainerReader``, in manifest order; the blob is
+    never in memory at once."""
+    with ContainerReader(path, expect_kind) as reader:
+        return reader.arch, reader.kind, {name: reader.read(name) for name in reader.shapes}
+
+
+def _shapes(tensors: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
+    return {name: arr.shape for name, arr in tensors.items()}
 
 
 def write_checkpoint(ws: WeightSet, path: str) -> None:
-    write_container(path, ws.arch, KIND_WEIGHT_SET, ws.tensors)
+    write_container(path, ws.arch, KIND_WEIGHT_SET, _shapes(ws.tensors), ws.tensors.values())
 
 
 def read_checkpoint(path: str) -> WeightSet:
@@ -321,7 +372,7 @@ def read_checkpoint(path: str) -> WeightSet:
 
 
 def write_task_vector(tv: TaskVector, path: str) -> None:
-    write_container(path, tv.arch, KIND_TASK_VECTOR, tv.tensors)
+    write_container(path, tv.arch, KIND_TASK_VECTOR, _shapes(tv.tensors), tv.tensors.values())
 
 
 def read_task_vector(path: str) -> TaskVector:

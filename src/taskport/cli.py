@@ -4,7 +4,8 @@ Exit codes are stable for scripting: 0 success, 1 I/O, format, usage or
 out-of-memory problem, 2 architecture mismatch, 3 matcher hit its sweep cap
 (assignment still written), 4 verification failed.  All randomness flows from
 ``--seed``, so every subcommand is reproducible; no subcommand mutates its
-inputs.
+inputs.  ``apply``, ``task-vector`` and ``transport`` read, compute and
+write one tensor at a time, after every input check has passed.
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ import sys
 import numpy as np
 
 from .checkpoint import (
-    TaskVector,
+    KIND_TASK_VECTOR,
+    KIND_WEIGHT_SET,
+    ContainerReader,
     atomic_write,
     read_checkpoint,
     read_permutation_assignment,
-    read_task_vector,
     require_same_arch,
     write_checkpoint,
+    write_container,
     write_permutation_assignment,
-    write_task_vector,
 )
-from .coupling import apply_assignment, build_coupling_graph
+from .coupling import apply_assignment, build_coupling_graph, permuted_tensor
 from .errors import ArchMismatchError, TaskportError
 from .matching import format_trace, recovery_fraction, weight_match
 from .model import (
@@ -39,7 +41,7 @@ from .model import (
     verify_equivalence,
     write_eval_batch,
 )
-from .transport import transport
+from .transport import block_factors, task_vector_tensor, transported_tensor
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -120,36 +122,43 @@ def cmd_match(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    model = read_checkpoint(args.model)
-    assignment = read_permutation_assignment(args.perm)
-    graph = _graph(args, model.arch)
-    if args.dump_graph:
-        print(graph.dump_table())
-    write_checkpoint(apply_assignment(model, graph, assignment), args.out)
+    with ContainerReader(args.model, KIND_WEIGHT_SET) as model:
+        assignment = read_permutation_assignment(args.perm)
+        graph = _graph(args, model.arch)
+        if args.dump_graph:
+            print(graph.dump_table())
+        graph.check_assignment(assignment)
+        shapes = model.arch.tensor_shapes()
+        write_container(args.out, model.arch, KIND_WEIGHT_SET, shapes,
+                        (permuted_tensor(model, graph, assignment, name) for name in shapes))
     return EXIT_OK
 
 
 def cmd_task_vector(args) -> int:
-    finetuned = read_checkpoint(args.finetuned)
-    base = read_checkpoint(args.base)
-    require_same_arch(finetuned.arch, base.arch, "fine-tuned and base models")
-    # The fine-tuned arrays were just read and nobody else holds them, so the
-    # difference is formed in them: two models in memory, not three.
-    for name, f in finetuned.tensors.items():
-        np.subtract(f, base.tensors[name], out=f)
-    write_task_vector(TaskVector(base.arch, finetuned.tensors), args.out)
+    with ContainerReader(args.finetuned, KIND_WEIGHT_SET) as finetuned, \
+            ContainerReader(args.base, KIND_WEIGHT_SET) as base:
+        require_same_arch(finetuned.arch, base.arch, "fine-tuned and base models")
+        shapes = base.arch.tensor_shapes()
+        write_container(args.out, base.arch, KIND_TASK_VECTOR, shapes,
+                        (task_vector_tensor(finetuned, base, name) for name in shapes))
     return EXIT_OK
 
 
 def cmd_transport(args) -> int:
-    scaling = _read_alpha(args)  # refuse a bad scaling before reading two models
-    base = read_checkpoint(args.base)
-    if isinstance(scaling, list) and len(scaling) != base.arch.n_blocks:
-        raise ValueError(f"--alpha-file needs {base.arch.n_blocks} factors, one per block, got {len(scaling)}")
-    tv = read_task_vector(args.task_vector)
-    assignment = read_permutation_assignment(args.perm)
-    graph = _graph(args, base.arch)
-    write_checkpoint(transport(base, tv, graph, assignment, scaling), args.out)
+    scaling = _read_alpha(args)  # refuse a bad scaling before opening a checkpoint
+    with ContainerReader(args.base, KIND_WEIGHT_SET) as base:
+        n_blocks = base.arch.n_blocks
+        if isinstance(scaling, list) and len(scaling) != n_blocks:
+            raise ValueError(f"--alpha-file needs {n_blocks} factors, one per block, got {len(scaling)}")
+        with ContainerReader(args.task_vector, KIND_TASK_VECTOR) as tv:
+            require_same_arch(base.arch, tv.arch, "base model and task vector")
+            assignment = read_permutation_assignment(args.perm)
+            graph = _graph(args, base.arch)
+            graph.check_assignment(assignment)
+            factors = block_factors(scaling, n_blocks)
+            shapes = base.arch.tensor_shapes()
+            write_container(args.out, base.arch, KIND_WEIGHT_SET, shapes,
+                            (transported_tensor(base, tv, graph, assignment, factors, name) for name in shapes))
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ permute a weight set without changing its function:
 * the classifier rows and the model input columns are never permuted.
 
 ``permuted_tensor`` is the one place that rule is turned into index moves;
-``apply_assignment`` (so transport and verification) and the matcher's value
-matrices all go through it, and a task vector moves exactly as the weights do.
+``apply_assignment`` (so verification), transport, the command line's
+one-tensor-at-a-time ``apply`` and the matcher's value matrices all go
+through it, and a task vector moves exactly as the weights do.
 
 Residual handling comes in two modes.  ``compose`` keeps an independent
 variable for the attention output and the MLP output of every block and

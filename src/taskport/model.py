@@ -416,8 +416,8 @@ def make_blob_batch(arch: ArchSpec, n: int, seq_len: int, seed: int) -> EvalBatc
 
 
 def write_eval_batch(batch: EvalBatch, arch: ArchSpec, path: str) -> None:
-    tensors = {"inputs": batch.inputs, "targets": batch.targets.astype(np.float64)}
-    write_container(path, arch, KIND_EVAL_BATCH, tensors)
+    shapes = {"inputs": batch.inputs.shape, "targets": batch.targets.shape}
+    write_container(path, arch, KIND_EVAL_BATCH, shapes, (batch.inputs, batch.targets.astype(np.float64)))
 
 
 def read_eval_batch(path: str) -> tuple[EvalBatch, ArchSpec]:

@@ -369,7 +369,8 @@ class TestCheckpointErrors:
         write_checkpoint(_random_weight_set(small_arch, 20), str(path))
         before = {p.name: p.read_bytes() for p in path.iterdir()}
         with pytest.raises(TypeError):
-            write_container(str(path), small_arch, object(), _random_weight_set(small_arch, 21).tensors)
+            tensors = _random_weight_set(small_arch, 21).tensors
+            write_container(str(path), small_arch, object(), small_arch.tensor_shapes(), tensors.values())
         assert {p.name: p.read_bytes() for p in path.iterdir()} == before
 
 

@@ -17,17 +17,21 @@ import taskport
 import taskport.model as model_mod
 from conftest import overflowing_model
 from taskport.checkpoint import (
+    KIND_TASK_VECTOR,
+    KIND_WEIGHT_SET,
     ArchSpec,
     read_checkpoint,
     read_permutation_assignment,
+    read_task_vector,
     write_checkpoint,
+    write_container,
     write_permutation_assignment,
+    write_task_vector,
 )
 from taskport.cli import main
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.model import init_random, make_blob_batch, write_eval_batch
-from taskport.transport import compute_task_vector
-from taskport.checkpoint import read_task_vector, write_task_vector
+from taskport.transport import compute_task_vector, transport
 
 
 def _slurp(path):
@@ -387,6 +391,182 @@ class TestTransport:
         error_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(error_lines) == 1 and "not allowed with argument" in error_lines[0]
         assert not os.path.exists(out)
+
+
+class TestPerTensorPort:
+    """``apply``, ``task-vector`` and ``transport`` read, compute and write one
+    tensor at a time; their outputs are the bytes of the in-memory API."""
+
+    @staticmethod
+    def _write_in_order(ws, path, kind, order):
+        """``ws`` as a container whose records follow ``order``."""
+        write_container(path, ws.arch, kind, {n: ws[n].shape for n in order}, (ws[n] for n in order))
+
+    @staticmethod
+    def _files(path):
+        return {name: _slurp(os.path.join(path, name)) for name in sorted(os.listdir(path))}
+
+    @pytest.fixture
+    def port(self, tmp_path, toy_arch):
+        """Old base A, fine-tuned A, new base B, task vector and assignment;
+        the records of every container in a different, non-canonical order."""
+        names = list(toy_arch.tensor_shapes())
+        rng = np.random.default_rng(7)
+        paths = {key: str(tmp_path / key) for key in ("a", "ft", "b", "tv")}
+        model_a = init_random(toy_arch, 0)
+        tuned = init_random(toy_arch, 1)
+        self._write_in_order(model_a, paths["a"], KIND_WEIGHT_SET, names[::-1])
+        self._write_in_order(tuned, paths["ft"], KIND_WEIGHT_SET, list(rng.permutation(names)))
+        self._write_in_order(init_random(toy_arch, 2), paths["b"], KIND_WEIGHT_SET, list(rng.permutation(names)))
+        tv = compute_task_vector(read_checkpoint(paths["ft"]), read_checkpoint(paths["a"]))
+        self._write_in_order(tv, paths["tv"], KIND_TASK_VECTOR, list(rng.permutation(names)))
+        graph = build_coupling_graph(toy_arch, "compose")
+        paths["perm"] = str(tmp_path / "ab.perm")
+        write_permutation_assignment(graph.random_assignment(rng), paths["perm"])
+        return tmp_path, graph, paths
+
+    def _argv(self, subcommand, paths, out, **inputs):
+        """The argv of ``subcommand`` on the fixture's files, any of them
+        renamed by ``inputs`` (``base=...``, say)."""
+        p = {**paths, **inputs}
+        return {
+            "apply": ["apply", "--model", p["a"], "--perm", p["perm"], "--out", out],
+            "task-vector": ["task-vector", "--finetuned", p["ft"], "--base", p["a"], "--out", out],
+            "transport": ["transport", "--base", p["b"], "--task-vector", p["tv"], "--perm", p["perm"],
+                          "--out", out, "--alpha", "0.75"],
+        }[subcommand]
+
+    def _expected(self, subcommand, graph, paths, out):
+        """What the in-memory API writes for ``subcommand``."""
+        assignment = read_permutation_assignment(paths["perm"])
+        if subcommand == "apply":
+            write_checkpoint(apply_assignment(read_checkpoint(paths["a"]), graph, assignment), out)
+        elif subcommand == "task-vector":
+            write_task_vector(compute_task_vector(read_checkpoint(paths["ft"]), read_checkpoint(paths["a"])), out)
+        else:
+            ported = transport(read_checkpoint(paths["b"]), read_task_vector(paths["tv"]), graph, assignment, 0.75)
+            write_checkpoint(ported, out)
+
+    @pytest.mark.parametrize("subcommand", ["apply", "task-vector", "transport"])
+    def test_outputs_equal_the_in_memory_api(self, port, subcommand):
+        """Records are read by name and written in canonical order, so inputs
+        whose manifests list them in other orders - a different order for
+        each input - port to the bytes of the in-memory API."""
+        tmp_path, graph, paths = port
+        out, expect = str(tmp_path / "out"), str(tmp_path / "expect")
+        assert main(self._argv(subcommand, paths, out)) == 0
+        self._expected(subcommand, graph, paths, expect)
+        assert self._files(out) == self._files(expect)
+
+    def _check_aliased(self, port, subcommand, alias):
+        """``--out`` naming the input ``alias`` writes what a fresh directory
+        gets: the reader keeps its handle on the input's blob across the
+        writer's rename."""
+        tmp_path, graph, paths = port
+        fresh = str(tmp_path / "fresh")
+        assert main(self._argv(subcommand, paths, fresh)) == 0
+        target = paths[alias]
+        assert main(self._argv(subcommand, paths, target)) == 0
+        assert self._files(target) == self._files(fresh)
+
+    def test_apply_out_naming_its_model(self, port):
+        self._check_aliased(port, "apply", "a")
+
+    @pytest.mark.parametrize("alias", ["a", "ft"])
+    def test_task_vector_out_naming_an_input(self, port, alias):
+        self._check_aliased(port, "task-vector", alias)
+
+    @pytest.mark.parametrize("alias", ["b", "tv"])
+    def test_transport_out_naming_an_input(self, port, alias):
+        self._check_aliased(port, "transport", alias)
+
+    @staticmethod
+    def _poison(path):
+        """Every value of the container's blob becomes nan, so reading any
+        tensor byte would refuse it with a non-finite-tensor error."""
+        blob = os.path.join(path, "tensors.bin")
+        n = os.path.getsize(blob) // 4
+        with open(blob, "wb") as f:
+            f.write(np.full(n, np.nan, dtype="<f4").tobytes())
+
+    @pytest.mark.parametrize(
+        "subcommand, fault",
+        [("task-vector", "arch"), ("transport", "arch"), ("apply", "perm"), ("transport", "perm")],
+    )
+    def test_refused_before_reading_tensor_data(self, port, capsys, subcommand, fault):
+        """Manifests, their architecture match and the assignment are all
+        checked before any tensor bytes are read: with every input blob
+        poisoned, a mismatched architecture still exits 2 and a malformed
+        assignment exits 1, each with its own error."""
+        tmp_path, graph, paths = port
+        out = str(tmp_path / "out")
+        if fault == "arch":
+            other = dataclasses.replace(graph.arch, n_blocks=1)
+            key = "ft" if subcommand == "task-vector" else "tv"
+            kind = KIND_WEIGHT_SET if subcommand == "task-vector" else KIND_TASK_VECTOR
+            mismatched = init_random(other, 3)
+            write_container(paths[key], other, kind, other.tensor_shapes(), mismatched.tensors.values())
+            expect_code, expect = 2, "disagree on architecture"
+        else:
+            assignment = read_permutation_assignment(paths["perm"])
+            assignment.perms["block.0.mlp_hidden"] = np.array([1, 0])
+            write_permutation_assignment(assignment, paths["perm"])
+            expect_code, expect = 1, f"error: permutation has length 2, expected {graph.arch.mlp_hidden}\n"
+        for key in ("a", "ft", "b", "tv"):
+            self._poison(paths[key])
+        assert main(self._argv(subcommand, paths, out)) == expect_code
+        err = capsys.readouterr().err
+        assert expect in err and err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    @staticmethod
+    def _leftovers(*dirs):
+        return [name for d in dirs if os.path.isdir(d) for name in os.listdir(d) if name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_transport_overflow_mid_stream_leaves_target(self, port, capsys, existing):
+        """A task vector whose last tensor overflows float32 under ``--alpha``
+        fails after every earlier tensor was streamed out: exit 1, no partial
+        ``--out`` directory, an existing checkpoint there untouched, and no
+        temporary file left behind."""
+        tmp_path, graph, paths = port
+        tv = read_task_vector(paths["tv"])
+        assert list(tv.tensors)[-1] == "head.weight"
+        tv.tensors["head.weight"][-1, -1] = 1e30
+        write_task_vector(tv, paths["tv"])
+        out = str(tmp_path / "out")
+        if existing:
+            write_checkpoint(init_random(graph.arch, 5), out)
+            before = self._files(out)
+        assert main(self._argv("transport", paths, out)[:-2] + ["--alpha", "1e10"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: tensor 'head.weight' contains non-finite values\n"
+        if existing:
+            assert self._files(out) == before
+        else:
+            assert not os.path.exists(out)
+        assert self._leftovers(str(tmp_path), out) == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_apply_non_finite_record_mid_stream_leaves_target(self, port, capsys, existing):
+        """A nan in the model's last record is met by the reader after every
+        earlier tensor was streamed out; the target is left as it was."""
+        tmp_path, graph, paths = port
+        write_checkpoint(read_checkpoint(paths["a"]), paths["a"])  # canonical order: head.weight last
+        with open(os.path.join(paths["a"], "tensors.bin"), "r+b") as f:
+            f.seek(-4, os.SEEK_END)
+            f.write(np.array([np.nan], dtype="<f4").tobytes())
+        out = str(tmp_path / "out")
+        if existing:
+            write_checkpoint(init_random(graph.arch, 5), out)
+            before = self._files(out)
+        assert main(self._argv("apply", paths, out)) == 1
+        assert capsys.readouterr().err == "error: tensor 'head.weight' contains non-finite values\n"
+        if existing:
+            assert self._files(out) == before
+        else:
+            assert not os.path.exists(out)
+        assert self._leftovers(str(tmp_path), out) == []
 
 
 class TestVerify:

@@ -4,6 +4,9 @@ Every input - byte flips, truncation, JSON field mutation, aliased or
 overlapping records, mangled assignment lines - must either read back valid
 or raise a TaskportError; any other exception is a bug.  An assignment file
 the reader accepts must also survive write -> read -> write byte for byte.
+Each hostile container also goes through the ``transport`` subcommand, once
+as the base and once as the task vector: it must be refused with a
+TaskportError, or ported to the very bytes the in-memory API writes.
 """
 
 import json
@@ -21,15 +24,20 @@ from taskport.checkpoint import (
     TENSORS_NAME,
     ArchSpec,
     WeightSet,
+    read_checkpoint,
     read_container,
     read_permutation_assignment,
+    read_task_vector,
     write_checkpoint,
     write_permutation_assignment,
+    write_task_vector,
 )
+from taskport.cli import build_parser
 from taskport.coupling import build_coupling_graph
 from taskport.errors import TaskportError
 from taskport.model import init_random
 from taskport.perms import check_permutation
+from taskport.transport import compute_task_vector, transport
 
 ARCH = ArchSpec(1, 2, 4, 6, 3, 2, has_layernorm=True)
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -51,7 +59,53 @@ MANIFEST, BLOB, PERM = _pristine()
 RECORDS = json.loads(MANIFEST)["tensors"]
 
 
+def _check_cli_transport(hostile: str, as_task_vector: bool) -> None:
+    """``transport`` with the container at ``hostile`` as its base (or as its
+    task vector, the manifest's kind rewritten to match) and valid other
+    inputs: a TaskportError, or the bytes of the in-memory API."""
+    d = os.path.dirname(hostile)
+    valid = os.path.join(d, "valid")
+    perm = os.path.join(d, "a.perm")
+    with open(perm, "wb") as f:
+        f.write(PERM)
+    if as_task_vector:
+        manifest_path = os.path.join(hostile, MANIFEST_NAME)
+        with open(manifest_path, "rb") as f:
+            manifest = f.read()
+        with open(manifest_path, "wb") as f:
+            f.write(manifest.replace(b'"weight_set"', b'"task_vector"'))
+        write_checkpoint(init_random(ARCH, 1), valid)
+        base, tv = valid, hostile
+    else:
+        write_task_vector(compute_task_vector(init_random(ARCH, 1), init_random(ARCH, 2)), valid)
+        base, tv = hostile, valid
+    out, expect = os.path.join(d, "out"), os.path.join(d, "expect")
+    args = build_parser().parse_args(
+        ["transport", "--base", base, "--task-vector", tv, "--perm", perm, "--out", out,
+         "--unpin-embedding", "--alpha", "0.5"]
+    )
+    try:
+        args.func(args)
+    except TaskportError:
+        assert not os.path.exists(out)
+        return
+    graph = build_coupling_graph(ARCH, "compose", pin_embedding=False)
+    ported = transport(read_checkpoint(base), read_task_vector(tv), graph, read_permutation_assignment(perm), 0.5)
+    write_checkpoint(ported, expect)
+    for name in (MANIFEST_NAME, TENSORS_NAME):
+        with open(os.path.join(out, name), "rb") as f, open(os.path.join(expect, name), "rb") as g:
+            assert f.read() == g.read(), name
+
+
 def _check_container(manifest: bytes, blob: bytes) -> None:
+    for as_task_vector in (False, True):
+        with tempfile.TemporaryDirectory() as d:
+            hostile = os.path.join(d, "hostile")
+            os.mkdir(hostile)
+            for name, data in ((MANIFEST_NAME, manifest), (TENSORS_NAME, blob)):
+                with open(os.path.join(hostile, name), "wb") as f:
+                    f.write(data)
+            _check_cli_transport(hostile, as_task_vector)
     with tempfile.TemporaryDirectory() as d:
         for name, data in ((MANIFEST_NAME, manifest), (TENSORS_NAME, blob)):
             with open(os.path.join(d, name), "wb") as f:

@@ -345,7 +345,7 @@ class TestEvalBatchIO:
         n_targets = {"more_targets": 3, "fewer_targets": 1}.get(case, rows)
         targets = np.array([0.5, 1.0]) if case == "fractional" else np.arange(n_targets) % arch.output_dim
         inputs = np.zeros((rows, 3, arch.input_dim))
-        write_container(path, arch, KIND_EVAL_BATCH, {"inputs": inputs, "targets": targets})
+        write_container(path, arch, KIND_EVAL_BATCH, {"inputs": inputs.shape, "targets": targets.shape}, (inputs, targets))
         if case in ("nan_input", "inf_input"):  # the writer refuses them, so patch the blob
             blob = Path(path, "tensors.bin")
             raw = bytearray(blob.read_bytes())
@@ -365,8 +365,9 @@ class TestEvalBatchIO:
         from taskport.checkpoint import KIND_EVAL_BATCH, write_container
 
         path = str(tmp_path / "batch")
-        tensors = {"inputs": np.zeros((2, 3, small_arch.input_dim)), "targets": np.zeros(2)}
-        write_container(path, small_arch, KIND_EVAL_BATCH, tensors)
+        inputs, targets = np.zeros((2, 3, small_arch.input_dim)), np.zeros(2)
+        write_container(path, small_arch, KIND_EVAL_BATCH, {"inputs": inputs.shape, "targets": targets.shape},
+                        (inputs, targets))
         blob = Path(path, "tensors.bin")  # the writer refuses nan and inf, so patch the blob
         raw = bytearray(blob.read_bytes())
         raw[-4:] = np.array([target], dtype="<f4").tobytes()
