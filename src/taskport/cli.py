@@ -4,8 +4,9 @@ Exit codes are stable for scripting: 0 success, 1 I/O, format, usage or
 out-of-memory problem, 2 architecture mismatch, 3 matcher hit its sweep cap
 (assignment still written), 4 verification failed.  All randomness flows from
 ``--seed``, so every subcommand is reproducible; no subcommand mutates its
-inputs.  ``apply``, ``task-vector`` and ``transport`` read, compute and
-write one tensor at a time, after every input check has passed.
+inputs.  ``apply``, ``task-vector`` and ``transport`` stream the library's
+checked tensor generators to the container writer, one tensor at a time,
+after every input check has passed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import numpy as np
 from .checkpoint import (
     KIND_TASK_VECTOR,
     KIND_WEIGHT_SET,
+    ArchSpec,
     ContainerReader,
+    WeightSet,
     atomic_write,
     read_checkpoint,
     read_permutation_assignment,
@@ -29,7 +32,7 @@ from .checkpoint import (
     write_container,
     write_permutation_assignment,
 )
-from .coupling import apply_assignment, build_coupling_graph, permuted_tensor
+from .coupling import apply_assignment, build_coupling_graph, permuted_tensors
 from .errors import ArchMismatchError, TaskportError
 from .matching import format_trace, recovery_fraction, weight_match
 from .model import (
@@ -41,7 +44,7 @@ from .model import (
     verify_equivalence,
     write_eval_batch,
 )
-from .transport import block_factors, task_vector_tensor, transported_tensor
+from .transport import task_vector_tensors, transported_tensors
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -127,20 +130,16 @@ def cmd_apply(args) -> int:
         graph = _graph(args, model.arch)
         if args.dump_graph:
             print(graph.dump_table())
-        graph.check_assignment(assignment)
-        shapes = model.arch.tensor_shapes()
-        write_container(args.out, model.arch, KIND_WEIGHT_SET, shapes,
-                        (permuted_tensor(model, graph, assignment, name) for name in shapes))
+        write_container(args.out, model.arch, KIND_WEIGHT_SET, model.arch.tensor_shapes(),
+                        permuted_tensors(model, graph, assignment))
     return EXIT_OK
 
 
 def cmd_task_vector(args) -> int:
     with ContainerReader(args.finetuned, KIND_WEIGHT_SET) as finetuned, \
             ContainerReader(args.base, KIND_WEIGHT_SET) as base:
-        require_same_arch(finetuned.arch, base.arch, "fine-tuned and base models")
-        shapes = base.arch.tensor_shapes()
-        write_container(args.out, base.arch, KIND_TASK_VECTOR, shapes,
-                        (task_vector_tensor(finetuned, base, name) for name in shapes))
+        write_container(args.out, base.arch, KIND_TASK_VECTOR, base.arch.tensor_shapes(),
+                        task_vector_tensors(finetuned, base))
     return EXIT_OK
 
 
@@ -151,14 +150,10 @@ def cmd_transport(args) -> int:
         if isinstance(scaling, list) and len(scaling) != n_blocks:
             raise ValueError(f"--alpha-file needs {n_blocks} factors, one per block, got {len(scaling)}")
         with ContainerReader(args.task_vector, KIND_TASK_VECTOR) as tv:
-            require_same_arch(base.arch, tv.arch, "base model and task vector")
+            require_same_arch(base.arch, tv.arch, "base model and task vector")  # before the .perm is read
             assignment = read_permutation_assignment(args.perm)
-            graph = _graph(args, base.arch)
-            graph.check_assignment(assignment)
-            factors = block_factors(scaling, n_blocks)
-            shapes = base.arch.tensor_shapes()
-            write_container(args.out, base.arch, KIND_WEIGHT_SET, shapes,
-                            (transported_tensor(base, tv, graph, assignment, factors, name) for name in shapes))
+            write_container(args.out, base.arch, KIND_WEIGHT_SET, base.arch.tensor_shapes(),
+                            transported_tensors(base, tv, _graph(args, base.arch), assignment, scaling))
     return EXIT_OK
 
 
@@ -178,20 +173,19 @@ def cmd_lmc(args) -> int:
     model_b = read_checkpoint(args.model_b)
     batch, batch_arch = read_eval_batch(args.batch)
     require_same_arch(model_a.arch, batch_arch, "models and eval batch")
-    curve = lmc_curve(model_a, model_b, batch, n_points=args.points)
-    rows = ["alpha,loss"] + [
-        f"{a:.12g},{l:.12g}" for a, l in zip(curve.alphas, curve.losses)
-    ]
-    atomic_write(args.out, "\n".join(rows) + "\n")
+    _write_curve(args.out, lmc_curve(model_a, model_b, batch, n_points=args.points))
     return EXIT_OK
+
+
+def _write_curve(path: str, curve) -> None:
+    rows = ["alpha,loss"] + [f"{a:.12g},{l:.12g}" for a, l in zip(curve.alphas, curve.losses)]
+    atomic_write(path, "\n".join(rows) + "\n")
 
 
 def cmd_demo(args) -> int:
     """End-to-end pipeline on synthetic models: train a toy model, hide it
     behind a random structured permutation plus noise, re-discover the
     permutation, certify equivalence, and compare interpolation curves."""
-    from .checkpoint import ArchSpec
-
     arch = ArchSpec(
         n_blocks=args.blocks,
         n_heads=args.heads,
@@ -215,24 +209,27 @@ def cmd_demo(args) -> int:
     write_checkpoint(model_a, os.path.join(args.out_dir, "model_a"))
     write_eval_batch(batch, arch, os.path.join(args.out_dir, "batch"))
 
-    def perturb(ws):
-        out = ws.copy()
-        for name, arr in out.tensors.items():
+    def plant_and_match(graph, tag):
+        """Hide model A behind a random plant on ``graph`` plus noise, as a
+        new model B, and match A onto it; writes ``model_b<tag>``,
+        ``plant<tag>.perm`` and ``recovered<tag>.perm``."""
+        plant = graph.random_assignment(rng)
+        tensors = {}
+        for name, arr in zip(arch.tensor_shapes(), permuted_tensors(model_a, graph, plant)):
             std = float(arr.std())
-            if args.noise > 0 and std > 0:
-                out.tensors[name] = arr + rng.normal(0.0, args.noise * std, arr.shape)
-        return out
+            noisy = args.noise > 0 and std > 0
+            tensors[name] = arr + rng.normal(0.0, args.noise * std, arr.shape) if noisy else arr
+        model_b = WeightSet(arch, tensors)
+        write_checkpoint(model_b, os.path.join(args.out_dir, f"model_b{tag}"))
+        write_permutation_assignment(plant, os.path.join(args.out_dir, f"plant{tag}.perm"))
+        result = weight_match(model_a, model_b, graph, max_sweeps=args.max_sweeps, seed=args.seed)
+        write_permutation_assignment(result.assignment, os.path.join(args.out_dir, f"recovered{tag}.perm"))
+        return model_b, result, recovery_fraction(result.assignment, plant, graph)
 
     # Compose-mode plant, match, and functional-equivalence certificate.
     graph = build_coupling_graph(arch, "compose")
-    plant = graph.random_assignment(rng)
-    model_b = perturb(apply_assignment(model_a, graph, plant))
-    write_checkpoint(model_b, os.path.join(args.out_dir, "model_b"))
-    write_permutation_assignment(plant, os.path.join(args.out_dir, "plant.perm"))
-    result = weight_match(model_a, model_b, graph, max_sweeps=args.max_sweeps, seed=args.seed)
-    write_permutation_assignment(result.assignment, os.path.join(args.out_dir, "recovered.perm"))
+    _, result, recovery = plant_and_match(graph, "")
     atomic_write(os.path.join(args.out_dir, "trace.txt"), format_trace(result))
-    recovery = recovery_fraction(result.assignment, plant, graph)
     equiv = verify_equivalence(model_a, graph, result.assignment, n_samples=32, tol=args.tol, seed=args.seed)
     report += [
         "",
@@ -247,23 +244,12 @@ def cmd_demo(args) -> int:
     # Tie-mode plant for interpolation: permuted models keep identity skips,
     # so plain weight interpolation is meaningful.
     graph_tie = build_coupling_graph(arch, "tie", pin_embedding=False)
-    plant_tie = graph_tie.random_assignment(rng)
-    model_b_tie = perturb(apply_assignment(model_a, graph_tie, plant_tie))
-    write_checkpoint(model_b_tie, os.path.join(args.out_dir, "model_b_tie"))
-    write_permutation_assignment(plant_tie, os.path.join(args.out_dir, "plant_tie.perm"))
-    result_tie = weight_match(
-        model_a, model_b_tie, graph_tie, max_sweeps=args.max_sweeps, seed=args.seed
-    )
-    write_permutation_assignment(
-        result_tie.assignment, os.path.join(args.out_dir, "recovered_tie.perm")
-    )
-    recovery_tie = recovery_fraction(result_tie.assignment, plant_tie, graph_tie)
+    model_b_tie, result_tie, recovery_tie = plant_and_match(graph_tie, "_tie")
     matched_a = apply_assignment(model_a, graph_tie, result_tie.assignment)
     curve_matched = lmc_curve(matched_a, model_b_tie, batch, n_points=args.points)
     curve_naive = lmc_curve(model_a, model_b_tie, batch, n_points=args.points)
-    for tag, curve in (("lmc_matched", curve_matched), ("lmc_naive", curve_naive)):
-        rows = ["alpha,loss"] + [f"{a:.12g},{l:.12g}" for a, l in zip(curve.alphas, curve.losses)]
-        atomic_write(os.path.join(args.out_dir, f"{tag}.csv"), "\n".join(rows) + "\n")
+    _write_curve(os.path.join(args.out_dir, "lmc_matched.csv"), curve_matched)
+    _write_curve(os.path.join(args.out_dir, "lmc_naive.csv"), curve_naive)
     mid = args.points // 2
     report += [
         "",

@@ -9,10 +9,10 @@ permute a weight set without changing its function:
 * 1-D tensors (biases, layernorm gains) ride along with their row variable;
 * the classifier rows and the model input columns are never permuted.
 
-``permuted_tensor`` is the one place that rule is turned into index moves;
-``apply_assignment`` (so verification), transport, the command line's
-one-tensor-at-a-time ``apply`` and the matcher's value matrices all go
-through it, and a task vector moves exactly as the weights do.
+``permuted_tensor`` is the one place that rule is turned into index moves:
+the matcher's value matrices go through it, and so does ``permuted_tensors``,
+which ``apply_assignment`` (so verification) collects and the command line's
+``apply`` streams to disk.  A task vector moves exactly as the weights do.
 
 Residual handling comes in two modes.  ``compose`` keeps an independent
 variable for the attention output and the MLP output of every block and
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import ArchSpec
+from .checkpoint import ArchSpec, require_same_arch
 from .errors import IncompleteAssignmentError, UnknownVariableError
 from .perms import (
     BlockPermutation,
@@ -98,10 +98,9 @@ class CouplingGraph:
     def identity_assignment(self) -> PermutationAssignment:
         a = PermutationAssignment()
         for var in self.variables.values():
+            a.perms[var.id] = identity(var.size)
             if var.is_attention:
-                a.set_block(var.id, BlockPermutation.identity(self.arch.n_heads, self.arch.head_dim))
-            else:
-                a.perms[var.id] = identity(var.size)
+                a.heads[var.id] = self.arch.n_heads
         return a
 
     def random_assignment(self, rng: np.random.Generator) -> PermutationAssignment:
@@ -262,6 +261,16 @@ def permuted_tensor(
     return arr
 
 
+def permuted_tensors(ws, graph: CouplingGraph, assignment: PermutationAssignment):
+    """Every tensor of ``ws`` permuted, in canonical order, each computed when
+    asked for; the architecture and the assignment are checked on the call.
+    ``ws`` is read only as ``ws.arch`` and ``ws[name]``, so an open
+    ``ContainerReader`` serves too."""
+    require_same_arch(ws.arch, graph.arch, "weights and coupling graph")
+    graph.check_assignment(assignment)
+    return (permuted_tensor(ws, graph, assignment, name) for name in ws.arch.tensor_shapes())
+
+
 def apply_assignment(ws, graph: CouplingGraph, assignment: PermutationAssignment):
     """Permute a WeightSet or TaskVector according to the graph's wiring.
 
@@ -269,12 +278,8 @@ def apply_assignment(ws, graph: CouplingGraph, assignment: PermutationAssignment
     Every tensor of the result is a new array the caller owns; ``np.take``
     already made one for each permuted tensor, so only the rest are copied.
     """
-    graph.check_assignment(assignment)
-    out = {}
-    for name, arr in ws.tensors.items():
-        moved = permuted_tensor(ws, graph, assignment, name)
-        out[name] = arr.copy() if moved is arr else moved
-    return type(ws)(ws.arch, out)
+    moved = zip(ws.tensors.items(), permuted_tensors(ws, graph, assignment), strict=True)
+    return type(ws)(ws.arch, {name: arr.copy() if out is arr else out for (name, arr), out in moved})
 
 
 def inverse_assignment(graph: CouplingGraph, assignment: PermutationAssignment) -> PermutationAssignment:

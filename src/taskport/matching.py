@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import align_within_heads, pair_heads
-from .checkpoint import WeightSet, require_same_arch
+from .checkpoint import WeightSet, require_finite, require_same_arch
 from .coupling import Axis, CouplingGraph, permuted_tensor
-from .errors import NonFiniteTensorError
 from .lap import solve_max
 from .perms import BlockPermutation, Perm, PermutationAssignment
 
@@ -145,8 +144,7 @@ def weight_match(
     require_same_arch(ws_a.arch, graph.arch, "model and coupling graph")
     for ws in (ws_a, ws_b):
         for name, arr in ws.tensors.items():
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteTensorError(name)
+            require_finite(name, arr)
 
     assignment = graph.identity_assignment() if initial is None else initial.copy()
     graph.check_assignment(assignment)

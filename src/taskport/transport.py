@@ -7,10 +7,10 @@ new base.  Because permutation application is linear and index-exact,
 permuting the difference equals differencing the permuted models, and one
 matched assignment can carry any number of task vectors.
 
-Computing and transporting are each written once per tensor
-(``task_vector_tensor``, ``transported_tensor``) and read their inputs only
-as ``ws[name]``, so whole weight sets and the command line's
-one-tensor-at-a-time readers share them.
+Computing and transporting are each written once (``task_vector_tensors``,
+``transported_tensors``): checked on the call, then one tensor at a time in
+canonical order, reading only ``ws.arch`` and ``ws[name]``.  The in-memory
+API collects them from weight sets; the command line streams them to disk.
 """
 
 from __future__ import annotations
@@ -20,46 +20,44 @@ import math
 import numpy as np
 
 from .checkpoint import TaskVector, WeightSet, require_same_arch
-from .coupling import CouplingGraph, permuted_tensor
+from .coupling import CouplingGraph, permuted_tensors
 from .perms import PermutationAssignment
 
 
-def block_factors(scaling, n_blocks: int) -> list[float]:
-    """``scaling`` - one finite factor >= 0, or a sequence of one such
-    factor per block - as one factor per block."""
+def task_vector_tensors(ws_finetuned, ws_base):
+    """Fine-tuned minus base, one new array per tensor in canonical order,
+    each computed when asked for; the architectures are checked on the call."""
+    require_same_arch(ws_finetuned.arch, ws_base.arch, "fine-tuned and base models")
+    return (ws_finetuned[name] - ws_base[name] for name in ws_base.arch.tensor_shapes())
+
+
+def compute_task_vector(ws_finetuned: WeightSet, ws_base: WeightSet) -> TaskVector:
+    """Elementwise difference fine-tuned minus base."""
+    return TaskVector(ws_base.arch, dict(zip(ws_base.tensors, task_vector_tensors(ws_finetuned, ws_base))))
+
+
+def transported_tensors(ws_base, tv, graph: CouplingGraph, assignment: PermutationAssignment, scaling=1.0):
+    """``base + factor * pi(tv)``, one new array per tensor in canonical order.
+    ``scaling`` is one finite factor >= 0, or one per block; the embedding
+    takes the first block's and the classifier the last's.  Every input is
+    checked on the call, before any tensor is read."""
+    require_same_arch(ws_base.arch, tv.arch, "base model and task vector")
+    n_blocks = ws_base.arch.n_blocks
     factors = [float(scaling)] * n_blocks if np.ndim(scaling) == 0 else [float(f) for f in scaling]
     if len(factors) != n_blocks:
         raise ValueError(f"per-block scaling needs {n_blocks} factors, got {len(factors)}")
     if not all(math.isfinite(f) and f >= 0 for f in factors):
         raise ValueError(f"scaling factors must be finite and non-negative, got {scaling}")
-    return factors
+    moved = permuted_tensors(tv, graph, assignment)  # checks the graph's arch and the assignment
 
+    def tensors():
+        for name in ws_base.arch.tensor_shapes():  # next(): no reference to the moved tensor outlives the product
+            part = name.split(".")
+            out = factors[int(part[1]) if part[0] == "block" else -1 if part[0] == "head" else 0] * next(moved)
+            out += ws_base[name]  # the same sum as base + out: float addition commutes
+            yield out
 
-def task_vector_tensor(ws_finetuned, ws_base, name: str) -> np.ndarray:
-    """Tensor ``name`` of fine-tuned minus base, as a new array."""
-    return ws_finetuned[name] - ws_base[name]
-
-
-def transported_tensor(ws_base, tv, graph: CouplingGraph, assignment: PermutationAssignment,
-                       factors: list[float], name: str) -> np.ndarray:
-    """Tensor ``name`` of ``base + factor * pi(tv)``, as a new array, with
-    the factor of its block (the first for the embedding, the last for the
-    classifier)."""
-    if name.startswith("block."):
-        factor = factors[int(name.split(".")[1])]
-    else:
-        factor = factors[-1] if name.startswith("head.") else factors[0]
-    out = factor * permuted_tensor(tv, graph, assignment, name)
-    out += ws_base[name]  # the same sum as base + out: float addition commutes
-    return out
-
-
-def compute_task_vector(ws_finetuned: WeightSet, ws_base: WeightSet) -> TaskVector:
-    """Elementwise difference fine-tuned minus base."""
-    require_same_arch(ws_finetuned.arch, ws_base.arch, "fine-tuned and base models")
-    return TaskVector(
-        ws_base.arch, {name: task_vector_tensor(ws_finetuned, ws_base, name) for name in ws_base.tensors}
-    )
+    return tensors()
 
 
 def transport(
@@ -69,22 +67,14 @@ def transport(
     assignment: PermutationAssignment,
     scaling=1.0,
 ) -> WeightSet:
-    """New base plus the permuted task vector scaled by ``scaling``: one
-    finite factor >= 0, or a sequence of one such factor per block.  Per
-    block, the embedding scales with the first block and the classifier with
-    the last.
+    """New base plus the permuted task vector scaled by ``scaling``, as
+    ``transported_tensors`` defines it.
 
     Never re-matches: the assignment is taken as given, so a single matching
     run serves any number of vectors.
     """
-    require_same_arch(ws_base.arch, tv.arch, "base model and task vector")
-    require_same_arch(ws_base.arch, graph.arch, "base model and coupling graph")
-    factors = block_factors(scaling, ws_base.arch.n_blocks)
-    graph.check_assignment(assignment)
-    return WeightSet(
-        ws_base.arch,
-        {name: transported_tensor(ws_base, tv, graph, assignment, factors, name) for name in ws_base.tensors},
-    )
+    ported = transported_tensors(ws_base, tv, graph, assignment, scaling)
+    return WeightSet(ws_base.arch, dict(zip(ws_base.tensors, ported)))
 
 
 def merge_task_vectors(task_vectors: list[TaskVector], weights: list[float]) -> TaskVector:

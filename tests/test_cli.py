@@ -39,6 +39,13 @@ def _slurp(path):
         return f.read()
 
 
+def _outputs(path):
+    """The bytes of a written file, or of every file in a written directory."""
+    if os.path.isfile(path):
+        return _slurp(path)
+    return {name: _slurp(os.path.join(path, name)) for name in sorted(os.listdir(path))}
+
+
 @pytest.fixture
 def workspace(tmp_path, toy_arch):
     ws = init_random(toy_arch, 0)
@@ -569,6 +576,64 @@ class TestPerTensorPort:
         assert self._leftovers(str(tmp_path), out) == []
 
 
+class TestTieMode:
+    """The graph flags ``--residual-mode tie --unpin-embedding`` carry a
+    tie-mode assignment through every subcommand that builds a graph."""
+
+    TIE = ["--residual-mode", "tie", "--unpin-embedding"]
+
+    def test_round_trip(self, workspace, capsys):
+        tmp_path, arch, ws, model_a = workspace
+        graph = build_coupling_graph(arch, "tie", pin_embedding=False)
+        plant = graph.random_assignment(np.random.default_rng(1))
+        model_b, rec = str(tmp_path / "model_b"), str(tmp_path / "rec.perm")
+        write_checkpoint(apply_assignment(ws, graph, plant), model_b)
+        assert main(["match", "--model-a", model_a, "--model-b", model_b, "--out", rec, *self.TIE]) == 0
+        assert read_permutation_assignment(rec) == plant
+
+        applied = str(tmp_path / "applied")
+        assert main(["apply", "--model", model_a, "--perm", rec, "--out", applied, *self.TIE]) == 0
+        assert _outputs(applied) == _outputs(model_b)
+        assert main(["verify", "--model", model_a, "--perm", rec, *self.TIE]) == 0
+        capsys.readouterr()
+        # the compose graph has no ``stream`` variable and needs others
+        assert main(["verify", "--model", model_a, "--perm", rec]) == 1
+        assert capsys.readouterr().err.startswith("error: assignment is missing variables: ")
+
+        tv, ported, expect = (str(tmp_path / key) for key in ("tv", "ported", "expect"))
+        write_task_vector(compute_task_vector(init_random(arch, 2), ws), tv)
+        assert main(["transport", "--base", model_b, "--task-vector", tv, "--perm", rec,
+                     "--out", ported, "--alpha", "0.5", *self.TIE]) == 0
+        in_memory = transport(read_checkpoint(model_b), read_task_vector(tv), graph, plant, 0.5)
+        write_checkpoint(in_memory, expect)
+        assert _outputs(ported) == _outputs(expect)
+
+
+class TestDumpGraph:
+    @pytest.mark.parametrize("subcommand", ["match", "apply"])
+    def test_prints_the_table_once_and_writes_the_same(self, workspace, capsys, subcommand):
+        """``--dump-graph`` prints the graph's table ahead of the usual
+        output, and what the call writes does not change."""
+        tmp_path, arch, ws, model_a = workspace
+        graph = build_coupling_graph(arch, "compose")
+        perm = str(tmp_path / "plant.perm")
+        write_permutation_assignment(graph.random_assignment(np.random.default_rng(1)), perm)
+        model_b = str(tmp_path / "model_b")
+        write_checkpoint(apply_assignment(ws, graph, read_permutation_assignment(perm)), model_b)
+        runs = {}
+        for flags in ([], ["--dump-graph"]):
+            out = str(tmp_path / f"out{len(flags)}")
+            argv = {
+                "match": ["match", "--model-a", model_a, "--model-b", model_b, "--out", out],
+                "apply": ["apply", "--model", model_a, "--perm", perm, "--out", out],
+            }[subcommand]
+            assert main(argv + flags) == 0
+            runs[bool(flags)] = capsys.readouterr().out, _outputs(out)
+        (plain_out, plain_files), (dump_out, dump_files) = runs[False], runs[True]
+        assert dump_out == graph.dump_table() + "\n" + plain_out
+        assert dump_files == plain_files
+
+
 class TestVerify:
     def test_identity_passes(self, workspace):
         tmp_path, arch, ws, model_a = workspace
@@ -674,40 +739,73 @@ class TestDemo:
         assert _slurp(os.path.join(d1, "report.txt")) == _slurp(os.path.join(d2, "report.txt"))
 
     def test_default_run_outputs_are_pinned(self, tmp_path):
-        """The default demo's assignments, trace and curves, byte for byte, and
-        every report line except the round-off of the equivalence check."""
-        out = str(tmp_path / "demo")
-        assert main(["demo", "--out-dir", out]) == 0
-        pinned = {
-            "recovered.perm": "7195e0d118c1a16891320d839e21f16c5a4d3486b25f2131619e104e1f6a6a66",
-            "recovered_tie.perm": "096f1d2fdf49b5958619ad74ecb71ca9236c3eda9b4405d7456594faaa9e5ab1",
-            "trace.txt": "f1191aa9f6f423514b7f1e8b839b257e71ebfed08cb9fff1130b80077596638b",
-            "lmc_matched.csv": "373a810a574e52c136a440469d52fa60c884a6f8c15bd287f741a367b6f21dcd",
-            "lmc_naive.csv": "31432d8cde6b18a6870ec4ef754a796e783c0cc4c9aca9f2713c581db8460cd0",
+        """The default demo's and the ``--layernorm --seed 3`` demo's
+        assignments, trace and curves, byte for byte, and every report line
+        except the round-off of the equivalence check.  The plants depend
+        only on the seed; they pin the order of the demo's random draws."""
+        cases = {
+            "default": ([], {
+                "recovered.perm": "7195e0d118c1a16891320d839e21f16c5a4d3486b25f2131619e104e1f6a6a66",
+                "recovered_tie.perm": "096f1d2fdf49b5958619ad74ecb71ca9236c3eda9b4405d7456594faaa9e5ab1",
+                "trace.txt": "f1191aa9f6f423514b7f1e8b839b257e71ebfed08cb9fff1130b80077596638b",
+                "lmc_matched.csv": "373a810a574e52c136a440469d52fa60c884a6f8c15bd287f741a367b6f21dcd",
+                "lmc_naive.csv": "31432d8cde6b18a6870ec4ef754a796e783c0cc4c9aca9f2713c581db8460cd0",
+                "plant.perm": "7195e0d118c1a16891320d839e21f16c5a4d3486b25f2131619e104e1f6a6a66",
+                "plant_tie.perm": "096f1d2fdf49b5958619ad74ecb71ca9236c3eda9b4405d7456594faaa9e5ab1",
+            }, [
+                "seed: 0",
+                "noise: 0.01",
+                "arch: {'n_blocks': 2, 'n_heads': 4, 'embed_dim': 32, 'mlp_hidden': 64, "
+                "'input_dim': 16, 'output_dim': 4, 'has_layernorm': False}",
+                "",
+                "[compose]",
+                "converged: True after 5 sweeps",
+                "objective trace: 224.214534668 394.383694824 450.307030103 479.166807445 479.166807445",
+                "recovery_rate: 1",
+                "recovery_ok: yes",
+                "",
+                "[tie interpolation]",
+                "recovery_rate: 1",
+                "endpoint losses: 3.52559666685e-05 3.36814715764e-05",
+                "midpoint loss matched: 3.44105480572e-05",
+                "midpoint loss naive: 0.71010630354",
+            ]),
+            "layernorm": (["--layernorm", "--seed", "3"], {
+                "recovered.perm": "21916b6f331d3c0e723c5d7c7f8979e6904f20f3fc7edb21b9d43bcc63353c4b",
+                "recovered_tie.perm": "fbc5f976cfc5ca4045cdf3dfd5fd39c0ecbfc1fd29a91dbd81910eccaccec565",
+                "trace.txt": "6af41caf8563c1aa2d2752e9b2caf2765f873e55081346f7a0f374ef58d85469",
+                "lmc_matched.csv": "49a3b776f508114f9c280f5788f2cc3b66cf42086794d3ef3253db9765cdbf74",
+                "lmc_naive.csv": "ab278a3129c078e1e3ee11d941a71e00d4ea89e33db2695fcfc9415f29180c1f",
+                "plant.perm": "21916b6f331d3c0e723c5d7c7f8979e6904f20f3fc7edb21b9d43bcc63353c4b",
+                "plant_tie.perm": "fbc5f976cfc5ca4045cdf3dfd5fd39c0ecbfc1fd29a91dbd81910eccaccec565",
+            }, [
+                "seed: 3",
+                "noise: 0.01",
+                "arch: {'n_blocks': 2, 'n_heads': 4, 'embed_dim': 32, 'mlp_hidden': 64, "
+                "'input_dim': 16, 'output_dim': 4, 'has_layernorm': True}",
+                "",
+                "[compose]",
+                "converged: True after 4 sweeps",
+                "objective trace: 212.458001668 379.538751143 482.573535571 482.573535571",
+                "recovery_rate: 1",
+                "recovery_ok: yes",
+                "",
+                "[tie interpolation]",
+                "recovery_rate: 1",
+                "endpoint losses: 0.0131124248513 0.0131064420529",
+                "midpoint loss matched: 0.013100151135",
+                "midpoint loss naive: 1.12015507528",
+            ]),
         }
-        for name, digest in pinned.items():
-            assert hashlib.sha256(_slurp(os.path.join(out, name))).hexdigest() == digest, name
-        lines = open(os.path.join(out, "report.txt")).read().splitlines()
-        equivalence = [line for line in lines if line.startswith("equivalence_max_dev: ")]
-        assert len(equivalence) == 1 and equivalence[0].endswith(" (tol 1e-08) passed: True")
-        assert [line for line in lines if line not in equivalence] == [
-            "seed: 0",
-            "noise: 0.01",
-            "arch: {'n_blocks': 2, 'n_heads': 4, 'embed_dim': 32, 'mlp_hidden': 64, "
-            "'input_dim': 16, 'output_dim': 4, 'has_layernorm': False}",
-            "",
-            "[compose]",
-            "converged: True after 5 sweeps",
-            "objective trace: 224.214534668 394.383694824 450.307030103 479.166807445 479.166807445",
-            "recovery_rate: 1",
-            "recovery_ok: yes",
-            "",
-            "[tie interpolation]",
-            "recovery_rate: 1",
-            "endpoint losses: 3.52559666685e-05 3.36814715764e-05",
-            "midpoint loss matched: 3.44105480572e-05",
-            "midpoint loss naive: 0.71010630354",
-        ]
+        for case, (flags, pinned, report) in cases.items():
+            out = str(tmp_path / case)
+            assert main(["demo", "--out-dir", out, *flags]) == 0
+            for name, digest in pinned.items():
+                assert hashlib.sha256(_slurp(os.path.join(out, name))).hexdigest() == digest, (case, name)
+            lines = open(os.path.join(out, "report.txt")).read().splitlines()
+            equivalence = [line for line in lines if line.startswith("equivalence_max_dev: ")]
+            assert len(equivalence) == 1 and equivalence[0].endswith(" (tol 1e-08) passed: True"), case
+            assert [line for line in lines if line not in equivalence] == report, case
 
     def test_diverging_training_leaves_nothing(self, tmp_path, capsys):
         """A finite ``--train-lr`` that makes training diverge exits 1 with the

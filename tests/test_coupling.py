@@ -18,7 +18,12 @@ from taskport.coupling import (
     inverse_assignment,
     permuted_tensor,
 )
-from taskport.errors import AssignmentFormatError, IncompleteAssignmentError, UnknownVariableError
+from taskport.errors import (
+    ArchMismatchError,
+    AssignmentFormatError,
+    IncompleteAssignmentError,
+    UnknownVariableError,
+)
 from taskport.model import init_random
 from taskport.perms import BlockPermutation, PermutationAssignment, inverse
 
@@ -287,6 +292,17 @@ class TestApplyAssignment:
         assignment.perms["block.7.nope"] = np.arange(4)
         with pytest.raises(UnknownVariableError):
             apply_assignment(ws, graph, assignment)
+
+    @pytest.mark.parametrize("width", [16, 64])
+    def test_graph_for_another_arch_rejected(self, toy_arch, width):
+        """A graph wired for a narrower or wider model is an architecture
+        mismatch, not an index error or a shape mismatch on some tensor."""
+        ws = init_random(toy_arch, 12)
+        other = ArchSpec(toy_arch.n_blocks, toy_arch.n_heads, width, 2 * width,
+                         toy_arch.input_dim, toy_arch.output_dim, toy_arch.has_layernorm)
+        graph = build_coupling_graph(other, "compose")
+        with pytest.raises(ArchMismatchError, match="weights and coupling graph"):
+            apply_assignment(ws, graph, graph.random_assignment(np.random.default_rng(13)))
 
     def test_preserves_key_set_and_shapes(self, toy_arch):
         ws = init_random(toy_arch, 10)

@@ -1,13 +1,30 @@
 """Task-vector algebra and transport."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
-from taskport.checkpoint import ArchSpec, TaskVector, WeightSet
-from taskport.coupling import CouplingGraph, apply_assignment, build_coupling_graph
-from taskport.errors import ArchMismatchError
+from taskport.checkpoint import (
+    KIND_TASK_VECTOR,
+    KIND_WEIGHT_SET,
+    ArchSpec,
+    ContainerReader,
+    TaskVector,
+    WeightSet,
+    write_container,
+)
+from taskport.coupling import CouplingGraph, apply_assignment, build_coupling_graph, permuted_tensors
+from taskport.errors import ArchMismatchError, AssignmentFormatError, NonFiniteTensorError
 from taskport.model import init_random
-from taskport.transport import compute_task_vector, merge_task_vectors, transport
+from taskport.transport import (
+    compute_task_vector,
+    merge_task_vectors,
+    task_vector_tensors,
+    transport,
+    transported_tensors,
+)
 
 
 @pytest.fixture
@@ -205,3 +222,46 @@ class TestMergeTaskVectors:
         tv = compute_task_vector(finetuned, base)
         with pytest.raises(ValueError):
             merge_task_vectors([tv], [1.0, 2.0])
+
+
+class TestChecksOnCall:
+    """``permuted_tensors``, ``task_vector_tensors`` and
+    ``transported_tensors`` check their inputs when called, before any tensor
+    is read: over containers whose every value is nan, each refuses with its
+    own check's error, so a writer handed the result is never called."""
+
+    @staticmethod
+    def _open_nan(path, arch, kind):
+        """A container of ``arch`` whose every value is nan, opened."""
+        shapes = arch.tensor_shapes()
+        write_container(path, arch, kind, shapes, (np.zeros(shape) for shape in shapes.values()))
+        n = sum(int(np.prod(shape)) for shape in shapes.values())
+        with open(os.path.join(path, "tensors.bin"), "wb") as f:
+            f.write(np.full(n, np.nan, dtype="<f4").tobytes())
+        return ContainerReader(path, kind)
+
+    def test_refused_before_reading(self, tmp_path, toy_arch):
+        other = dataclasses.replace(toy_arch, n_blocks=1)
+        graph = build_coupling_graph(toy_arch, "compose")
+        good = graph.identity_assignment()
+        bad = graph.identity_assignment()
+        bad.perms["block.0.mlp_hidden"] = np.array([1, 0])
+        out = str(tmp_path / "out")
+        with self._open_nan(str(tmp_path / "a"), toy_arch, KIND_WEIGHT_SET) as model, \
+                self._open_nan(str(tmp_path / "o"), other, KIND_WEIGHT_SET) as other_model, \
+                self._open_nan(str(tmp_path / "tv"), toy_arch, KIND_TASK_VECTOR) as tv:
+            with pytest.raises(NonFiniteTensorError):  # what reading a tensor would raise
+                next(permuted_tensors(model, graph, good))
+            calls = [
+                (AssignmentFormatError, "has length 2", lambda: permuted_tensors(model, graph, bad)),
+                (ArchMismatchError, "disagree on architecture", lambda: task_vector_tensors(other_model, model)),
+                (ValueError, "needs 2 factors, got 3",
+                 lambda: transported_tensors(model, tv, graph, good, [1.0, 1.0, 1.0])),
+            ]
+            for error, message, call in calls:
+                with pytest.raises(error, match=message) as info:
+                    call()  # nothing iterated: a generator function would not raise here
+                assert not isinstance(info.value, NonFiniteTensorError)
+                with pytest.raises(error, match=message):
+                    write_container(out, toy_arch, KIND_WEIGHT_SET, toy_arch.tensor_shapes(), call())
+                assert not os.path.exists(out)
