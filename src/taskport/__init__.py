@@ -45,14 +45,13 @@ from .model import (
     verify_equivalence,
     write_eval_batch,
 )
-from .perms import BlockPermutation, PermutationAssignment, compose, identity, inverse
+from .perms import PermutationAssignment, compose, identity, inverse, join_heads
 from .transport import compute_task_vector, merge_task_vectors, transport
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArchSpec",
-    "BlockPermutation",
     "CouplingGraph",
     "EvalBatch",
     "LmcCurve",
@@ -72,6 +71,7 @@ __all__ = [
     "inter_head_distance_matrix",
     "inverse",
     "inverse_assignment",
+    "join_heads",
     "lmc_curve",
     "loss_and_grads",
     "make_blob_batch",

@@ -5,8 +5,9 @@ matcher mix rows across head boundaries ("head contamination"), after which
 the permutation can no longer be undone through the attention block.  The
 alignment here never does that: it first matches whole heads using a spectral
 distance that ignores any row/column reordering inside a head, then permutes
-units only within each matched pair.  The result composes into a single
-block permutation that commutes exactly with the attention computation.
+units only within each matched pair.  The two levels compose into a single
+permutation of the attention width that commutes exactly with the attention
+computation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .lap import solve_max, solve_min
-from .perms import BlockPermutation, Perm, check_permutation
+from .perms import Perm, check_permutation, join_heads
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -79,13 +80,14 @@ def pair_heads(
     return inter
 
 
-def align_within_heads(value: np.ndarray, n_heads: int, inter: Perm) -> BlockPermutation:
+def align_within_heads(value: np.ndarray, n_heads: int, inter: Perm) -> Perm:
     """Stage 2: per head pair (i, inter[i]), the unit permutation within the
     head that maximizes ``value`` restricted to the pair's d_k x d_k block
     ``value[i*d_k:(i+1)*d_k, inter[i]*d_k:(inter[i]+1)*d_k]``.
 
     ``value`` is the d_m x d_m value matrix of the attention variable: entry
-    (r, c) prices sending model A's unit c to model B's unit r.
+    (r, c) prices sending model A's unit c to model B's unit r.  Returns the
+    two levels joined into one index vector (``join_heads``).
     """
     inter = check_permutation(inter, size=n_heads)
     rows = split_heads(value, n_heads)
@@ -95,4 +97,4 @@ def align_within_heads(value: np.ndarray, n_heads: int, inter: Perm) -> BlockPer
         src = int(inter[i])
         intra, _ = solve_max(rows[i][:, src * d_k : (src + 1) * d_k])
         intras.append(intra)
-    return BlockPermutation(inter, tuple(intras))
+    return join_heads(inter, intras)

@@ -37,7 +37,7 @@ from .errors import (
     NonFiniteTensorError,
     ShapeMismatchError,
 )
-from .perms import BlockPermutation, PermutationAssignment, check_permutation
+from .perms import PermutationAssignment, check_permutation, join_heads
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -399,10 +399,11 @@ def write_permutation_assignment(assignment: PermutationAssignment, path: str) -
     inter record plus one intra record per head."""
     lines = []
     for var_id in sorted(assignment.perms):
-        bp = assignment.block(var_id)
-        if bp is not None:
-            lines.append(_format_record(f"{var_id}.inter", bp.inter))
-            for h, intra in enumerate(bp.intras):
+        parts = assignment.block(var_id)
+        if parts is not None:
+            inter, intras = parts
+            lines.append(_format_record(f"{var_id}.inter", inter))
+            for h, intra in enumerate(intras):
                 lines.append(_format_record(f"{var_id}.intra.{h}", intra))
         else:
             lines.append(_format_record(var_id, assignment.perms[var_id]))
@@ -450,7 +451,8 @@ def read_permutation_assignment(path: str) -> PermutationAssignment:
         group = [f"{base}.intra.{h}" for h in range(inter.size)]
         if not all(h in records for h in group):
             raise AssignmentFormatError(f"{base!r} needs intra records for heads 0..{inter.size - 1}")
-        assignment.set_block(base, BlockPermutation(inter, tuple(records.pop(h) for h in group)))
+        assignment.perms[base] = join_heads(inter, [records.pop(h) for h in group])
+        assignment.heads[base] = inter.size
     for var_id, vec in records.items():
         if ".intra." in var_id:
             raise AssignmentFormatError(f"{var_id!r} is an intra record outside any inter group")

@@ -32,13 +32,13 @@ import numpy as np
 from .checkpoint import ArchSpec, require_same_arch
 from .errors import IncompleteAssignmentError, UnknownVariableError
 from .perms import (
-    BlockPermutation,
     Perm,
     PermutationAssignment,
     check_permutation,
     compose,
     identity,
     inverse,
+    join_heads,
     random_permutation,
 )
 
@@ -111,10 +111,8 @@ class CouplingGraph:
                 continue
             if var.is_attention:
                 inter = random_permutation(self.arch.n_heads, rng)
-                intras = tuple(
-                    random_permutation(self.arch.head_dim, rng) for _ in range(self.arch.n_heads)
-                )
-                a.set_block(var.id, BlockPermutation(inter, intras))
+                intras = [random_permutation(self.arch.head_dim, rng) for _ in range(self.arch.n_heads)]
+                a.perms[var.id] = join_heads(inter, intras)
             else:
                 a.perms[var.id] = random_permutation(var.size, rng)
         return a

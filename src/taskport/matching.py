@@ -25,7 +25,7 @@ from .attention import align_within_heads, pair_heads
 from .checkpoint import WeightSet, require_finite, require_same_arch
 from .coupling import Axis, CouplingGraph, permuted_tensor
 from .lap import solve_max
-from .perms import BlockPermutation, Perm, PermutationAssignment
+from .perms import Perm, PermutationAssignment
 
 
 @dataclass
@@ -93,7 +93,7 @@ def solve_attention_variable(
     graph: CouplingGraph,
     assignment: PermutationAssignment,
     inter: Perm,
-) -> BlockPermutation:
+) -> Perm:
     """Best within-head permutations for one attention variable under the
     head pairing ``inter`` (from ``pair_heads``), all others fixed: an exact
     coordinate ascent on the matched head blocks of its value matrix."""
@@ -153,7 +153,8 @@ def weight_match(
     pairings = {}
     for var_id in free:
         if graph.variables[var_id].is_attention:
-            qkv = [f"{var_id}.{proj}.weight" for proj in ("q", "k", "v")]
+            # the matrices whose rows the variable permutes, in graph order: q, k, v
+            qkv = [a.tensor for a in graph.applications_of(var_id) if a.axis is Axis.ROWS and ws_a[a.tensor].ndim == 2]
             pairings[var_id] = pair_heads(
                 tuple(ws_a[name] for name in qkv),
                 tuple(ws_b[name] for name in qkv),
@@ -178,8 +179,7 @@ def weight_match(
                 continue
             solved_at[var_id] = stamp
             if var_id in pairings:
-                bp = solve_attention_variable(var_id, ws_a, ws_b, graph, assignment, pairings[var_id])
-                perm = bp.flattened()
+                perm = solve_attention_variable(var_id, ws_a, ws_b, graph, assignment, pairings[var_id])
             else:
                 perm = solve_plain_variable(var_id, ws_a, ws_b, graph, assignment)
             moved = not np.array_equal(perm, assignment.perms[var_id])

@@ -1,4 +1,4 @@
-"""Permutations as index vectors, plus the structured block form used for attention.
+"""Permutations as index vectors.
 
 A permutation of size n is a 1-D int64 array ``p`` that is a bijection on
 ``{0..n-1}``.  Applied to the rows of a matrix it acts as ``out[i] = src[p[i]]``,
@@ -78,67 +78,17 @@ def random_permutation(n: int, rng: np.random.Generator) -> Perm:
     return rng.permutation(n).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class BlockPermutation:
-    """A head-respecting permutation of an attention block's output units.
-
-    ``inter`` (length H) reorders whole heads: destination head i is source
-    head ``inter[i]``.  ``intras[i]`` (length d_k) reorders the units within
-    destination head i relative to its source head.  The flattened form is a
-    single permutation of size H*d_k that never mixes units across head
-    boundaries.
-    """
-
-    inter: Perm
-    intras: tuple[Perm, ...]
-
-    def __post_init__(self):
-        inter = check_permutation(self.inter)
-        object.__setattr__(self, "inter", inter)
-        if len(self.intras) != inter.size:
-            raise AssignmentFormatError(
-                f"expected {inter.size} intra-head permutations, got {len(self.intras)}"
-            )
-        d_k = None
-        checked = []
-        for h, intra in enumerate(self.intras):
-            intra = check_permutation(intra, size=d_k)
-            d_k = intra.size
-            checked.append(intra)
-        object.__setattr__(self, "intras", tuple(checked))
-
-    @property
-    def n_heads(self) -> int:
-        return int(self.inter.size)
-
-    @property
-    def head_dim(self) -> int:
-        return int(self.intras[0].size)
-
-    @property
-    def size(self) -> int:
-        return self.n_heads * self.head_dim
-
-    def flattened(self) -> Perm:
-        """Single permutation on H*d_k: unit r of destination head i maps to
-        unit intras[i][r] of source head inter[i]."""
-        d_k = self.head_dim
-        return np.concatenate(
-            [self.inter[i] * d_k + self.intras[i] for i in range(self.n_heads)]
-        ).astype(np.int64)
-
-    @staticmethod
-    def identity(n_heads: int, head_dim: int) -> "BlockPermutation":
-        return BlockPermutation(
-            identity(n_heads), tuple(identity(head_dim) for _ in range(n_heads))
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BlockPermutation):
-            return NotImplemented
-        return np.array_equal(self.inter, other.inter) and all(
-            np.array_equal(a, b) for a, b in zip(self.intras, other.intras)
-        )
+def join_heads(inter, intras) -> Perm:
+    """One permutation of an attention block's H*d_k output units from its
+    two levels: destination head i is source head ``inter[i]``, and unit r of
+    destination head i is unit ``intras[i][r]`` of that source head.  No unit
+    crosses a head boundary.  ``PermutationAssignment.block`` reads the two
+    levels back."""
+    inter = check_permutation(inter)
+    if len(intras) != inter.size:
+        raise AssignmentFormatError(f"expected {inter.size} intra-head permutations, got {len(intras)}")
+    d_k = check_permutation(intras[0]).size
+    return np.concatenate([inter[i] * d_k + check_permutation(q, size=d_k) for i, q in enumerate(intras)])
 
 
 @dataclass
@@ -153,23 +103,20 @@ class PermutationAssignment:
     perms: dict[str, Perm] = field(default_factory=dict)
     heads: dict[str, int] = field(default_factory=dict)
 
-    def set_block(self, var_id: str, bp: BlockPermutation) -> None:
-        self.perms[var_id] = bp.flattened()
-        self.heads[var_id] = bp.n_heads
-
-    def block(self, var_id: str) -> BlockPermutation | None:
-        """The head structure of ``var_id``; None if it has no head count or
-        its index vector mixes units across heads."""
+    def block(self, var_id: str) -> tuple[Perm, tuple[Perm, ...]] | None:
+        """The ``(inter, intras)`` that ``join_heads`` turns into ``var_id``'s
+        index vector; None if it has no head count or its index vector mixes
+        units across heads."""
         n_heads = self.heads.get(var_id)
         p = np.asarray(self.perms[var_id])
         if n_heads is None or p.size % n_heads:
             return None
-        rows = p.reshape(n_heads, -1)
+        rows = check_permutation(p).reshape(n_heads, -1)
         d_k = rows.shape[1]
         inter = rows[:, 0] // d_k
         if not np.all(rows // d_k == inter[:, None]):
             return None
-        return BlockPermutation(inter, tuple(rows % d_k))
+        return inter, tuple(rows % d_k)
 
     def copy(self) -> "PermutationAssignment":
         return PermutationAssignment({k: v.copy() for k, v in self.perms.items()}, dict(self.heads))
@@ -179,4 +126,6 @@ class PermutationAssignment:
             return NotImplemented
         if set(self.perms) != set(other.perms):
             return False
-        return all(np.array_equal(self.perms[k], other.perms[k]) for k in self.perms)
+        return self.heads == other.heads and all(
+            np.array_equal(self.perms[k], other.perms[k]) for k in self.perms
+        )

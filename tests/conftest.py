@@ -26,7 +26,6 @@ from taskport.matching import (
     solve_plain_variable,
 )
 from taskport.model import EvalBatch
-from taskport.perms import BlockPermutation
 
 
 @pytest.fixture(autouse=True)
@@ -274,13 +273,11 @@ def reference_weight_match(ws_a, ws_b, graph, *, max_sweeps=50, seed=0):
         changed = 0
         for var_id in [free[i] for i in rng.permutation(len(free))]:
             if var_id in pairings:
-                bp = solve_attention_variable(var_id, ws_a, ws_b, graph, assignment, pairings[var_id])
-                changed += not np.array_equal(bp.flattened(), assignment.perms[var_id])
-                assignment.set_block(var_id, bp)
+                perm = solve_attention_variable(var_id, ws_a, ws_b, graph, assignment, pairings[var_id])
             else:
                 perm = solve_plain_variable(var_id, ws_a, ws_b, graph, assignment)
-                changed += not np.array_equal(perm, assignment.perms[var_id])
-                assignment.perms[var_id] = perm
+            changed += not np.array_equal(perm, assignment.perms[var_id])
+            assignment.perms[var_id] = perm
         trace.append(matching_objective(ws_a, ws_b, assignment, graph))
         changed_per_sweep.append(changed)
         if changed == 0:
@@ -358,15 +355,24 @@ def dense_perm_matrix(p) -> np.ndarray:
     return m
 
 
-def dense_block_permutation(bp: BlockPermutation) -> np.ndarray:
+def dense_block_permutation(inter, intras) -> np.ndarray:
     """Kronecker-structured dense form: sum_i E(i, inter[i]) x intra_i."""
-    h, d_k = bp.n_heads, bp.head_dim
+    h, d_k = len(inter), len(intras[0])
     out = np.zeros((h * d_k, h * d_k))
     for i in range(h):
         e = np.zeros((h, h))
-        e[i, bp.inter[i]] = 1.0
-        out += np.kron(e, dense_perm_matrix(bp.intras[i]))
+        e[i, inter[i]] = 1.0
+        out += np.kron(e, dense_perm_matrix(intras[i]))
     return out
+
+
+def block_lists(parts):
+    """A ``PermutationAssignment.block`` result as plain lists, so that two
+    results compare with ``==``; None stays None."""
+    if parts is None:
+        return None
+    inter, intras = parts
+    return list(map(int, inter)), [list(map(int, intra)) for intra in intras]
 
 
 def attention_forward(wq, wk, wv, n_heads: int, x: np.ndarray):
@@ -394,23 +400,20 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def verify_attention_equivariance(wq, wk, wv, perm, n_heads: int, x: np.ndarray, score_tol: float = 1e-12) -> float:
+def verify_attention_equivariance(
+    wq, wk, wv, perm, n_heads: int, x: np.ndarray, inter=None, score_tol: float = 1e-12
+) -> float:
     """Max |O' - O P| where O' is the output after permuting each projection's
     output columns by ``perm``.
 
-    For a structured BlockPermutation this deviation is float noise and the
-    per-head scores of the permuted model equal the source head's scores
-    (asserted against ``score_tol``); for an arbitrary d_m permutation that
-    crosses head boundaries it is large - that failure mode is the point of
-    keeping head structure.
+    For a permutation that keeps each head's units together this deviation
+    is float noise.  Given its head pairing ``inter``, the per-head scores of
+    the permuted model must also equal the source head's scores (asserted
+    against ``score_tol``).  For an arbitrary d_m permutation that crosses
+    head boundaries the deviation is large - that failure mode is the point
+    of keeping head structure.
     """
-    if isinstance(perm, BlockPermutation):
-        flat = perm.flattened()
-        inter = perm.inter
-    else:
-        flat = np.asarray(perm, dtype=np.int64)
-        inter = None
-    inv = np.argsort(flat)
+    inv = np.argsort(np.asarray(perm, dtype=np.int64))
 
     out_ref, scores_ref = attention_forward(wq, wk, wv, n_heads, x)
     out_perm, scores_perm = attention_forward(wq[:, inv], wk[:, inv], wv[:, inv], n_heads, x)

@@ -18,17 +18,21 @@ from taskport.attention import (
     split_heads,
 )
 from taskport.lap import solve_min
-from taskport.perms import BlockPermutation, random_permutation
+from taskport.perms import identity, join_heads, random_permutation
 
 
 def _random_qkv(rng, d_m):
     return tuple(rng.normal(size=(d_m, d_m)) for _ in range(3))
 
 
-def _permute_qkv(qkv, bp, incoming=None):
-    """Plant: rows by the flattened block permutation, optionally columns by
+def _random_parts(rng, n_heads, head_dim):
+    """A random head pairing and one random unit order per head."""
+    return random_permutation(n_heads, rng), [random_permutation(head_dim, rng) for _ in range(n_heads)]
+
+
+def _permute_qkv(qkv, flat, incoming=None):
+    """Plant: rows by a head-respecting permutation, optionally columns by
     an incoming stream permutation."""
-    flat = bp.flattened()
     out = []
     for w in qkv:
         w = w[flat, :]
@@ -116,8 +120,7 @@ class TestInterHeadDistanceMatrix:
         rng = np.random.default_rng(4)
         q, k, v = _random_qkv(rng, 16)
         shift = np.roll(np.arange(4), -1)  # dest head i <- source head i+1
-        bp = BlockPermutation(shift, tuple(np.arange(4) for _ in range(4)))
-        flat = bp.flattened()
+        flat = join_heads(shift, [np.arange(4)] * 4)
         heads_b = tuple(split_heads(w[flat, :], 4) for w in (q, k, v))
         heads_a = tuple(split_heads(w, 4) for w in (q, k, v))
         d = inter_head_distance_matrix(heads_b, heads_a)
@@ -129,11 +132,9 @@ class TestInterHeadDistanceMatrix:
         rng = np.random.default_rng(5)
         q, k, v = _random_qkv(rng, 16)
         heads_plain = tuple(split_heads(w, 4) for w in (q, k, v))
-        bp = BlockPermutation(
-            np.arange(4), tuple(random_permutation(4, rng) for _ in range(4))
-        )
+        flat = join_heads(np.arange(4), [random_permutation(4, rng) for _ in range(4)])
         incoming = random_permutation(16, rng)
-        shuffled = tuple(split_heads(w, 4) for w in _permute_qkv((q, k, v), bp, incoming))
+        shuffled = tuple(split_heads(w, 4) for w in _permute_qkv((q, k, v), flat, incoming))
         d0 = inter_head_distance_matrix(heads_plain, heads_plain)
         d1 = inter_head_distance_matrix(heads_plain, shuffled)
         assert np.abs(d0 - d1).max() <= 1e-9
@@ -151,20 +152,16 @@ class TestAlignHeads:
     def test_self_alignment_is_identity(self):
         rng = np.random.default_rng(6)
         qkv = _random_qkv(rng, 16)
-        bp = _align_heads(qkv, qkv, n_heads=4)
-        assert np.array_equal(bp.flattened(), np.arange(16))
+        assert np.array_equal(_align_heads(qkv, qkv, n_heads=4), np.arange(16))
 
     def test_plant_and_recover_structured_permutation(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
             q, k, v = _random_qkv(rng, 16)
-            plant = BlockPermutation(
-                random_permutation(4, rng),
-                tuple(random_permutation(4, rng) for _ in range(4)),
-            )
+            plant = join_heads(*_random_parts(rng, 4, 4))
             b_qkv = _permute_qkv((q, k, v), plant)
             got = _align_heads((q, k, v), b_qkv, n_heads=4)
-            assert got == plant, f"trial {trial}"
+            assert np.array_equal(got, plant), f"trial {trial}"
 
     def test_recovery_with_incoming_columns_folded(self):
         """Algorithm input carries the previous layer's permutation on A's
@@ -172,28 +169,24 @@ class TestAlignHeads:
         rng = np.random.default_rng(8)
         q, k, v = _random_qkv(rng, 16)
         incoming = random_permutation(16, rng)
-        plant = BlockPermutation(
-            random_permutation(4, rng), tuple(random_permutation(4, rng) for _ in range(4))
-        )
+        plant = join_heads(*_random_parts(rng, 4, 4))
         b_qkv = _permute_qkv((q, k, v), plant)
         a_folded = tuple(w[:, incoming] for w in (q, k, v))
         b_folded = tuple(w[:, incoming] for w in b_qkv)
         got = _align_heads(a_folded, b_folded, n_heads=4)
-        assert got == plant
+        assert np.array_equal(got, plant)
 
 
-class TestFlattenedReconstruction:
+class TestJoinHeadsReconstruction:
     def test_exhaustive_tiny_cases(self):
-        """flattened() must equal the Kronecker-sum dense matrix for every
+        """join_heads must equal the Kronecker-sum dense matrix for every
         (inter, intras) combination at H=2, d_k=2."""
         for inter in itertools.permutations(range(2)):
             for i0 in itertools.permutations(range(2)):
                 for i1 in itertools.permutations(range(2)):
-                    bp = BlockPermutation(
-                        np.array(inter), (np.array(i0), np.array(i1))
-                    )
                     np.testing.assert_array_equal(
-                        dense_perm_matrix(bp.flattened()), dense_block_permutation(bp)
+                        dense_perm_matrix(join_heads(np.array(inter), (np.array(i0), np.array(i1)))),
+                        dense_block_permutation(inter, (i0, i1)),
                     )
 
     def test_random_cases_up_to_four(self):
@@ -201,17 +194,14 @@ class TestFlattenedReconstruction:
         for h in range(1, 5):
             for d_k in range(1, 5):
                 for _ in range(5):
-                    bp = BlockPermutation(
-                        random_permutation(h, rng),
-                        tuple(random_permutation(d_k, rng) for _ in range(h)),
-                    )
+                    inter, intras = _random_parts(rng, h, d_k)
                     np.testing.assert_array_equal(
-                        dense_perm_matrix(bp.flattened()), dense_block_permutation(bp)
+                        dense_perm_matrix(join_heads(inter, intras)), dense_block_permutation(inter, intras)
                     )
 
     def test_spec_example_head_swap(self):
-        bp = BlockPermutation(np.array([1, 0]), (np.array([0, 1]), np.array([0, 1])))
-        assert np.array_equal(bp.flattened(), [2, 3, 0, 1])
+        flat = join_heads(np.array([1, 0]), (np.array([0, 1]), np.array([0, 1])))
+        assert np.array_equal(flat, [2, 3, 0, 1])
 
 
 class TestEquivariance:
@@ -219,8 +209,7 @@ class TestEquivariance:
         rng = np.random.default_rng(10)
         q, k, v = _random_qkv(rng, 16)
         x = rng.normal(size=(6, 16))
-        bp = BlockPermutation.identity(4, 4)
-        assert verify_attention_equivariance(q, k, v, bp, 4, x) == 0.0
+        assert verify_attention_equivariance(q, k, v, identity(16), 4, x, inter=identity(4)) == 0.0
 
     def test_structured_permutations_commute(self):
         """100 random (weights, inputs, block permutation) triples stay
@@ -230,10 +219,8 @@ class TestEquivariance:
         for _ in range(100):
             q, k, v = _random_qkv(rng, 16)
             x = rng.normal(size=(5, 16))
-            bp = BlockPermutation(
-                random_permutation(4, rng), tuple(random_permutation(4, rng) for _ in range(4))
-            )
-            worst = max(worst, verify_attention_equivariance(q, k, v, bp, 4, x))
+            inter, intras = _random_parts(rng, 4, 4)
+            worst = max(worst, verify_attention_equivariance(q, k, v, join_heads(inter, intras), 4, x, inter=inter))
         assert worst <= 1e-10, worst
 
     def test_cross_head_mixing_breaks_equivalence(self):
@@ -252,14 +239,11 @@ class TestEquivariance:
         rng = np.random.default_rng(13)
         q, k, v = _random_qkv(rng, 16)
         x = rng.normal(size=(5, 16))
-        bp = BlockPermutation(
-            random_permutation(4, rng), tuple(random_permutation(4, rng) for _ in range(4))
-        )
-        flat = bp.flattened()
-        inv = np.argsort(flat)
+        inter, intras = _random_parts(rng, 4, 4)
+        inv = np.argsort(join_heads(inter, intras))
         _, scores_ref = attention_forward(q, k, v, 4, x)
         _, scores_perm = attention_forward(q[:, inv], k[:, inv], v[:, inv], 4, x)
-        inv_inter = np.argsort(bp.inter)
+        inv_inter = np.argsort(inter)
         for i in range(4):
             np.testing.assert_allclose(
                 scores_perm[i], scores_ref[inv_inter[i]], atol=1e-12

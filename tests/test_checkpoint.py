@@ -29,7 +29,8 @@ from taskport.errors import (
     NonFiniteTensorError,
     ShapeMismatchError,
 )
-from taskport.perms import BlockPermutation, PermutationAssignment
+from conftest import block_lists
+from taskport.perms import PermutationAssignment, join_heads
 
 
 def _random_weight_set(arch, seed):
@@ -386,14 +387,15 @@ class TestAssignmentFiles:
 
     def test_structured_round_trip(self, tmp_path):
         a = PermutationAssignment()
-        bp = BlockPermutation(np.array([1, 0]), (np.array([1, 0]), np.array([0, 1])))
-        a.set_block("block.0.attn", bp)
+        a.perms["block.0.attn"] = join_heads(np.array([1, 0]), (np.array([1, 0]), np.array([0, 1])))
+        a.heads["block.0.attn"] = 2
         a.perms["block.0.mlp_hidden"] = np.array([0, 2, 1], dtype=np.int64)
         path = str(tmp_path / "b.perm")
         write_permutation_assignment(a, path)
         back = read_permutation_assignment(path)
         assert back == a
-        assert back.block("block.0.attn") == bp
+        assert back.heads == {"block.0.attn": 2}
+        assert block_lists(back.block("block.0.attn")) == ([1, 0], [[1, 0], [0, 1]])
 
     def test_overwritten_vector_is_written_by_its_own_head_structure(self, tmp_path):
         """An attention vector overwritten in place is written structured,
@@ -408,7 +410,7 @@ class TestAssignmentFiles:
         assert "block.0.attn.inter : 1,0\nblock.0.attn.intra.0 : 1,0\nblock.0.attn.intra.1 : 0,1\n" in text
         back = read_permutation_assignment(path)
         assert np.array_equal(back.perms["block.0.attn"], [3, 2, 0, 1])
-        assert back.block("block.0.attn") == BlockPermutation(np.array([1, 0]), (np.array([1, 0]), np.array([0, 1])))
+        assert block_lists(back.block("block.0.attn")) == ([1, 0], [[1, 0], [0, 1]])
 
         a.perms["block.0.attn"] = np.array([1, 2, 0, 3], dtype=np.int64)
         write_permutation_assignment(a, path)

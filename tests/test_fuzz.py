@@ -36,7 +36,7 @@ from taskport.cli import build_parser
 from taskport.coupling import build_coupling_graph
 from taskport.errors import TaskportError
 from taskport.model import init_random
-from taskport.perms import check_permutation
+from taskport.perms import check_permutation, join_heads
 from taskport.transport import compute_task_vector, transport
 
 ARCH = ArchSpec(1, 2, 4, 6, 3, 2, has_layernorm=True)
@@ -144,9 +144,9 @@ def _check_assignment(text: bytes) -> None:
         assert open(path, "rb").read() == written
     for var_id, perm in assignment.perms.items():
         check_permutation(perm)
-        bp = assignment.block(var_id)
-        if bp is not None:
-            check_permutation(bp.flattened(), size=perm.size)
+        parts = assignment.block(var_id)
+        if parts is not None:
+            assert np.array_equal(join_heads(*parts), perm)
 
 
 def _flip(data: bytes, flips) -> bytes:

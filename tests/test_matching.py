@@ -1,5 +1,6 @@
 """Coordinate-descent matcher: recovery, monotonicity, determinism."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import taskport.matching
 from conftest import reference_weight_match
-from taskport.coupling import apply_assignment, build_coupling_graph
+from taskport.coupling import CouplingGraph, apply_assignment, build_coupling_graph
 from taskport.errors import ArchMismatchError, NonFiniteTensorError
 from taskport.matching import (
     matching_objective,
@@ -18,7 +19,7 @@ from taskport.matching import (
 )
 from taskport.checkpoint import ArchSpec
 from taskport.model import init_random
-from taskport.perms import BlockPermutation
+from taskport.perms import join_heads
 
 
 def _noisy_copy(ws, sigma, seed):
@@ -123,12 +124,12 @@ class TestAttentionVariableSolve:
 
             best, best_obj = None, -np.inf
             for i0, i1 in itertools.product(perms3, perms3):
-                bp = BlockPermutation(inter, (i0, i1))
-                assignment.set_block("block.0.attn", bp)
+                perm = join_heads(inter, (i0, i1))
+                assignment.perms["block.0.attn"] = perm
                 obj = matching_objective(a, b, assignment, graph)
                 if obj > best_obj:
-                    best, best_obj = bp, obj
-            assert got == best, f"seed {seed}"
+                    best, best_obj = perm, obj
+            assert np.array_equal(got, best), f"seed {seed}"
 
 
 class TestWeightMatch:
@@ -248,7 +249,29 @@ class TestWeightMatch:
         result = weight_match(ws, ws_b, graph, seed=3)
         for i in range(toy_arch.n_blocks):
             var = f"block.{i}.attn"
-            assert np.array_equal(result.assignment.block(var).inter, plant.block(var).inter)
+            assert np.array_equal(result.assignment.block(var)[0], plant.block(var)[0])
+
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    def test_attention_wiring_comes_from_the_graph(self, toy_arch, mode):
+        """Variable ids are names, not tensor prefixes: renaming every
+        variable of the graph renames the match and changes nothing else."""
+        ws = init_random(toy_arch, 25)
+        graph = build_coupling_graph(toy_arch, mode)
+        ws_b = apply_assignment(ws, graph, graph.random_assignment(np.random.default_rng(26)))
+        new = {var_id: f"v{i}" for i, var_id in enumerate(graph.variables)}
+        renamed = CouplingGraph(
+            graph.arch,
+            graph.residual_mode,
+            {new[k]: dataclasses.replace(var, id=new[k]) for k, var in graph.variables.items()},
+            [dataclasses.replace(app, variable=new[app.variable]) for app in graph.applications],
+            frozenset(new[v] for v in graph.pinned),
+        )
+        want = weight_match(ws, ws_b, graph, seed=3)
+        got = weight_match(ws, ws_b, renamed, seed=3)
+        assert got.trace == want.trace and got.changed == want.changed
+        assert got.assignment.heads == {new[k]: h for k, h in want.assignment.heads.items()}
+        for var_id, perm in want.assignment.perms.items():
+            assert np.array_equal(got.assignment.perms[new[var_id]], perm)
 
 
 class TestSkipRule:
