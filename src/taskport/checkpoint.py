@@ -91,27 +91,36 @@ class ArchSpec:
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
         """Canonical tensor names and shapes, in manifest order."""
-        return dict(self._iter_tensor_shapes())
+        return {name: shape for name, shape, _ in self.tensor_axes()}
 
-    def _iter_tensor_shapes(self):
+    def tensor_axes(self):
+        """The one tensor table: ``(name, shape, units)`` per tensor, in manifest
+        order.  ``units`` labels each axis with the hidden-unit set it indexes,
+        as ``(id, kind)`` with ``kind`` one of ``stream`` (residual stream),
+        ``attn`` or ``hidden``; ``None`` marks the model-input and class axes."""
         d_m, d_h = self.embed_dim, self.mlp_hidden
-        yield "embed.weight", (d_m, self.input_dim)
+        stream = ("embed.out", "stream")
+        yield "embed.weight", (d_m, self.input_dim), (stream, None)
         for i in range(self.n_blocks):
             b = f"block.{i}"
-            for proj in ("q", "k", "v", "out"):
-                yield f"{b}.attn.{proj}.weight", (d_m, d_m)
-                yield f"{b}.attn.{proj}.bias", (d_m,)
+            attn, hidden = (f"{b}.attn", "attn"), (f"{b}.mlp_hidden", "hidden")
+            attn_out, mlp_out = (f"{b}.attn_out", "stream"), (f"{b}.mlp_out", "stream")
+            for proj, rows, cols in (("q", attn, stream), ("k", attn, stream), ("v", attn, stream),
+                                     ("out", attn_out, attn)):
+                yield f"{b}.attn.{proj}.weight", (d_m, d_m), (rows, cols)
+                yield f"{b}.attn.{proj}.bias", (d_m,), (rows,)
             if self.has_layernorm:
-                yield f"{b}.ln1.gain", (d_m,)
-                yield f"{b}.ln1.bias", (d_m,)
-            yield f"{b}.mlp.fc1.weight", (d_h, d_m)
-            yield f"{b}.mlp.fc1.bias", (d_h,)
-            yield f"{b}.mlp.fc2.weight", (d_m, d_h)
-            yield f"{b}.mlp.fc2.bias", (d_m,)
+                yield f"{b}.ln1.gain", (d_m,), (attn_out,)
+                yield f"{b}.ln1.bias", (d_m,), (attn_out,)
+            yield f"{b}.mlp.fc1.weight", (d_h, d_m), (hidden, attn_out)
+            yield f"{b}.mlp.fc1.bias", (d_h,), (hidden,)
+            yield f"{b}.mlp.fc2.weight", (d_m, d_h), (mlp_out, hidden)
+            yield f"{b}.mlp.fc2.bias", (d_m,), (mlp_out,)
             if self.has_layernorm:
-                yield f"{b}.ln2.gain", (d_m,)
-                yield f"{b}.ln2.bias", (d_m,)
-        yield "head.weight", (self.output_dim, d_m)
+                yield f"{b}.ln2.gain", (d_m,), (mlp_out,)
+                yield f"{b}.ln2.bias", (d_m,), (mlp_out,)
+            stream = mlp_out
+        yield "head.weight", (self.output_dim, d_m), (None, stream)
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in _ARCH_FIELDS}
@@ -134,7 +143,7 @@ def check_tensor_set(arch: ArchSpec, shapes: Mapping[str, tuple[int, ...]]) -> l
     """``arch``'s tensor names, in order, once ``shapes`` has exactly those
     with the implied shapes; a hostile arch fails at its first missing name."""
     names = []
-    for name, shape in arch._iter_tensor_shapes():
+    for name, shape, _ in arch.tensor_axes():
         if name not in shapes:
             raise MissingTensorError(name)
         if tuple(shapes[name]) != shape:

@@ -9,6 +9,10 @@ permute a weight set without changing its function:
 * 1-D tensors (biases, layernorm gains) ride along with their row variable;
 * the classifier rows and the model input columns are never permuted.
 
+The graph is a policy over the one tensor table, ``ArchSpec.tensor_axes()``:
+every axis it labels with a hidden-unit set gets one application, and the
+residual mode decides which variable owns each set.
+
 ``permuted_tensor`` is the one place that rule is turned into index moves:
 the matcher's value matrices go through it, and so does ``permuted_tensors``,
 which ``apply_assignment`` (so verification) collects and the command line's
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import ArchSpec, require_same_arch
-from .errors import IncompleteAssignmentError, UnknownVariableError
+from .errors import ArchMismatchError, IncompleteAssignmentError, UnknownVariableError
 from .perms import (
     Perm,
     PermutationAssignment,
@@ -126,6 +130,10 @@ class CouplingGraph:
             raise UnknownVariableError(f"assignment names unknown variables: {unknown}")
         for var_id, var in self.variables.items():
             check_permutation(assignment.perms[var_id], size=var.size)
+        for var_id, n_heads in assignment.heads.items():
+            var = self.variables.get(var_id)
+            if var is None or not var.is_attention or n_heads != self.arch.n_heads:
+                raise ArchMismatchError(f"{var_id!r} has {n_heads} heads; attention has {self.arch.n_heads}")
 
     def residual_perms(self, assignment: PermutationAssignment) -> list[tuple[Perm, Perm]]:
         """Per block, the two skip permutations of the permuted model.
@@ -171,7 +179,9 @@ def build_coupling_graph(
     residual_mode: str = RESIDUAL_COMPOSE,
     pin_embedding: bool = True,
 ) -> CouplingGraph:
-    """Wire the permutation variables of a transformer weight set.
+    """Wire the permutation variables of a transformer weight set: one
+    variable per unit id of ``arch.tensor_axes()``, except that ``tie`` maps
+    every ``stream`` unit set to the one ``stream`` variable.
 
     ``pin_embedding`` keeps the permutation of the embedding output (the
     model's first hidden representation) at identity, which is what transport
@@ -180,60 +190,18 @@ def build_coupling_graph(
     """
     if residual_mode not in (RESIDUAL_COMPOSE, RESIDUAL_TIE):
         raise ValueError(f"residual_mode must be 'compose' or 'tie', got {residual_mode!r}")
-    d_m, d_h = arch.embed_dim, arch.mlp_hidden
     variables: dict[str, PermutationVariable] = {}
     apps: list[Application] = []
-
-    def add_var(var_id: str, size: int, is_attention: bool = False) -> str:
-        if var_id not in variables:
-            variables[var_id] = PermutationVariable(var_id, size, is_attention)
-        return var_id
-
-    def rows(tensor: str, var_id: str) -> None:
-        apps.append(Application(tensor, Axis.ROWS, var_id))
-
-    def cols(tensor: str, var_id: str) -> None:
-        apps.append(Application(tensor, Axis.COLS, var_id))
-
-    tie = residual_mode == RESIDUAL_TIE
-    if tie:
-        stream = add_var("stream", d_m)
-    else:
-        stream = add_var("embed.out", d_m)
-    rows("embed.weight", stream)
-
-    in_var = stream
-    for i in range(arch.n_blocks):
-        b = f"block.{i}"
-        attn = add_var(f"{b}.attn", d_m, is_attention=True)
-        w0 = stream if tie else add_var(f"{b}.attn_out", d_m)
-        hidden = add_var(f"{b}.mlp_hidden", d_h)
-        w2 = stream if tie else add_var(f"{b}.mlp_out", d_m)
-
-        for proj in ("q", "k", "v"):
-            rows(f"{b}.attn.{proj}.weight", attn)
-            cols(f"{b}.attn.{proj}.weight", in_var)
-            rows(f"{b}.attn.{proj}.bias", attn)
-        rows(f"{b}.attn.out.weight", w0)
-        cols(f"{b}.attn.out.weight", attn)
-        rows(f"{b}.attn.out.bias", w0)
-        if arch.has_layernorm:
-            rows(f"{b}.ln1.gain", w0)
-            rows(f"{b}.ln1.bias", w0)
-        rows(f"{b}.mlp.fc1.weight", hidden)
-        cols(f"{b}.mlp.fc1.weight", w0)
-        rows(f"{b}.mlp.fc1.bias", hidden)
-        rows(f"{b}.mlp.fc2.weight", w2)
-        cols(f"{b}.mlp.fc2.weight", hidden)
-        rows(f"{b}.mlp.fc2.bias", w2)
-        if arch.has_layernorm:
-            rows(f"{b}.ln2.gain", w2)
-            rows(f"{b}.ln2.bias", w2)
-        in_var = w2
-
-    cols("head.weight", in_var)  # classifier rows stay fixed: class order is meaningful
-
-    pinned = frozenset({stream} if pin_embedding else set())
+    for name, shape, units in arch.tensor_axes():
+        for axis, length, unit in zip(Axis, shape, units):
+            if unit is None:
+                continue
+            var_id, kind = unit
+            if kind == "stream" and residual_mode == RESIDUAL_TIE:
+                var_id = "stream"
+            variables.setdefault(var_id, PermutationVariable(var_id, length, kind == "attn"))
+            apps.append(Application(name, axis, var_id))
+    pinned = frozenset({apps[0].variable} if pin_embedding else set())  # the embedding's rows
     return CouplingGraph(arch, residual_mode, variables, apps, pinned)
 
 

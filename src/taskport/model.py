@@ -60,7 +60,11 @@ class EvalBatch:
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.int64)
+        targets = np.asarray(self.targets)
+        with np.errstate(invalid="ignore"):  # nan, inf and huge values cast to garbage, refused below
+            self.targets = targets.astype(np.int64)
+        if not np.array_equal(self.targets, targets):
+            raise ValueError("targets are not exactly integral")
         if self.inputs.ndim != 3 or 0 in self.inputs.shape:
             raise ValueError(f"inputs must be (n, seq, input_dim) with positive dims, got {self.inputs.shape}")
         if self.targets.shape != (self.inputs.shape[0],):
@@ -425,16 +429,13 @@ def read_eval_batch(path: str) -> tuple[EvalBatch, ArchSpec]:
     if "inputs" not in tensors or "targets" not in tensors:
         raise MalformedManifestError("eval batch needs 'inputs' and 'targets' tensors")
     inputs = tensors["inputs"]
-    raw_targets = tensors["targets"]
-    # Checked as floats, so a nan, infinite or huge target never reaches the cast.
-    if not np.all(np.isfinite(raw_targets)) or np.any(raw_targets != np.floor(raw_targets)):
-        raise MalformedManifestError("targets are not exactly integral")
+    targets = tensors["targets"]
     if inputs.ndim != 3 or inputs.shape[2] != arch.input_dim:
         raise ShapeMismatchError("inputs", f"expected (n, seq, {arch.input_dim}), got {inputs.shape}")
-    if raw_targets.size and (raw_targets.min() < 0 or raw_targets.max() >= arch.output_dim):
+    if targets.size and (targets.min() < 0 or targets.max() >= arch.output_dim):
         raise MalformedManifestError("targets out of range for arch output_dim")
     try:
-        batch = EvalBatch(inputs, raw_targets.astype(np.int64))
+        batch = EvalBatch(inputs, targets)
     except ValueError as e:
         raise MalformedManifestError(f"invalid eval batch: {e}") from e
     return batch, arch

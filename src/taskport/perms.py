@@ -122,10 +122,14 @@ class PermutationAssignment:
         return PermutationAssignment({k: v.copy() for k, v in self.perms.items()}, dict(self.heads))
 
     def __eq__(self, other) -> bool:
+        """Equal when written to the same file: a file records a head count
+        only for a vector that ``block`` reads as head structure."""
         if not isinstance(other, PermutationAssignment):
             return NotImplemented
         if set(self.perms) != set(other.perms):
             return False
-        return self.heads == other.heads and all(
-            np.array_equal(self.perms[k], other.perms[k]) for k in self.perms
+        return all(
+            np.array_equal(self.perms[k], other.perms[k])
+            and (self.block(k) and self.heads[k]) == (other.block(k) and other.heads[k])
+            for k in self.perms
         )

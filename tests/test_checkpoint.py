@@ -397,6 +397,16 @@ class TestAssignmentFiles:
         assert back.heads == {"block.0.attn": 2}
         assert block_lists(back.block("block.0.attn")) == ([1, 0], [[1, 0], [0, 1]])
 
+    def test_attention_vector_mixing_heads_round_trips(self, tmp_path):
+        """A vector that mixes units across heads is written as one flat
+        record, which holds no head count; it still reads back equal."""
+        a = build_coupling_graph(ArchSpec(1, 2, 4, 8, 3, 2)).identity_assignment()
+        a.perms["block.0.attn"] = np.array([1, 2, 0, 3], dtype=np.int64)
+        path = str(tmp_path / "flat.perm")
+        write_permutation_assignment(a, path)
+        assert "block.0.attn : 1,2,0,3\n" in open(path, encoding="utf-8").read()
+        assert read_permutation_assignment(path) == a
+
     def test_overwritten_vector_is_written_by_its_own_head_structure(self, tmp_path):
         """An attention vector overwritten in place is written structured,
         with the structure it has now, while it keeps each head's units

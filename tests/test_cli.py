@@ -124,6 +124,26 @@ class TestApplyAndTaskVector:
         for name in expect.tensors:
             np.testing.assert_array_equal(got.tensors[name], expect.tensors[name])
 
+    @pytest.mark.parametrize("var_id", ["block.0.attn", "block.0.mlp_hidden"])
+    def test_head_count_the_graph_disagrees_with_exit_two(self, workspace, var_id):
+        """A one-head group for a 4-head attention variable, or a head count on
+        an MLP variable, is refused before anything is written; the one
+        intra record of the attention case mixes units across heads."""
+        tmp_path, arch, ws, model_a = workspace
+        graph = build_coupling_graph(arch, "compose")
+        perm = str(tmp_path / "one_head.perm")
+        write_permutation_assignment(graph.identity_assignment(), perm)
+        with open(perm, encoding="utf-8") as f:
+            records = [line for line in f if not line.startswith((f"{var_id} ", f"{var_id}."))]
+        units = np.roll(np.arange(graph.variables[var_id].size), 1)
+        records += [f"{var_id}.inter : 0\n", f"{var_id}.intra.0 : " + ",".join(map(str, units)) + "\n"]
+        with open(perm, "w", encoding="utf-8") as f:
+            f.writelines(records)
+        out = str(tmp_path / "permuted")
+        assert main(["apply", "--model", model_a, "--perm", perm, "--out", out]) == 2
+        assert not os.path.exists(out)
+        assert main(["verify", "--model", model_a, "--perm", perm]) == 2
+
     def test_task_vector_subcommand(self, workspace):
         tmp_path, arch, ws, model_a = workspace
         tuned = init_random(arch, 3)

@@ -60,6 +60,53 @@ block.0.ln2.bias             rows <- P  block.0.mlp_out
 head.weight                  cols <- PT block.0.mlp_out"""
 
 
+
+GOLDEN_TIE_TABLE = """\
+# residual_mode=tie arch={'n_blocks': 2, 'n_heads': 2, 'embed_dim': 4, 'mlp_hidden': 8, 'input_dim': 3, 'output_dim': 2, 'has_layernorm': False}
+var stream size=4 pinned
+var block.0.attn size=4 attention
+var block.0.mlp_hidden size=8
+var block.1.attn size=4 attention
+var block.1.mlp_hidden size=8
+embed.weight                 rows <- P  stream
+block.0.attn.q.weight        rows <- P  block.0.attn
+block.0.attn.q.weight        cols <- PT stream
+block.0.attn.q.bias          rows <- P  block.0.attn
+block.0.attn.k.weight        rows <- P  block.0.attn
+block.0.attn.k.weight        cols <- PT stream
+block.0.attn.k.bias          rows <- P  block.0.attn
+block.0.attn.v.weight        rows <- P  block.0.attn
+block.0.attn.v.weight        cols <- PT stream
+block.0.attn.v.bias          rows <- P  block.0.attn
+block.0.attn.out.weight      rows <- P  stream
+block.0.attn.out.weight      cols <- PT block.0.attn
+block.0.attn.out.bias        rows <- P  stream
+block.0.mlp.fc1.weight       rows <- P  block.0.mlp_hidden
+block.0.mlp.fc1.weight       cols <- PT stream
+block.0.mlp.fc1.bias         rows <- P  block.0.mlp_hidden
+block.0.mlp.fc2.weight       rows <- P  stream
+block.0.mlp.fc2.weight       cols <- PT block.0.mlp_hidden
+block.0.mlp.fc2.bias         rows <- P  stream
+block.1.attn.q.weight        rows <- P  block.1.attn
+block.1.attn.q.weight        cols <- PT stream
+block.1.attn.q.bias          rows <- P  block.1.attn
+block.1.attn.k.weight        rows <- P  block.1.attn
+block.1.attn.k.weight        cols <- PT stream
+block.1.attn.k.bias          rows <- P  block.1.attn
+block.1.attn.v.weight        rows <- P  block.1.attn
+block.1.attn.v.weight        cols <- PT stream
+block.1.attn.v.bias          rows <- P  block.1.attn
+block.1.attn.out.weight      rows <- P  stream
+block.1.attn.out.weight      cols <- PT block.1.attn
+block.1.attn.out.bias        rows <- P  stream
+block.1.mlp.fc1.weight       rows <- P  block.1.mlp_hidden
+block.1.mlp.fc1.weight       cols <- PT stream
+block.1.mlp.fc1.bias         rows <- P  block.1.mlp_hidden
+block.1.mlp.fc2.weight       rows <- P  stream
+block.1.mlp.fc2.weight       cols <- PT block.1.mlp_hidden
+block.1.mlp.fc2.bias         rows <- P  stream
+head.weight                  cols <- PT stream"""
+
 def _swap_first_two(graph):
     """Every variable swaps its units 0 and 1 and keeps the rest in place."""
     a = PermutationAssignment()
@@ -130,6 +177,31 @@ class TestGraphConstruction:
     def test_dump_table_golden(self):
         graph = build_coupling_graph(ArchSpec(1, 2, 4, 8, 3, 2, True), "compose")
         assert graph.dump_table() == GOLDEN_TABLE
+
+    def test_dump_table_golden_tie(self):
+        """Tie mode's variable order is the matcher's sweep order, so pin it too."""
+        graph = build_coupling_graph(ArchSpec(2, 2, 4, 8, 3, 2), "tie")
+        assert graph.dump_table() == GOLDEN_TIE_TABLE
+
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    @pytest.mark.parametrize("has_layernorm", [False, True])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_one_application_per_labelled_axis(self, n_blocks, has_layernorm, mode):
+        """Every labelled axis of the tensor table gets exactly one application,
+        by a variable as long as the axis; an unlabelled axis gets none."""
+        arch = ArchSpec(n_blocks, 2, 4, 6, 3, 5, has_layernorm)
+        graph = build_coupling_graph(arch, mode)
+        wired = {(app.tensor, app.axis): graph.variables[app.variable] for app in graph.applications}
+        assert len(wired) == len(graph.applications)
+        labelled = set()
+        for name, shape, units in arch.tensor_axes():
+            assert len(shape) == len(units)
+            for axis, length, unit in zip(Axis, shape, units):
+                if unit is not None:
+                    labelled.add((name, axis))
+                    assert wired[name, axis].size == length
+                    assert wired[name, axis].is_attention == (unit[1] == "attn")
+        assert set(wired) == labelled
 
 
 class TestApplyAssignment:

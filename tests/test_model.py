@@ -352,6 +352,16 @@ class TestEvalBatchIO:
             raw[0:4] = np.array([np.nan if case == "nan_input" else -np.inf], dtype="<f4").tobytes()
             blob.write_bytes(bytes(raw))
 
+    @pytest.mark.parametrize("targets", [[0.7, 1.9], [np.nan, 0], [np.inf, 0], [0, 1e30]])
+    def test_constructor_refuses_targets_not_whole_numbers(self, targets):
+        """The in-memory constructor refuses what the file reader refuses, and
+        a nan, infinite or huge target raises with no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integral"):
+                EvalBatch(np.zeros((2, 3, 4)), targets)
+        np.testing.assert_array_equal(EvalBatch(np.zeros((2, 3, 4)), [1.0, 0.0]).targets, [1, 0])
+
     def test_targets_must_be_integral(self, tmp_path, small_arch):
         path = str(tmp_path / "batch")
         self._write_batch(path, small_arch, "fractional")
