@@ -9,11 +9,11 @@ A checkpoint is a directory holding ``manifest.json`` and ``tensors.bin``:
 * ``tensors.bin`` - concatenated raw little-endian float32 values at the
   declared offsets.
 
-Values are stored as float32 on disk and promoted to float64 in memory, so
-``write -> read -> write`` is byte stable.  A permutation assignment is a
-UTF-8 text file with one ``<variable_id> : i0,i1,...`` record per variable;
-attention variables may be stored either flat over the full width or as a
-``*.inter`` record plus one ``*.intra.<h>`` record per head.
+Values are stored as float32 on disk; ``read_container`` promotes them to
+float64, so ``write -> read -> write`` is byte stable.  A permutation
+assignment is a UTF-8 text file with one ``<variable_id> : i0,i1,...``
+record per variable; attention variables may be stored either flat over the
+full width or as a ``*.inter`` record plus one ``*.intra.<h>`` per head.
 """
 
 from __future__ import annotations
@@ -155,10 +155,11 @@ def check_tensor_set(arch: ArchSpec, shapes: Mapping[str, tuple[int, ...]]) -> l
     return names
 
 
-def require_finite(name: str, arr: np.ndarray) -> None:
-    """Refuse ``arr`` unless it is all finite, like its float64 promotion."""
+def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr``, refused unless it is all finite, like its float64 promotion."""
     if not np.all(np.isfinite(arr)):
         raise NonFiniteTensorError(name)
+    return arr
 
 
 @dataclass
@@ -211,22 +212,14 @@ def atomic_write(path: str, data: bytes | str | Iterable) -> None:
         raise
 
 
-def _as_float32(name: str, arr: np.ndarray) -> np.ndarray:
-    """The writer's one check: a value not finite in float32 (nan, inf, or
-    beyond float32's range) raises NonFiniteTensorError."""
-    with np.errstate(over="ignore"):
-        out = np.ascontiguousarray(arr, dtype="<f4")
-    require_finite(name, out)
-    return out
-
-
 def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, tuple[int, ...]],
                     arrays: Iterable[np.ndarray]) -> None:
     """Low-level container writer: one record per entry of ``shapes``, in its
     order, holding the matching array of ``arrays``.  The manifest is
-    serialised before the blob, which is streamed one array at a time, so
-    ``arrays`` may compute each tensor when it is asked for.  A value that is
-    not finite in float32 raises NonFiniteTensorError and leaves any
+    serialised before the blob, which is streamed one array at a time through
+    one float32 buffer the size of the largest record, so ``arrays`` may
+    compute each tensor, or refill its own buffer, when asked for the next.
+    A value not finite in float32 raises NonFiniteTensorError and leaves any
     container at ``path`` as it was."""
     records = []
     offset = 0
@@ -240,11 +233,17 @@ def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, t
     )
     created = not os.path.isdir(path)
     os.makedirs(path, exist_ok=True)
+
+    def float32_records():  # one buffer: each record is written before the next is converted
+        scratch = np.empty(max((rec["length"] // 4 for rec in records), default=0), dtype="<f4")
+        for (name, shape), arr in zip(shapes.items(), arrays, strict=True):
+            out = scratch[: math.prod(shape)].reshape(np.shape(arr))  # refuses, never broadcasts, a wrong size
+            np.copyto(out, arr, casting="same_kind")
+            yield require_finite(name, out)
+
     try:
-        atomic_write(
-            os.path.join(path, TENSORS_NAME),
-            (_as_float32(name, arr) for name, arr in zip(shapes, arrays, strict=True)),
-        )
+        with np.errstate(over="ignore"):  # an overflow, in ``arrays`` or the cast, is an inf refused above
+            atomic_write(os.path.join(path, TENSORS_NAME), float32_records())
     except BaseException:
         if created:
             with contextlib.suppress(OSError):
@@ -296,10 +295,11 @@ def _record_layout(records: list, blob_size: int) -> list[tuple[str, list, int, 
 class ContainerReader:
     """An open container.  Its manifest, record layout and (for weights) the
     tensor names and shapes are checked on opening, before any tensor data
-    is read.  ``read(name)`` reads a record through one reused float32 buffer
-    and promotes it to float64; ``reader[name]`` also refuses a non-finite
-    value.  The blob's handle stays open for the ``with`` block, so an output
-    renamed over the container leaves the bytes it reads unchanged."""
+    is read.  ``reader[name]`` is the finite float32 record as a read-only
+    view of one reused scratch buffer, valid until the reader's next read;
+    ``read(name)`` is an owned, unchecked float64 copy.  The blob's handle
+    stays open for the ``with`` block, so an output renamed over the
+    container leaves the bytes it reads unchanged."""
 
     def __init__(self, path: str, expect_kind: str | None = None):
         manifest_path = os.path.join(path, MANIFEST_NAME)
@@ -334,7 +334,7 @@ class ContainerReader:
         self._spans = {name: (offset, count) for name, _, offset, count in layout}
         self._scratch = np.empty(max((count for *_, count in layout), default=0), dtype="<f4")
 
-    def read(self, name: str, finite: bool = False) -> np.ndarray:
+    def _record(self, name: str) -> np.ndarray:
         offset, count = self._spans[name]
         buf = self._scratch[:count]
         try:
@@ -343,15 +343,17 @@ class ContainerReader:
                 raise MalformedManifestError(f"tensor data ended inside record {name!r}")
         except OSError as e:
             raise MalformedManifestError(f"cannot read tensor data: {e}") from e
-        if finite:
-            require_finite(name, buf)
+        buf.flags.writeable = False
         try:
-            return buf.reshape(self.shapes[name]).astype(np.float64)
+            return buf.reshape(self.shapes[name])
         except ValueError as e:  # too many axes, or a huge axis of an empty tensor
             raise ShapeMismatchError(name, str(e)) from e
 
+    def read(self, name: str) -> np.ndarray:
+        return self._record(name).astype(np.float64)
+
     def __getitem__(self, name: str) -> np.ndarray:
-        return self.read(name, finite=True)
+        return require_finite(name, self._record(name))
 
     def __enter__(self):
         return self

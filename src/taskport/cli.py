@@ -131,7 +131,7 @@ def cmd_apply(args) -> int:
         if args.dump_graph:
             print(graph.dump_table())
         write_container(args.out, model.arch, KIND_WEIGHT_SET, model.arch.tensor_shapes(),
-                        permuted_tensors(model, graph, assignment))
+                        permuted_tensors(model, graph, assignment, scratch={}))
     return EXIT_OK
 
 

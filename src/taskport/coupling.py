@@ -211,30 +211,38 @@ def permuted_tensor(
     assignment: PermutationAssignment,
     name: str,
     skip_variable: str | None = None,
+    scratch: dict | None = None,
 ) -> np.ndarray:
     """Tensor ``name`` of ``ws`` with every coupled permutation applied except
     those of ``skip_variable``.
 
     Rows are gathered by ``p`` (``P @ W``) and so are columns (``W @ P^T``),
     where ``P`` has a one at ``(i, p[i])``; 1-D tensors only have rows.  The
-    result may share memory with ``ws``.
+    result may share memory with ``ws``.  Given a ``scratch`` dict, the last
+    move writes into the buffer kept there for the tensor's dtype, which the
+    next such call overwrites; only a checked assignment may be given one.
     """
     arr = ws[name]
-    for app in graph.applications_on(name):
-        if app.variable != skip_variable:
-            axis = 0 if app.axis is Axis.ROWS else 1
-            arr = np.take(arr, assignment.perms[app.variable], axis=axis)
+    apps = [app for app in graph.applications_on(name) if app.variable != skip_variable]
+    for k, app in enumerate(apps):
+        last = scratch is not None and k == len(apps) - 1
+        if last and scratch.get(arr.dtype, np.empty(0)).size < arr.size:
+            scratch[arr.dtype] = np.empty(arr.size, arr.dtype)
+        out = scratch[arr.dtype][: arr.size].reshape(arr.shape) if last else None
+        axis = 0 if app.axis is Axis.ROWS else 1  # "clip" fills ``out`` in place; "raise" would buffer a copy
+        arr = np.take(arr, assignment.perms[app.variable], axis=axis, out=out, mode="raise" if out is None else "clip")
     return arr
 
 
-def permuted_tensors(ws, graph: CouplingGraph, assignment: PermutationAssignment):
+def permuted_tensors(ws, graph: CouplingGraph, assignment: PermutationAssignment, scratch: dict | None = None):
     """Every tensor of ``ws`` permuted, in canonical order, each computed when
     asked for; the architecture and the assignment are checked on the call.
     ``ws`` is read only as ``ws.arch`` and ``ws[name]``, so an open
-    ``ContainerReader`` serves too."""
+    ``ContainerReader`` serves too; its float32 records move exactly.  With a
+    ``scratch`` dict, each tensor is a reused buffer, valid until the next."""
     require_same_arch(ws.arch, graph.arch, "weights and coupling graph")
     graph.check_assignment(assignment)
-    return (permuted_tensor(ws, graph, assignment, name) for name in ws.arch.tensor_shapes())
+    return (permuted_tensor(ws, graph, assignment, name, scratch=scratch) for name in ws.arch.tensor_shapes())
 
 
 def apply_assignment(ws, graph: CouplingGraph, assignment: PermutationAssignment):

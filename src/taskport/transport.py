@@ -10,7 +10,8 @@ matched assignment can carry any number of task vectors.
 Computing and transporting are each written once (``task_vector_tensors``,
 ``transported_tensors``): checked on the call, then one tensor at a time in
 canonical order, reading only ``ws.arch`` and ``ws[name]``.  The in-memory
-API collects them from weight sets; the command line streams them to disk.
+API collects them from float64 weight sets; the command line streams them
+from the float32 records of open containers to disk, to the same bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .perms import PermutationAssignment
 
 def task_vector_tensors(ws_finetuned, ws_base):
     """Fine-tuned minus base, one new array per tensor in canonical order,
-    each computed when asked for; the architectures are checked on the call."""
+    each computed when asked for; the architectures are checked on the call.
+    Two containers' float32 records give float64's difference rounded to
+    float32, bit for bit: 53 >= 2 * 24 + 2 bits (Figueroa 1995)."""
     require_same_arch(ws_finetuned.arch, ws_base.arch, "fine-tuned and base models")
     return (ws_finetuned[name] - ws_base[name] for name in ws_base.arch.tensor_shapes())
 
@@ -37,7 +40,7 @@ def compute_task_vector(ws_finetuned: WeightSet, ws_base: WeightSet) -> TaskVect
 
 
 def transported_tensors(ws_base, tv, graph: CouplingGraph, assignment: PermutationAssignment, scaling=1.0):
-    """``base + factor * pi(tv)``, one new array per tensor in canonical order.
+    """``base + factor * pi(tv)``, one new float64 array per tensor in canonical order.
     ``scaling`` is one finite factor >= 0, or one per block; the embedding
     takes the first block's and the classifier the last's.  Every input is
     checked on the call, before any tensor is read."""
@@ -48,12 +51,13 @@ def transported_tensors(ws_base, tv, graph: CouplingGraph, assignment: Permutati
         raise ValueError(f"per-block scaling needs {n_blocks} factors, got {len(factors)}")
     if not all(math.isfinite(f) and f >= 0 for f in factors):
         raise ValueError(f"scaling factors must be finite and non-negative, got {scaling}")
-    moved = permuted_tensors(tv, graph, assignment)  # checks the graph's arch and the assignment
+    moved = permuted_tensors(tv, graph, assignment, scratch={})  # checks the graph's arch and the assignment
 
     def tensors():
         for name in ws_base.arch.tensor_shapes():  # next(): no reference to the moved tensor outlives the product
             part = name.split(".")
-            out = factors[int(part[1]) if part[0] == "block" else -1 if part[0] == "head" else 0] * next(moved)
+            factor = factors[int(part[1]) if part[0] == "block" else -1 if part[0] == "head" else 0]
+            out = np.multiply(next(moved), factor, dtype=np.float64)  # float64 for a float32 record too (NEP 50)
             out += ws_base[name]  # the same sum as base + out: float addition commutes
             yield out
 

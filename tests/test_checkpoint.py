@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from taskport.checkpoint import (
+    KIND_WEIGHT_SET,
     ArchSpec,
+    ContainerReader,
     TaskVector,
     atomic_write,
     WeightSet,
@@ -161,6 +163,47 @@ class TestCheckpointRoundTrip:
             read_checkpoint(path)
 
 
+class TestContainerReader:
+    """``reader[name]`` is the checked float32 record itself, a read-only view
+    of the reader's one scratch buffer; ``read(name)`` is an owned float64
+    copy of it."""
+
+    def test_item_is_a_read_only_float32_view(self, tmp_path, toy_arch):
+        ws = _random_weight_set(toy_arch, 16)
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(ws, path)
+        with ContainerReader(path, KIND_WEIGHT_SET) as reader:
+            for name in ws.tensors:
+                record = reader[name]
+                assert record.dtype == np.float32 and record.shape == ws[name].shape
+                assert not record.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    record[(0,) * record.ndim] = 1.0
+                promoted = record.astype(np.float64)
+                owned = reader.read(name)
+                assert owned.dtype == np.float64 and owned.flags.writeable and owned.flags.owndata
+                np.testing.assert_array_equal(owned, promoted)
+                np.testing.assert_array_equal(owned, ws[name])
+            first, second = reader["block.0.mlp.fc1.weight"], reader["block.0.mlp.fc2.weight"]
+            assert np.shares_memory(first, second)  # valid until the reader's next read
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_item_refuses_a_non_finite_record(self, tmp_path, toy_arch, bad):
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(toy_arch, 17), path)
+        manifest = json.load(open(os.path.join(path, "manifest.json")))
+        record = next(r for r in manifest["tensors"] if r["name"] == "block.1.attn.v.weight")
+        with open(os.path.join(path, "tensors.bin"), "r+b") as f:
+            f.seek(record["offset"] + 4 * 7)
+            f.write(np.array([bad], dtype="<f4").tobytes())
+        with ContainerReader(path, KIND_WEIGHT_SET) as reader:
+            with pytest.raises(NonFiniteTensorError, match="'block.1.attn.v.weight'"):
+                reader["block.1.attn.v.weight"]
+            raw = reader.read("block.1.attn.v.weight")  # the unchecked float64 copy
+            np.testing.assert_array_equal(raw.flat[7], bad)  # nan equals nan here
+            reader["block.1.attn.q.weight"]  # other records still read
+
+
 class TestCheckpointErrors:
     def test_missing_tensor_named(self, small_arch):
         tensors = _random_weight_set(small_arch, 6).tensors
@@ -279,6 +322,16 @@ class TestCheckpointErrors:
             write_checkpoint(ws, str(path))
         assert not (path / "tensors.bin").exists()
         assert not (path / "manifest.json").exists()
+
+    def test_writer_refuses_an_array_of_another_size(self, tmp_path, small_arch):
+        """An array is copied into its record's slot of the writer's buffer in
+        its own shape: one of another size is refused, not broadcast."""
+        tensors = dict(_random_weight_set(small_arch, 18).tensors)
+        tensors["block.0.mlp.fc1.bias"] = tensors["block.0.mlp.fc1.bias"][:1]
+        path = tmp_path / "ckpt"
+        with pytest.raises(ValueError, match="cannot reshape"):
+            write_container(str(path), small_arch, KIND_WEIGHT_SET, small_arch.tensor_shapes(), tensors.values())
+        assert not path.exists()
 
     def test_element_count_does_not_wrap(self, tmp_path, small_arch):
         """2**32 x 2**32 elements is 2**64, not the int64 wrap-around 0."""

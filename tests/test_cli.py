@@ -370,7 +370,7 @@ class TestTransport:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert not os.path.exists(os.path.join(out, "tensors.bin"))
+        assert not os.path.exists(out)
 
     def test_alpha_file_per_block(self, transport_setup):
         tmp_path, arch, model_a, tv_path, perm, base, tv = transport_setup
@@ -452,7 +452,7 @@ class TestPerTensorPort:
         write_permutation_assignment(graph.random_assignment(rng), paths["perm"])
         return tmp_path, graph, paths
 
-    def _argv(self, subcommand, paths, out, **inputs):
+    def _argv(self, subcommand, paths, out, scaling=("--alpha", "0.75"), **inputs):
         """The argv of ``subcommand`` on the fixture's files, any of them
         renamed by ``inputs`` (``base=...``, say)."""
         p = {**paths, **inputs}
@@ -460,10 +460,10 @@ class TestPerTensorPort:
             "apply": ["apply", "--model", p["a"], "--perm", p["perm"], "--out", out],
             "task-vector": ["task-vector", "--finetuned", p["ft"], "--base", p["a"], "--out", out],
             "transport": ["transport", "--base", p["b"], "--task-vector", p["tv"], "--perm", p["perm"],
-                          "--out", out, "--alpha", "0.75"],
+                          "--out", out, *scaling],
         }[subcommand]
 
-    def _expected(self, subcommand, graph, paths, out):
+    def _expected(self, subcommand, graph, paths, out, scaling=0.75):
         """What the in-memory API writes for ``subcommand``."""
         assignment = read_permutation_assignment(paths["perm"])
         if subcommand == "apply":
@@ -471,7 +471,7 @@ class TestPerTensorPort:
         elif subcommand == "task-vector":
             write_task_vector(compute_task_vector(read_checkpoint(paths["ft"]), read_checkpoint(paths["a"])), out)
         else:
-            ported = transport(read_checkpoint(paths["b"]), read_task_vector(paths["tv"]), graph, assignment, 0.75)
+            ported = transport(read_checkpoint(paths["b"]), read_task_vector(paths["tv"]), graph, assignment, scaling)
             write_checkpoint(ported, out)
 
     @pytest.mark.parametrize("subcommand", ["apply", "task-vector", "transport"])
@@ -483,6 +483,24 @@ class TestPerTensorPort:
         out, expect = str(tmp_path / "out"), str(tmp_path / "expect")
         assert main(self._argv(subcommand, paths, out)) == 0
         self._expected(subcommand, graph, paths, expect)
+        assert self._files(out) == self._files(expect)
+
+    @pytest.mark.parametrize("alpha", ["0.1", repr(1 / 3), "0.75", "1e-7", "7.5", "0.3\n1.7\n"])
+    def test_transport_scalings_equal_the_in_memory_api(self, port, alpha):
+        """The streamed transport scales the float32 record of the moved task
+        vector in float64, as the in-memory API does: for these factors a
+        product rounded to float32 first would change the output bytes.  The
+        last case is one factor per block through ``--alpha-file``."""
+        tmp_path, graph, paths = port
+        if "\n" in alpha:
+            alpha_file = tmp_path / "alphas.txt"
+            alpha_file.write_text(alpha)
+            scaling, factors = ["--alpha-file", str(alpha_file)], [float(f) for f in alpha.split()]
+        else:
+            scaling, factors = ["--alpha", alpha], float(alpha)
+        out, expect = str(tmp_path / "out"), str(tmp_path / "expect")
+        assert main(self._argv("transport", paths, out, scaling)) == 0
+        self._expected("transport", graph, paths, expect, factors)
         assert self._files(out) == self._files(expect)
 
     def _check_aliased(self, port, subcommand, alias):
@@ -594,6 +612,44 @@ class TestPerTensorPort:
         else:
             assert not os.path.exists(out)
         assert self._leftovers(str(tmp_path), out) == []
+
+
+def _port_output_digests(tmp_path, arch) -> dict[str, str]:
+    """SHA-256 of the blob each port subcommand writes on a fixed-seed
+    fixture: ``apply`` on model A, ``task-vector`` from a second model to A,
+    and ``transport`` of that vector onto a third model at three scalings."""
+    graph = build_coupling_graph(arch, "compose")
+    paths = {key: str(tmp_path / key) for key in ("a", "ft", "b", "tv")}
+    for seed, key in enumerate(("a", "ft", "b")):
+        write_checkpoint(init_random(arch, seed), paths[key])
+    perm = str(tmp_path / "ab.perm")
+    write_permutation_assignment(graph.random_assignment(np.random.default_rng(3)), perm)
+    calls = {
+        "apply": ["apply", "--model", paths["a"], "--perm", perm],
+        "task-vector": ["task-vector", "--finetuned", paths["ft"], "--base", paths["a"]],
+        **{f"transport {alpha}": ["transport", "--base", paths["b"], "--task-vector", paths["tv"], "--perm", perm,
+                                  "--alpha", alpha] for alpha in ("1", "0.5", repr(1 / 3))},
+    }
+    digests = {}
+    for key, argv in calls.items():
+        out = paths["tv"] if key == "task-vector" else str(tmp_path / "out")
+        assert main(argv + ["--out", out]) == 0
+        digests[key] = hashlib.sha256(_slurp(os.path.join(out, "tensors.bin"))).hexdigest()
+    return digests
+
+
+def test_port_output_digests_are_pinned(tmp_path, toy_arch):
+    """The port subcommands' output bytes on a fixed-seed fixture, as the
+    float64 port path wrote them before the subcommands computed on the
+    float32 records they read.  The comparisons with the in-memory API cannot
+    see a drift that both paths share; these digests can."""
+    assert _port_output_digests(tmp_path, toy_arch) == {
+        "apply": "bcefa27c27bb2a64585c196f502c236594b99088918a1f83fa918b9f6de70493",
+        "task-vector": "1b9484bab277c613666ca9252e5c74253b5237de245c4db566f9c0c1e575fd78",
+        "transport 1": "40a6f868f1bf1a96ad608c3d9cb882f1d4534a3b4949986bd6be4faef724ac97",
+        "transport 0.5": "bda7155987d6c10541a84eca2a451907a8ad9ef33cdf61f12cb83f49b7bf51a4",
+        "transport 0.3333333333333333": "3d648799546fe20d683bfe1efb1283111976b39441ffcd29f1aa2d28c8ac1afa",
+    }
 
 
 class TestTieMode:

@@ -1,14 +1,20 @@
 """Coupling-graph construction and assignment application."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import block_lists, dense_perm_matrix
 from taskport.checkpoint import (
+    KIND_WEIGHT_SET,
     ArchSpec,
+    ContainerReader,
     TaskVector,
     WeightSet,
+    read_checkpoint,
     read_permutation_assignment,
+    write_checkpoint,
     write_permutation_assignment,
 )
 from taskport.coupling import (
@@ -17,6 +23,7 @@ from taskport.coupling import (
     build_coupling_graph,
     inverse_assignment,
     permuted_tensor,
+    permuted_tensors,
 )
 from taskport.errors import (
     ArchMismatchError,
@@ -383,6 +390,27 @@ class TestApplyAssignment:
         assert set(out.tensors) == set(ws.tensors)
         for name in ws.tensors:
             assert out.tensors[name].shape == ws.tensors[name].shape
+
+
+    @pytest.mark.parametrize("source", ["weights", "container"])
+    def test_scratch_reuses_one_buffer(self, tmp_path, toy_arch, source):
+        """With a ``scratch`` dict every tensor is a view of one buffer for the
+        source's dtype (float64 weights, float32 records), grown to the largest
+        tensor and overwritten by the next; the values are the owned arrays'."""
+        ws = init_random(toy_arch, 14)
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(ws, path)
+        graph = build_coupling_graph(toy_arch, "compose")
+        assignment = graph.random_assignment(np.random.default_rng(15))
+        with ContainerReader(path, KIND_WEIGHT_SET) as reader:
+            src, dtype = (ws, np.dtype(np.float64)) if source == "weights" else (reader, np.dtype(np.float32))
+            expected = apply_assignment(ws if source == "weights" else read_checkpoint(path), graph, assignment)
+            scratch = {}
+            for name, view in zip(toy_arch.tensor_shapes(), permuted_tensors(src, graph, assignment, scratch)):
+                assert view.dtype == dtype and np.shares_memory(view, scratch[dtype])
+                np.testing.assert_array_equal(view, expected[name])
+            assert list(scratch) == [dtype]
+            assert scratch[dtype].size == max(math.prod(shape) for shape in toy_arch.tensor_shapes().values())
 
 
 class TestResidualPerms:

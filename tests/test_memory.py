@@ -6,9 +6,9 @@ it returns plus one record in flight; a write holds one or two tensors'
 float32 bytes; an in-memory transport holds its output plus the
 temporaries of one tensor; the ``apply``, ``task-vector`` and ``transport``
 subcommands hold no model at all, only the float32 scratch buffer of each
-input and the float64 temporaries of one tensor; a verify holds the
-permuted model plus the activations of its batch slices, whose buffers the
-forward pass reuses in place.
+input, of the output and of the permutation, and the temporaries of one
+tensor; a verify holds the permuted model plus the activations of its batch
+slices, whose buffers the forward pass reuses in place.
 """
 
 import tracemalloc
@@ -74,11 +74,14 @@ def test_transport_adds_in_place(model):
     "subcommand, bound", [("apply", 0.5), ("task-vector", 0.65), ("transport", 0.6)]
 )
 def test_port_subcommands_hold_one_tensor_at_a_time(model, tmp_path, subcommand, bound):
-    """Measured 0.46x (apply), 0.58x (task-vector) and 0.54x (transport):
-    the largest tensor is 0.16x of the model in float64, and a call holds
-    two or three float64 copies of it (read, permuted or differenced) plus a
-    float32 scratch buffer per input.  Before the subcommands ran tensor by
-    tensor they measured 2.2x, 2.1x and 3.2x."""
+    """Measured 0.39x (apply), 0.38x (task-vector) and 0.54x (transport):
+    the largest tensor is 0.16x of the model in float64.  A call holds a
+    float32 scratch buffer per input and one for the output, in ``apply``
+    and ``transport`` one for the permuted tensor, the float32 copies of
+    one tensor that permuting or differencing makes, and in ``transport``
+    its float64 product and sum.  With float64 round trips they measured
+    0.46x, 0.53x and 0.52x; before the subcommands ran tensor by tensor,
+    2.2x, 2.1x and 3.2x."""
     paths = {key: str(tmp_path / key) for key in ("base", "tuned", "tv", "out")}
     write_checkpoint(model, paths["base"])
     write_checkpoint(init_random(ARCH, 2), paths["tuned"])

@@ -1,10 +1,15 @@
 """Task-vector algebra and transport."""
 
+import contextlib
 import dataclasses
+import io
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskport.checkpoint import (
     KIND_TASK_VECTOR,
@@ -13,8 +18,12 @@ from taskport.checkpoint import (
     ContainerReader,
     TaskVector,
     WeightSet,
+    read_checkpoint,
+    write_checkpoint,
     write_container,
+    write_task_vector,
 )
+from taskport.cli import main
 from taskport.coupling import CouplingGraph, apply_assignment, build_coupling_graph, permuted_tensors
 from taskport.errors import ArchMismatchError, AssignmentFormatError, NonFiniteTensorError
 from taskport.model import init_random
@@ -69,6 +78,78 @@ class TestComputeTaskVector:
         other = init_random(ArchSpec(1, 2, 8, 16, 4, 3), 4)
         with pytest.raises(ArchMismatchError):
             compute_task_vector(init_random(toy_arch, 5), other)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_SPECIAL = [0.0, -0.0, F32_MAX, -F32_MAX, float(np.finfo(np.float32).tiny),
+               float(np.finfo(np.float32).smallest_subnormal), -float(np.finfo(np.float32).smallest_subnormal)]
+
+
+@st.composite
+def float32_pairs(draw, max_size=64):
+    """Two equal-length float32 vectors: any finite values (subnormals
+    included), the extremes, and second operands a few units in the last
+    place from the first, where the difference cancels."""
+    value = st.one_of(st.floats(width=32, allow_nan=False, allow_infinity=False), st.sampled_from(F32_SPECIAL))
+    n = draw(st.integers(1, max_size))
+    a = np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.float32)
+    b = np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.float32)
+    near = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    steps = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ulps = np.nextafter(a, np.float32(np.inf)) - a  # the float32 spacing above a (inf at the top)
+        nudged = (a.astype(np.float64) + steps * ulps.astype(np.float64)).astype(np.float32)
+    return a, np.where(near & np.isfinite(nudged), nudged, b)
+
+
+class TestFloat32Difference:
+    """The streamed ``task-vector`` subtracts the float32 records it reads:
+    that is float64's difference rounded to float32, bit for bit, because
+    double rounding is innocuous when the wide format has at least
+    2 * 24 + 2 significand bits (Figueroa 1995)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(float32_pairs())
+    def test_float32_difference_is_float64_difference_rounded(self, pair):
+        a, b = pair
+        with np.errstate(over="ignore"):
+            got = a - b
+            want = (a.astype(np.float64) - b.astype(np.float64)).astype(np.float32)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(float32_pairs(max_size=128))
+    def test_cli_task_vector_writes_the_in_memory_bytes(self, pair):
+        """Records holding such pairs port to the in-memory API's bytes; a
+        difference beyond float32's range is refused by both, and the command
+        line reports it in one line, with no numpy warning, and leaves no
+        output behind."""
+        a, b = pair
+        arch = ArchSpec(1, 2, 8, 16, 4, 3)
+        name = "block.0.mlp.fc1.weight"
+        with tempfile.TemporaryDirectory() as d:
+            paths = {key: os.path.join(d, key) for key in ("ft", "base", "out", "expect")}
+            for key, values, seed in (("ft", a, 0), ("base", b, 1)):
+                ws = init_random(arch, seed)
+                ws.tensors[name].flat[: values.size] = values
+                write_checkpoint(ws, paths[key])
+            tv = compute_task_vector(read_checkpoint(paths["ft"]), read_checkpoint(paths["base"]))
+            try:
+                write_task_vector(tv, paths["expect"])
+            except NonFiniteTensorError:
+                expect = None
+            else:
+                expect = {f: open(os.path.join(paths["expect"], f), "rb").read() for f in os.listdir(paths["expect"])}
+            with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy overflow warning would fail the call
+                code = main(["task-vector", "--finetuned", paths["ft"], "--base", paths["base"], "--out", paths["out"]])
+            if expect is None:
+                assert code == 1 and not os.path.exists(paths["out"])
+                assert err.getvalue() == f"error: tensor '{name}' contains non-finite values\n"
+            else:
+                assert code == 0
+                assert {f: open(os.path.join(paths["out"], f), "rb").read() for f in expect} == expect
 
 
 class TestTransport:
