@@ -236,10 +236,17 @@ def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, t
 
     def float32_records():  # one buffer: each record is written before the next is converted
         scratch = np.empty(max((rec["length"] // 4 for rec in records), default=0), dtype="<f4")
-        for (name, shape), arr in zip(shapes.items(), arrays, strict=True):
+        source, end = iter(arrays), object()
+        for name, shape in shapes.items():
+            arr = next(source, end)  # no reference to the previous array is left while this one is made
+            if arr is end:
+                raise ValueError(f"write_container got fewer arrays than its {len(shapes)} records")
             out = scratch[: math.prod(shape)].reshape(np.shape(arr))  # refuses, never broadcasts, a wrong size
             np.copyto(out, arr, casting="same_kind")
+            del arr
             yield require_finite(name, out)
+        if next(source, end) is not end:
+            raise ValueError(f"write_container got more arrays than its {len(shapes)} records")
 
     try:
         with np.errstate(over="ignore"):  # an overflow, in ``arrays`` or the cast, is an inf refused above

@@ -129,7 +129,9 @@ class CouplingGraph:
         if unknown:
             raise UnknownVariableError(f"assignment names unknown variables: {unknown}")
         for var_id, var in self.variables.items():
-            check_permutation(assignment.perms[var_id], size=var.size)
+            p = check_permutation(assignment.perms[var_id], size=var.size)
+            if var.is_attention and np.diff(p.reshape(self.arch.n_heads, -1) // self.arch.head_dim, axis=1).any():
+                raise ArchMismatchError(f"{var_id!r} mixes units across its {self.arch.n_heads} attention heads")
         for var_id, n_heads in assignment.heads.items():
             var = self.variables.get(var_id)
             if var is None or not var.is_attention or n_heads != self.arch.n_heads:

@@ -25,9 +25,9 @@ zero-reduced-cost ("tight") edges, whichever optimum the search reached; a
 second pass walks the rows in order and greedily commits the smallest tight
 column that still leaves the rest matchable, so ties always resolve to the
 lexicographically smallest optimal permutation.  That pass works only where
-the ties are: a row whose first tight column is already its own is frozen
-without a search, and a row's list of tight columns is built only when an
-alternating path enters it.
+the ties are: it returns a unique optimum at once, freezes the columns every
+optimum gives the same row, passes over rows already on their first tight
+column, and spends at most one search's work on each row it walks.
 """
 
 from __future__ import annotations
@@ -169,36 +169,33 @@ def _tight_columns(tight: list, mask: np.ndarray, row: int) -> list:
     return cols
 
 
-def _augment(start_row: int, tight: list, mask: np.ndarray, row_of: list, col_of: list,
+def _augment(start_row: int, target: int, tight: list, mask: np.ndarray, row_of: list, col_of: list,
              visited: bytearray) -> list | None:
     """Kuhn-style alternating path over tight edges from the unmatched
-    ``start_row``, skipping columns already marked in ``visited``.
+    ``start_row`` to the free column ``target``, skipping marked columns.
 
-    Depth-first in column order, like the textbook recursion, but on an
-    explicit stack so path length is not bounded by the interpreter's
-    recursion limit.  Flips the matching along the path it finds and returns
-    the rows on it; returns None, with the matching untouched, when there is
-    none.
+    Each row it enters tries ``target`` first, so on tied rows the path is
+    one step long; then it goes depth-first in column order, on an explicit
+    stack so path length is not bounded by the interpreter's recursion
+    limit.  Flips the matching along the path it finds and returns the rows
+    on it; returns None, with the matching untouched, when there is none.
     """
-    rows = [start_row]
-    cols: list[int] = []
-    scans = [iter(_tight_columns(tight, mask, start_row))]
-    while scans:
-        for j in scans[-1]:
-            if visited[j]:
-                continue
-            visited[j] = 1
-            holder = row_of[j]
-            if holder < 0:
-                cols.append(j)
+    rows, cols, scans = [start_row], [], []
+    while rows:
+        if len(scans) < len(rows):  # rows[-1] was just entered
+            if mask[rows[-1], target]:
+                cols.append(target)
                 for r, c in zip(rows, cols):
                     row_of[c] = r
                     col_of[r] = c
                 return rows
-            rows.append(holder)
-            cols.append(j)
-            scans.append(iter(_tight_columns(tight, mask, holder)))
-            break
+            scans.append(iter(_tight_columns(tight, mask, rows[-1])))
+        for j in scans[-1]:
+            if not visited[j]:
+                visited[j] = 1
+                cols.append(j)
+                rows.append(row_of[j])  # only ``target`` is free
+                break
         else:
             # Every tight column of the deepest row is spent: backtrack.
             scans.pop()
@@ -213,15 +210,30 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
 
     Operates on the bipartite graph of tight edges (reduced cost ~ 0); any
     perfect matching there is optimal, so committing the smallest feasible
-    column per row, in row order, yields the lexicographic minimum.  Only a
-    row with a tight column left of its own can move, so only such rows are
-    walked: those found at the start, and those an alternating path enters.
+    column per row, in row order, yields the lexicographic minimum.  If every
+    row has one tight column, that matching is the only one.  Otherwise a
+    row whose only unfrozen tight column is its own keeps it in every
+    perfect matching, so that column is frozen, until no row is forced (the
+    degree-one rule of the Dulmage-Mendelsohn decomposition).  Only a row
+    with an unfrozen tight column left of its own can move, so only such
+    rows are walked: those found at the start, and those a path enters.
+    A walked row's candidates share one visited set: from a column a failed
+    search marked no path reaches the freed column, and the next candidate's
+    graph differs only in that the row holds one column more, so no row
+    gains an option and the marks stay valid (Kuhn's phase argument).
     """
     n = cost.shape[0]
     scale = max(1.0, float(np.abs(cost).max()))
     mask = cost - u[:, None] - v[None, :] <= _TIGHT_RTOL * scale
-    first = mask.argmax(axis=1)  # each row's first tight column
-    pending = np.flatnonzero(first < col_of_row).tolist()  # sorted, so a heap
+    deg = np.count_nonzero(mask, axis=1)  # each row's unfrozen tight columns
+    if (deg == 1).all():
+        return col_of_row
+    frozen = np.zeros(n, dtype=bool)  # forced columns, then those of rows already walked
+    while (forced := col_of_row[deg == 1]).size:
+        frozen[forced] = True
+        deg -= np.count_nonzero(mask[:, forced], axis=1)
+    first = (mask & ~frozen).argmax(axis=1)  # each row's first unfrozen tight column
+    pending = np.flatnonzero((first < col_of_row) & (deg > 0)).tolist()  # sorted, so a heap
     first = first.tolist()
     tight = [None] * n
 
@@ -229,7 +241,6 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     row_of = [-1] * n
     for r, c in enumerate(col_of):
         row_of[c] = r
-    frozen = np.zeros(n, dtype=bool)  # columns committed to rows already walked
     walked = 0  # rows below this one hold frozen columns
 
     while pending:
@@ -239,16 +250,18 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
             continue  # queued twice, or a path moved it onto its first
         frozen[col_of[walked:i]] = True
         walked = i + 1
+        visited = bytearray(frozen)
         for j in np.flatnonzero(mask[i, :current] & ~frozen[:current]).tolist():
+            if visited[j]:
+                continue  # a failed search of this row marked it
+            visited[j] = 1  # the path may not take j back
             holder = row_of[j]
             # Tentatively hand j to row i; the displaced row must re-augment.
             col_of[i] = j
             row_of[j] = i
             row_of[current] = -1
             col_of[holder] = -1
-            visited = bytearray(frozen)  # the path may not take j back
-            visited[j] = 1
-            path = _augment(holder, tight, mask, row_of, col_of, visited)
+            path = _augment(holder, current, tight, mask, row_of, col_of, visited)
             if path is not None:
                 current = j
                 # The path's rows all come after i (earlier rows hold frozen

@@ -60,6 +60,7 @@ def transported_tensors(ws_base, tv, graph: CouplingGraph, assignment: Permutati
             out = np.multiply(next(moved), factor, dtype=np.float64)  # float64 for a float32 record too (NEP 50)
             out += ws_base[name]  # the same sum as base + out: float addition commutes
             yield out
+            del out  # the writer has copied it: free it before the next product
 
     return tensors()
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -332,6 +333,34 @@ class TestCheckpointErrors:
         with pytest.raises(ValueError, match="cannot reshape"):
             write_container(str(path), small_arch, KIND_WEIGHT_SET, small_arch.tensor_shapes(), tensors.values())
         assert not path.exists()
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["fewer", "more"])
+    def test_writer_refuses_another_number_of_arrays(self, tmp_path, small_arch, extra):
+        shapes = small_arch.tensor_shapes()
+        arrays = [np.zeros(shape) for shape in shapes.values()]
+        arrays = arrays[:-1] if extra < 0 else arrays + [np.zeros(1)]
+        path = tmp_path / "ckpt"
+        with pytest.raises(ValueError, match=("fewer" if extra < 0 else "more") + " arrays"):
+            write_container(str(path), small_arch, KIND_WEIGHT_SET, shapes, iter(arrays))
+        assert not path.exists()
+
+    def test_writer_releases_each_array_before_the_next(self, tmp_path, small_arch):
+        """While ``arrays`` computes a tensor, the writer holds no reference
+        to the one before it, so a stream holds one computed tensor at once."""
+        refs, alive = [], []
+
+        def make(shape):
+            arr = np.ones(shape)
+            refs.append(weakref.ref(arr))
+            return arr
+
+        def arrays():
+            for shape in small_arch.tensor_shapes().values():
+                alive.append(bool(refs) and refs[-1]() is not None)
+                yield make(shape)
+
+        write_container(str(tmp_path / "ckpt"), small_arch, KIND_WEIGHT_SET, small_arch.tensor_shapes(), arrays())
+        assert len(alive) == len(small_arch.tensor_shapes()) and not any(alive)
 
     def test_element_count_does_not_wrap(self, tmp_path, small_arch):
         """2**32 x 2**32 elements is 2**64, not the int64 wrap-around 0."""

@@ -725,7 +725,9 @@ class TestVerify:
         write_permutation_assignment(graph.random_assignment(np.random.default_rng(5)), perm)
         assert main(["verify", "--model", model_a, "--perm", perm]) == 0
 
-    def test_contaminated_assignment_exit_four(self, workspace):
+    def test_assignment_mixing_heads_exit_two(self, workspace):
+        """An attention vector that swaps units across two heads is no
+        symmetry of the model: refused before anything is written."""
         tmp_path, arch, ws, model_a = workspace
         graph = build_coupling_graph(arch, "compose")
         assignment = graph.random_assignment(np.random.default_rng(6))
@@ -734,7 +736,23 @@ class TestVerify:
         assignment.perms["block.0.attn"] = flat
         perm = str(tmp_path / "bad.perm")
         write_permutation_assignment(assignment, perm)
-        assert main(["verify", "--model", model_a, "--perm", perm]) == 4
+        out = str(tmp_path / "permuted")
+        assert main(["apply", "--model", model_a, "--perm", perm, "--out", out]) == 2
+        tv = str(tmp_path / "tv")
+        assert main(["task-vector", "--finetuned", model_a, "--base", model_a, "--out", tv]) == 0
+        assert main(["transport", "--base", model_a, "--task-vector", tv, "--perm", perm, "--out", out]) == 2
+        assert not os.path.exists(out)
+        assert main(["verify", "--model", model_a, "--perm", perm]) == 2
+
+    def test_zero_tolerance_exit_four(self, workspace, capsys):
+        """A valid plant leaves round-off, which ``--tol 0`` does not forgive."""
+        tmp_path, arch, ws, model_a = workspace
+        graph = build_coupling_graph(arch, "compose")
+        perm = str(tmp_path / "plant.perm")
+        write_permutation_assignment(graph.random_assignment(np.random.default_rng(6)), perm)
+        assert main(["verify", "--model", model_a, "--perm", perm, "--tol", "0"]) == 4
+        deviation = float(capsys.readouterr().out.split()[2])
+        assert deviation > 0.0
 
     def test_overflow_in_a_worker_slice_exit_one(self, tmp_path, capsys, monkeypatch):
         """Only the second of two samples overflows, in the pool's thread:

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import taskport.lap
-from conftest import brute_force_min_assignment, reference_solve_min
+from conftest import brute_force_min_assignment, reference_lex_smallest_on_tight, reference_solve_min
 from taskport.checkpoint import ArchSpec
 from taskport.coupling import apply_assignment, build_coupling_graph
-from taskport.lap import _shortest_augmenting_paths, solve_max, solve_min
+from taskport.lap import _lex_smallest_on_tight, _shortest_augmenting_paths, solve_max, solve_min
 from taskport.matching import weight_match
 from taskport.model import init_random
 
@@ -105,6 +105,44 @@ def _planted(n, seed, d=16, sigma=1.0):
     return a @ b.T, a, b
 
 
+def _pruned_planted(n, seed):
+    """``_planted``'s value matrix with 75% of the units dead on each side:
+    a quarter of the rows and a quarter of the columns are nonzero."""
+    _, a, b = _planted(n, seed)
+    rng = np.random.default_rng(seed)
+    a[rng.choice(n, 3 * n // 4, replace=False)] = 0.0
+    b[rng.choice(n, 3 * n // 4, replace=False)] = 0.0
+    return a @ b.T
+
+
+def _forced_chain(k, m, seed):
+    """0/1 costs, zero on a shuffled k-row lower triangle and on m rows that
+    tie on every column.  With zero duals the first chain row has one tight
+    column, and each column frozen leaves the next chain row one: trimming
+    runs k rounds before the m tied rows remain."""
+    n = k + m
+    c = np.ones((n, n))
+    c[np.tril_indices(k)] = 0.0
+    c[k:] = 0.0
+    rng = np.random.default_rng(seed)
+    return c[rng.permutation(n)][:, rng.permutation(n)]
+
+
+def _closed_blocks(b):
+    """0/1 costs for which, with zero duals, row 0 starts on the last column
+    and tries b candidate columns that fail before one succeeds.  Rows
+    2k+1 and 2k+2 tie on columns 2k and 2k+1 alone, so handing row 0 column
+    2k strands one of them; the last row ties on the last two columns, so
+    column 2b is row 0's.  Returns the costs and that starting assignment."""
+    n = 2 * b + 2
+    c = np.ones((n, n))
+    c[0, 0:2 * b:2] = c[0, -2:] = 0.0
+    for k in range(b):
+        c[2 * k + 1:2 * k + 3, 2 * k:2 * k + 2] = 0.0
+    c[-1, -2:] = 0.0
+    return c, np.array([n - 1, *range(n - 2), n - 2], dtype=np.int64)
+
+
 def _shared_nearest(n, seed):
     """Every row's nearest column is one of n // 3, each row at its own
     distance, so rows collide there with strict gaps to the runner-up."""
@@ -124,12 +162,22 @@ def _price_war(n, seed):
 
 
 class _SolverCounters:
-    """Counts, on ``taskport.lap``, the row-reduction queue's pops and the
-    Dijkstra loop's per-row ``key`` allocations (one per searched row)."""
+    """Counts, on ``taskport.lap``, the row-reduction queue's pops, the
+    Dijkstra loop's per-row ``key`` allocations (one per searched row), the
+    refinement's degree counts (one, plus one per trimming round) and its
+    alternating-path searches, by freed column: ``paths[target]`` lists
+    whether each search for it found a path."""
 
     def __init__(self, monkeypatch):
-        self.pops = self.searched = 0
+        self.pops = self.searched = self.degree_counts = 0
+        self.paths = collections.defaultdict(list)
         counters = self
+        augment = taskport.lap._augment
+
+        def counting_augment(start_row, target, *args):
+            path = augment(start_row, target, *args)
+            counters.paths[target].append(path is not None)
+            return path
 
         class CountingDeque(collections.deque):
             def popleft(self):
@@ -144,8 +192,13 @@ class _SolverCounters:
                 counters.searched += fill == np.inf
                 return np.full(shape, fill, *args, **kwargs)
 
+            def count_nonzero(self, *args, **kwargs):
+                counters.degree_counts += 1
+                return np.count_nonzero(*args, **kwargs)
+
         monkeypatch.setattr(taskport.lap, "deque", CountingDeque)
         monkeypatch.setattr(taskport.lap, "np", CountingNumpy())
+        monkeypatch.setattr(taskport.lap, "_augment", counting_augment)
 
 
 def _timed(fn, *args):
@@ -177,6 +230,27 @@ class TestTieHeavy:
         assert np.array_equal(np.sort(p), np.arange(1500))
         assert total == float(np.sum(c[np.arange(1500), p]))
         assert elapsed < 3.0, elapsed
+
+    def test_pruned_planted_3072(self):
+        """75% of the units dead on each side of a 3072-wide planted matrix.
+        The bound fails a refinement that searches once per candidate column
+        (8.6-9.8 s); one search per walked row takes 0.6-0.75 s."""
+        c = _pruned_planted(3072, 3072)
+        (p, value), elapsed = _timed(solve_max, c)
+        assert np.array_equal(np.sort(p), np.arange(3072))
+        assert value == float(np.sum(c[np.arange(3072), p]))
+        assert elapsed < 3.0, elapsed
+
+    def test_pruned_laps_need_no_failed_search(self, monkeypatch):
+        """Trimming leaves the refinement of a pruned LAP only rows that can
+        move: every alternating-path search it runs succeeds."""
+        block = _zero_block(448, 112, 448)
+        laps = _pruned_tie_laps(monkeypatch) + [block, -block]
+        counters = _SolverCounters(monkeypatch)
+        for c in laps:
+            solve_min(c)
+        failed = sum(found.count(False) for found in counters.paths.values())
+        assert counters.paths and failed == 0, failed
 
     def test_pruned_zero_block_448(self):
         """75% of 448 units dead: only a 112 x 112 block is nonzero."""
@@ -315,6 +389,21 @@ def _noisy_nonzero(ws, sigma, rng):
     return out
 
 
+def _pruned_tie_laps(monkeypatch):
+    """The LAPs of a tie-mode match with 75% of the hidden units dead, so
+    the hidden LAPs are tie-heavy."""
+    arch = ArchSpec(1, 4, 16, 96, 6, 3)
+    rng = np.random.default_rng(32)
+    ws = init_random(arch, 32)
+    dead = rng.choice(96, size=72, replace=False)
+    ws.tensors["block.0.mlp.fc1.weight"][dead, :] = 0.0
+    ws.tensors["block.0.mlp.fc1.bias"][dead] = 0.0
+    ws.tensors["block.0.mlp.fc2.weight"][:, dead] = 0.0
+    graph = build_coupling_graph(arch, "tie", pin_embedding=False)
+    ws_b = _noisy_nonzero(apply_assignment(ws, graph, graph.random_assignment(rng)), 0.01, rng)
+    return _captured_laps(monkeypatch, ws, ws_b, graph)
+
+
 class TestAgainstReference:
     """Every LAP of a real match gives what the pinned earlier solver gives:
     the same permutation and the same total, bit for bit."""
@@ -372,19 +461,42 @@ class TestAgainstReference:
         self._check(_captured_laps(monkeypatch, ws, ws_b, graph))
 
     def test_pruned_tie_match(self, monkeypatch):
-        """75% of the hidden units dead, so the hidden LAPs are tie-heavy."""
-        arch = ArchSpec(1, 4, 16, 96, 6, 3)
-        rng = np.random.default_rng(32)
-        ws = init_random(arch, 32)
-        dead = rng.choice(96, size=72, replace=False)
-        ws.tensors["block.0.mlp.fc1.weight"][dead, :] = 0.0
-        ws.tensors["block.0.mlp.fc1.bias"][dead] = 0.0
-        ws.tensors["block.0.mlp.fc2.weight"][:, dead] = 0.0
-        graph = build_coupling_graph(arch, "tie", pin_embedding=False)
-        ws_b = _noisy_nonzero(apply_assignment(ws, graph, graph.random_assignment(rng)), 0.01, rng)
-        captured = _captured_laps(monkeypatch, ws, ws_b, graph)
+        captured = _pruned_tie_laps(monkeypatch)
         assert any(c.shape[0] == 96 for c in captured)
         self._check(captured)
+
+    @staticmethod
+    def _refine_with_zero_duals(monkeypatch, c, col_of_row):
+        """The refinement of ``c``, a 0/1 matrix whose zeros hold the perfect
+        matching ``col_of_row``, with zero duals, so the tight edges are the
+        zeros.  Checked against the reference refinement, the whole solver,
+        and brute force where n <= 7; returns the refinement's counters."""
+        zero = np.zeros(c.shape[0])
+        counters = _SolverCounters(monkeypatch)
+        p = _lex_smallest_on_tight(c, col_of_row, zero, zero)
+        monkeypatch.undo()
+        assert np.array_equal(p, reference_lex_smallest_on_tight(c, col_of_row, zero, zero))
+        assert np.array_equal(p, solve_min(c)[0])
+        if c.shape[0] <= 7:
+            assert np.array_equal(p, brute_force_min_assignment(c)[0])
+        return counters
+
+    @pytest.mark.parametrize("k, m, seed", [(5, 2, 0), (4, 3, 1), (30, 10, 2)])
+    def test_trimming_along_forced_chains(self, monkeypatch, k, m, seed):
+        """One trimming round per chain row, then the tied rows are walked."""
+        c = _forced_chain(k, m, seed)
+        counters = self._refine_with_zero_duals(monkeypatch, c, _shortest_augmenting_paths(c)[0])
+        assert counters.degree_counts == 1 + k
+        self._check([c, -c])
+
+    @pytest.mark.parametrize("b", [2, 5])
+    def test_failing_candidates_before_one_succeeds(self, monkeypatch, b):
+        """Row 0 searches in vain once per closed block, then finds the path
+        that frees column 2b."""
+        c, start = _closed_blocks(b)
+        counters = self._refine_with_zero_duals(monkeypatch, c, start)
+        assert counters.paths[start[0]] == [False] * b + [True]
+        self._check([c, -c])
 
 
 class TestSolveMax:

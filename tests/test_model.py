@@ -164,9 +164,12 @@ class TestEquivalence:
             verify_equivalence(ws, graph, graph.identity_assignment(), n_samples=0)
 
     def test_contaminated_attention_fails(self, toy_arch, monkeypatch):
-        """At every slice count: one failing slice fails the whole check."""
+        """At every slice count: one failing slice fails the whole check.
+        The graph's refusal of a vector that mixes heads is switched off, so
+        that the numerical check alone judges it."""
         ws = init_random(toy_arch, 15)
         graph = build_coupling_graph(toy_arch, "compose")
+        monkeypatch.setattr(graph, "check_assignment", lambda assignment: None)
         assignment = graph.random_assignment(np.random.default_rng(16))
         flat = assignment.perms["block.0.attn"].copy()
         d_k = toy_arch.head_dim
