@@ -99,8 +99,11 @@ def _read_alpha(args) -> float | list[float]:
     held to the rule of ``--alpha``."""
     if args.alpha_file is None:
         return args.alpha
-    with open(args.alpha_file, "r", encoding="utf-8") as f:
-        lines = [line.strip() for line in f if line.strip()]
+    try:
+        with open(args.alpha_file, "r", encoding="utf-8") as f:
+            lines = [line.strip() for line in f if line.strip()]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"--alpha-file {args.alpha_file}: not UTF-8 text: {e}") from None
     try:
         return [_finite_nonnegative(line) for line in lines]
     except argparse.ArgumentTypeError as e:

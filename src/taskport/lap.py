@@ -223,8 +223,11 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     gains an option and the marks stay valid (Kuhn's phase argument).
     """
     n = cost.shape[0]
-    scale = max(1.0, float(np.abs(cost).max()))
-    mask = cost - u[:, None] - v[None, :] <= _TIGHT_RTOL * scale
+    scale = max(1.0, -float(cost.min()), float(cost.max()))
+    red = cost - u[:, None]  # the reduced costs, formed without a second temporary
+    red -= v
+    mask = red <= _TIGHT_RTOL * scale
+    del red
     deg = np.count_nonzero(mask, axis=1)  # each row's unfrozen tight columns
     if (deg == 1).all():
         return col_of_row

@@ -48,17 +48,17 @@ def _value_matrix(
     (i, j) is the objective's gain from gathering A's unit j into B's unit i.
     Sums B W-tilde^T over row couplings and B^T W-tilde over column couplings
     (W-tilde carries the fixed neighbors); 1-D tensors are never priced."""
-    size = graph.variables[var_id].size
-    value = np.zeros((size, size))
+    value = None  # every variable indexes a 2-D tensor, so the first product starts the sum
     for app in graph.applications_of(var_id):
         if ws_a[app.tensor].ndim != 2:
             continue
         tilde = permuted_tensor(ws_a, graph, assignment, app.tensor, var_id)
         b = ws_b[app.tensor]
-        if app.axis is Axis.ROWS:
-            value += b @ tilde.T
+        term = b @ tilde.T if app.axis is Axis.ROWS else b.T @ tilde
+        if value is None:
+            value = term
         else:
-            value += b.T @ tilde
+            value += term
     return value
 
 

@@ -20,9 +20,10 @@ alike; only the per-head score and value products stay batched by sample.
 The forward pass reuses buffers in place (scores, ReLU, residual sums,
 LayerNorm input) in the same operation order, so results stay bit-identical;
 without a training cache it also drops each activation once no later step
-reads it.  ``verify_equivalence`` runs one contiguous batch slice per usable
-core on threads: numpy releases the interpreter lock inside its BLAS
-products and ufunc loops.
+reads it.  ``verify_equivalence`` cuts its batch into contiguous slices of at
+most 128 samples, so its activations do not grow with the sample count, and
+runs them on one thread per usable core: numpy releases the interpreter lock
+inside its BLAS products and ufunc loops.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .perms import PermutationAssignment
 
 _LN_EPS = 1e-5
 _VERIFY_SEQ_LEN = 8  # tokens per random input of ``verify_equivalence``
+_SLICE_SAMPLES = 128  # most samples in one ``verify_equivalence`` slice: 1,024 token rows
 _BLOB_SPREAD = 3.0  # scale of the class means of ``make_blob_batch``
 
 
@@ -353,10 +355,12 @@ def verify_equivalence(
     requires (identities in tie mode).  The classifier's column coupling
     undoes the final stream permutation, so outputs must agree directly.
 
-    The batch is cut into one contiguous slice per usable core (at most one
-    per sample).  The calling thread runs the first slice and a pool opened
-    for this call runs the others; the deviation is the maximum over the
-    slices, and an error in any slice is raised here.
+    The batch is cut into ``max(ceil(n / 128), min(n, cores))`` contiguous
+    slices, so no slice holds more than 128 samples, and up to 128 * cores
+    samples give one slice per usable core.  Each of ``min(slices, cores)``
+    threads runs one contiguous run of slices: the calling thread the first,
+    a pool opened for this call the others.  The deviation is the maximum
+    over the slices, and an error in any slice is raised here.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -370,14 +374,20 @@ def verify_equivalence(
         out -= forward(ws, x)
         return float(np.max(np.abs(out)))
 
-    slices = np.array_split(X, min(n_samples, _usable_cores()))
-    if len(slices) == 1:
-        devs = [deviation(X)]
+    cores = _usable_cores()
+    slices = np.array_split(X, max(-(-n_samples // _SLICE_SAMPLES), min(n_samples, cores)))
+    runs = np.array_split(np.arange(len(slices)), min(len(slices), cores))
+
+    def deviations(run: np.ndarray) -> list[float]:
+        return [deviation(slices[k]) for k in run]
+
+    if len(runs) == 1:
+        devs = deviations(runs[0])
     else:
-        with ThreadPoolExecutor(len(slices) - 1) as pool:
-            # Each slice runs under the caller's numpy error state.
-            futures = [pool.submit(contextvars.copy_context().run, deviation, x) for x in slices[1:]]
-            devs = [deviation(slices[0])] + [f.result() for f in futures]
+        with ThreadPoolExecutor(len(runs) - 1) as pool:
+            # Each run goes under the caller's numpy error state.
+            futures = [pool.submit(contextvars.copy_context().run, deviations, run) for run in runs[1:]]
+            devs = deviations(runs[0]) + [d for f in futures for d in f.result()]
     max_dev = float(np.max(devs))  # a nan deviation stays nan and fails
     return EquivalenceReport(max_dev=max_dev, tol=tol, passed=max_dev <= tol)
 

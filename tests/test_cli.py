@@ -403,6 +403,20 @@ class TestTransport:
             )
             assert not os.path.exists(out)
 
+    def test_alpha_file_not_utf8_names_flag_and_path(self, tmp_path, capsys):
+        """An ``--alpha-file`` that is not UTF-8 exits 1 with one error line
+        naming the flag and the path; the checkpoint paths here do not exist."""
+        alpha_file = tmp_path / "alphas.txt"
+        alpha_file.write_bytes(b"\xff1.0\n")
+        out = str(tmp_path / "out")
+        code = main(["transport", "--base", str(tmp_path / "no_base"), "--task-vector",
+                     str(tmp_path / "no_tv"), "--perm", str(tmp_path / "no.perm"), "--out", out,
+                     "--alpha-file", str(alpha_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --alpha-file {alpha_file}: not UTF-8 text: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("alpha", ["1.0", "0.5"])
     def test_alpha_with_alpha_file_refused_before_reading(self, tmp_path, capsys, alpha):
         """Both scalings at once is a usage error, even when ``--alpha`` spells

@@ -182,14 +182,17 @@ class TestEquivalence:
 
 
 class TestEquivalenceSlices:
-    """``verify_equivalence`` runs one batch slice per usable core."""
+    """``verify_equivalence`` cuts its batch into slices of at most 128
+    samples, one per usable core while that suffices, and runs one
+    contiguous run of slices per thread."""
 
     @pytest.mark.parametrize("mode", ["compose", "tie"])
-    @pytest.mark.parametrize("n_samples", [1, 2, 7])
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, 129, 300])
     def test_verdict_and_deviation_at_every_slice_count(self, toy_arch, monkeypatch,
                                                          mode, n_samples):
-        """k = 1, 2, 3 slices, including one sample and fewer samples than
-        cores, give the same verdict within float64 noise."""
+        """1 to 3 cores, including one sample, fewer samples than cores and
+        more samples than 128 per core (2 or 3 slices on one thread, 3
+        slices on 2 threads), give the same verdict within float64 noise."""
         ws = init_random(toy_arch, 59)
         graph = build_coupling_graph(toy_arch, mode, pin_embedding=False)
         assignment = graph.random_assignment(np.random.default_rng(60))
@@ -199,27 +202,45 @@ class TestEquivalenceSlices:
             assert report.passed and report.max_dev <= 1e-12, (cores, report.max_dev)
 
     def test_slices_are_cut_per_usable_core_and_sample(self, toy_arch, monkeypatch):
-        """min(n_samples, cores) slices; only slices past the first start a
-        thread, and every thread is gone when the call returns."""
+        """``max(ceil(n / 128), min(n, cores))`` contiguous slices, split
+        into ``min(slices, cores)`` contiguous runs: the calling thread runs
+        the first run, a pool as large as the other runs the rest, and every
+        thread is gone when the call returns.  Up to 128 samples per core,
+        that is one slice per core (at most one per sample)."""
         ws = init_random(toy_arch, 61)
         graph = build_coupling_graph(toy_arch, "compose")
         seen: list = []
-        original = model_mod.forward
+        pools: list = []
+        original_forward, original_pool = model_mod.forward, model_mod.ThreadPoolExecutor
 
         def spy(ws_, x, residual_perms=None):
-            seen.append((len(x), threading.current_thread() is threading.main_thread()))
-            return original(ws_, x, residual_perms)
+            start = int(np.flatnonzero((X == x[0]).all(axis=(1, 2)))[0])
+            seen.append((start, len(x), threading.current_thread() is threading.main_thread()))
+            return original_forward(ws_, x, residual_perms)
+
+        def pool_spy(max_workers):
+            pools.append(max_workers)
+            return original_pool(max_workers)
 
         monkeypatch.setattr(model_mod, "forward", spy)
-        for cores, n_samples, sizes in ((1, 5, [5]), (2, 5, [3, 2]), (3, 7, [3, 2, 2]), (3, 2, [1, 1]),
-                                        (4, 1, [1])):
+        monkeypatch.setattr(model_mod, "ThreadPoolExecutor", pool_spy)
+        # cores, samples, slice sizes, slices on the calling thread, pool threads
+        for cores, n_samples, sizes, on_caller, workers in (
+            (1, 5, [5], 1, 0), (2, 5, [3, 2], 1, 1), (3, 7, [3, 2, 2], 1, 2), (3, 2, [1, 1], 1, 1),
+            (4, 1, [1], 1, 0), (2, 256, [128, 128], 1, 1), (1, 129, [65, 64], 2, 0),
+            (2, 300, [100, 100, 100], 2, 1), (3, 400, [100] * 4, 2, 2), (2, 1000, [125] * 8, 4, 1),
+        ):
+            X = np.random.default_rng(0).normal(size=(n_samples, 8, toy_arch.input_dim))  # verify's inputs
             monkeypatch.setattr(model_mod, "_usable_cores", lambda: cores)
             seen.clear()
+            pools.clear()
             before = threading.active_count()
             verify_equivalence(ws, graph, graph.identity_assignment(), n_samples=n_samples)
             assert threading.active_count() == before
-            assert sorted(n for n, _ in seen) == sorted(2 * sizes)
-            assert sum(main for _, main in seen) == 2  # slice 0, both models
+            starts = np.cumsum([0] + sizes[:-1]).tolist()
+            assert sorted((start, n) for start, n, _ in seen) == sorted(2 * list(zip(starts, sizes)))
+            assert sorted(start for start, _, main in seen if main) == sorted(2 * starts[:on_caller])
+            assert pools == ([workers] if workers else [])
 
     def test_overflow_in_a_worker_slice_is_raised(self, monkeypatch):
         """Only the second of two samples overflows, so the error starts in
