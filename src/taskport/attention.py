@@ -45,21 +45,12 @@ def inter_head_distance_matrix(heads_b, heads_a) -> np.ndarray:
     Each argument is a (q, k, v) triple of (H, d_k, d') head stacks; the
     spectra of a whole stack come from one batched SVD.
     """
-    hb_q, hb_k, hb_v = heads_b
-    ha_q, ha_k, ha_v = heads_a
-    n_heads = hb_q.shape[0]
-    if ha_q.shape != hb_q.shape:
-        raise ValueError(f"head tensors disagree: {ha_q.shape} vs {hb_q.shape}")
-    spectra_b = [singular_values(m) for m in (hb_q, hb_k, hb_v)]
-    spectra_a = [singular_values(m) for m in (ha_q, ha_k, ha_v)]
-    d = np.zeros((n_heads, n_heads))
-    for i in range(n_heads):
-        for j in range(n_heads):
-            d[i, j] = sum(
-                float(np.sum((spectra_b[m][i] - spectra_a[m][j]) ** 2) ** 0.5)
-                for m in range(3)
-            )
-    return d
+    if heads_a[0].shape != heads_b[0].shape:
+        raise ValueError(f"head tensors disagree: {heads_a[0].shape} vs {heads_b[0].shape}")
+    s_b = np.stack([singular_values(m) for m in heads_b])  # (3, H, k)
+    s_a = np.stack([singular_values(m) for m in heads_a])
+    d = s_b[:, :, None, :] - s_a[:, None, :, :]  # (3, H_b, H_a, k)
+    return np.sqrt(np.sum(d * d, axis=-1)).sum(axis=0)
 
 
 def pair_heads(

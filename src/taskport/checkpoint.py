@@ -23,7 +23,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 
@@ -192,19 +191,18 @@ def atomic_write(path: str, data: bytes | str | Iterable) -> None:
     """Replace ``path`` with ``data`` - text (stored as UTF-8), bytes, or an
     iterable of bytes-like chunks written in order - by renaming a uniquely
     named temporary file in its directory; the temporary file is removed if
-    the write, the iteration or the rename fails."""
+    the write, the iteration or the rename fails.  It is created with
+    ``open()``'s mode, 0666 less the umask, which the kernel applies."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     if isinstance(data, (bytes, bytearray, memoryview)):
         data = (data,)
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in data:
                 f.write(chunk)
-        umask = os.umask(0)  # mkstemp makes the file 0600; give it open()'s mode
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -11,7 +11,10 @@ permute a weight set without changing its function:
 
 The graph is a policy over the one tensor table, ``ArchSpec.tensor_axes()``:
 every axis it labels with a hidden-unit set gets one application, and the
-residual mode decides which variable owns each set.
+residual mode decides which variable owns each set.  From the applications
+the graph builds one per-tensor wiring table, ``axes`` and its 2-D part
+``matrices``, and every reader - the index moves, the matcher and the skip
+permutations - uses that table.
 
 ``permuted_tensor`` is the one place that rule is turned into index moves:
 the matcher's value matrices go through it, and so does ``permuted_tensors``,
@@ -29,7 +32,7 @@ shared variable, so the permuted model keeps plain identity skips.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,28 +74,25 @@ class Application:
 
 @dataclass
 class CouplingGraph:
+    """The variables and their applications, read through one wiring table
+    built from them: ``axes[tensor]`` names, for every tensor of
+    ``arch.tensor_axes()`` in manifest order, the variable acting on each
+    axis (``None`` where the axis is fixed); ``matrices`` holds its 2-D
+    entries as ``(row variable, column variable)``."""
+
     arch: ArchSpec
     residual_mode: str
     variables: dict[str, PermutationVariable]
     applications: list[Application]
     pinned: frozenset[str]
-    _by_tensor: dict[str, list[Application]] = field(default_factory=dict, repr=False)
-    _by_variable: dict[str, list[Application]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self._by_tensor = {}
-        self._by_variable = {}
-        for app in self.applications:
-            self._by_tensor.setdefault(app.tensor, []).append(app)
-            self._by_variable.setdefault(app.variable, []).append(app)
+        owner = {(app.tensor, app.axis): app.variable for app in self.applications}
+        self.axes = {name: tuple(owner.get((name, axis)) for axis, _ in zip(Axis, shape))
+                     for name, shape, _ in self.arch.tensor_axes()}
+        self.matrices = {name: owners for name, owners in self.axes.items() if len(owners) == 2}
 
     # -- structure queries ---------------------------------------------------
-
-    def applications_on(self, tensor: str) -> list[Application]:
-        return self._by_tensor.get(tensor, [])
-
-    def applications_of(self, variable: str) -> list[Application]:
-        return self._by_variable.get(variable, [])
 
     def free_variables(self) -> list[str]:
         return [v for v in self.variables if v not in self.pinned]
@@ -147,17 +147,12 @@ class CouplingGraph:
         its attention output and p_w2 the rows of fc2.  In tie mode all three
         are the one stream variable, so both skips are identities.
         """
-
-        def perm(tensor: str, axis: Axis) -> Perm:
-            var_id = next(a.variable for a in self.applications_on(tensor) if a.axis is axis)
-            return assignment.perms[var_id]
-
         perms = []
         for i in range(self.arch.n_blocks):
             b = f"block.{i}"
-            p_in = perm(f"{b}.attn.q.weight", Axis.COLS)
-            p_w0 = perm(f"{b}.attn.out.weight", Axis.ROWS)
-            p_w2 = perm(f"{b}.mlp.fc2.weight", Axis.ROWS)
+            p_in = assignment.perms[self.matrices[f"{b}.attn.q.weight"][1]]
+            p_w0 = assignment.perms[self.matrices[f"{b}.attn.out.weight"][0]]
+            p_w2 = assignment.perms[self.matrices[f"{b}.mlp.fc2.weight"][0]]
             skip_attn = compose(inverse(p_in), p_w0)
             skip_mlp = compose(inverse(p_w0), p_w2)
             perms.append((skip_attn, skip_mlp))
@@ -225,14 +220,14 @@ def permuted_tensor(
     next such call overwrites; only a checked assignment may be given one.
     """
     arr = ws[name]
-    apps = [app for app in graph.applications_on(name) if app.variable != skip_variable]
-    for k, app in enumerate(apps):
-        last = scratch is not None and k == len(apps) - 1
+    moves = [(axis, var) for axis, var in enumerate(graph.axes[name]) if var is not None and var != skip_variable]
+    for k, (axis, var) in enumerate(moves):
+        last = scratch is not None and k == len(moves) - 1
         if last and scratch.get(arr.dtype, np.empty(0)).size < arr.size:
             scratch[arr.dtype] = np.empty(arr.size, arr.dtype)
         out = scratch[arr.dtype][: arr.size].reshape(arr.shape) if last else None
-        axis = 0 if app.axis is Axis.ROWS else 1  # "clip" fills ``out`` in place; "raise" would buffer a copy
-        arr = np.take(arr, assignment.perms[app.variable], axis=axis, out=out, mode="raise" if out is None else "clip")
+        # "clip" fills ``out`` in place; "raise" would buffer a copy
+        arr = np.take(arr, assignment.perms[var], axis=axis, out=out, mode="raise" if out is None else "clip")
     return arr
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .attention import align_within_heads, pair_heads
 from .checkpoint import WeightSet, require_finite, require_same_arch
-from .coupling import Axis, CouplingGraph, permuted_tensor
+from .coupling import CouplingGraph, permuted_tensor
 from .lap import solve_max
 from .perms import Perm, PermutationAssignment
 
@@ -49,12 +49,11 @@ def _value_matrix(
     Sums B W-tilde^T over row couplings and B^T W-tilde over column couplings
     (W-tilde carries the fixed neighbors); 1-D tensors are never priced."""
     value = None  # every variable indexes a 2-D tensor, so the first product starts the sum
-    for app in graph.applications_of(var_id):
-        if ws_a[app.tensor].ndim != 2:
+    for name, (rows, cols) in graph.matrices.items():
+        if var_id not in (rows, cols):
             continue
-        tilde = permuted_tensor(ws_a, graph, assignment, app.tensor, var_id)
-        b = ws_b[app.tensor]
-        term = b @ tilde.T if app.axis is Axis.ROWS else b.T @ tilde
+        tilde = permuted_tensor(ws_a, graph, assignment, name, var_id)
+        term = ws_b[name] @ tilde.T if rows == var_id else ws_b[name].T @ tilde
         if value is None:
             value = term
         else:
@@ -62,16 +61,11 @@ def _value_matrix(
     return value
 
 
-def _neighbours(var_id: str, ws: WeightSet, graph: CouplingGraph) -> list[str]:
+def _neighbours(var_id: str, graph: CouplingGraph) -> list[str]:
     """The other variables acting on one of ``var_id``'s 2-D tensors: the
     only permutations its value matrix reads."""
-    found: list[str] = []
-    for app in graph.applications_of(var_id):
-        if ws[app.tensor].ndim == 2:
-            for other in graph.applications_on(app.tensor):
-                if other.variable != var_id and other.variable not in found:
-                    found.append(other.variable)
-    return found
+    owners = (v for pair in graph.matrices.values() if var_id in pair for v in pair)
+    return list(dict.fromkeys(v for v in owners if v not in (None, var_id)))
 
 
 def solve_plain_variable(
@@ -110,11 +104,12 @@ def matching_objective(
     """Sum of Frobenius inner products between B's weight matrices and the
     fully permuted A, one tensor at a time in canonical order.  Biases and
     layernorm vectors stay out, matching the per-variable value matrices."""
+    require_same_arch(ws_a.arch, ws_b.arch, "models to score")
+    require_same_arch(ws_a.arch, graph.arch, "model and coupling graph")
     graph.check_assignment(assignment)
     total = 0.0
-    for name, arr in ws_a.tensors.items():
-        if arr.ndim == 2:
-            total += float(np.sum(ws_b[name] * permuted_tensor(ws_a, graph, assignment, name)))
+    for name in graph.matrices:
+        total += float(np.sum(ws_b[name] * permuted_tensor(ws_a, graph, assignment, name)))
     return total
 
 
@@ -154,7 +149,7 @@ def weight_match(
     for var_id in free:
         if graph.variables[var_id].is_attention:
             # the matrices whose rows the variable permutes, in graph order: q, k, v
-            qkv = [a.tensor for a in graph.applications_of(var_id) if a.axis is Axis.ROWS and ws_a[a.tensor].ndim == 2]
+            qkv = [name for name, (rows, _) in graph.matrices.items() if rows == var_id]
             pairings[var_id] = pair_heads(
                 tuple(ws_a[name] for name in qkv),
                 tuple(ws_b[name] for name in qkv),
@@ -162,7 +157,7 @@ def weight_match(
             )
             assignment.heads[var_id] = graph.arch.n_heads
 
-    neighbours = {var_id: _neighbours(var_id, ws_a, graph) for var_id in free}
+    neighbours = {var_id: _neighbours(var_id, graph) for var_id in free}
     version = dict.fromkeys(graph.variables, 0)  # how often each variable changed
     solved_at: dict[str, tuple[int, ...]] = {}  # neighbour versions at the last solve
 
@@ -209,6 +204,8 @@ def recovery_fraction(
     graph: CouplingGraph,
 ) -> float:
     """Fraction of permuted indices of the free variables recovered exactly."""
+    graph.check_assignment(recovered)
+    graph.check_assignment(planted)
     total = 0
     hits = 0
     for var_id in graph.free_variables():

@@ -106,6 +106,21 @@ class TestSpectralHeadDistance:
 
 
 class TestInterHeadDistanceMatrix:
+    def test_matches_per_pair_loop(self):
+        """The broadcast against a loop over head pairs: the sums of squares
+        agree bit for bit, and each square root may differ from the scalar
+        ``** 0.5`` in its last bit, so three terms stay within 4 ulp."""
+        rng = np.random.default_rng(11)
+        heads_b, heads_a = (tuple(split_heads(w, 4) for w in _random_qkv(rng, 16)) for _ in range(2))
+        spectra_b = [np.linalg.svd(h, compute_uv=False) for h in heads_b]
+        spectra_a = [np.linalg.svd(h, compute_uv=False) for h in heads_a]
+        loop = np.array([
+            [sum(float(np.sum((sb[i] - sa[j]) ** 2) ** 0.5) for sb, sa in zip(spectra_b, spectra_a)) for j in range(4)]
+            for i in range(4)
+        ])
+        d = inter_head_distance_matrix(heads_b, heads_a)
+        np.testing.assert_allclose(d, loop, rtol=4 * np.finfo(np.float64).eps, atol=0)
+
     def test_self_comparison_zero_diagonal_identity_solution(self):
         rng = np.random.default_rng(3)
         qkv = _random_qkv(rng, 16)

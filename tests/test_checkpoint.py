@@ -588,6 +588,19 @@ class TestAtomicWrite:
         assert (tmp_path / "b").read_bytes() == b"\x00\xff"
         assert os.stat(tmp_path / "t").st_mode & 0o777 == 0o666 & ~umask
 
+    def test_process_umask_left_alone(self, tmp_path, monkeypatch, small_arch):
+        """The umask is process-wide: setting it, even for a moment, gives
+        whatever another thread creates meanwhile the wrong mode."""
+
+        def refuse(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        atomic_write(str(tmp_path / "t"), "x\n")
+        write_checkpoint(_random_weight_set(small_arch, 6), str(tmp_path / "ckpt"))
+        assert (tmp_path / "t").read_text(encoding="utf-8") == "x\n"
+        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["manifest.json", "tensors.bin"]
+
     def test_failed_rename_keeps_target_and_removes_temp(self, tmp_path, monkeypatch):
         target = tmp_path / "report.txt"
         target.write_text("old\n")

@@ -1,5 +1,6 @@
 """Coupling-graph construction and assignment application."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -143,13 +144,11 @@ class TestGraphConstruction:
     def test_classifier_rows_never_permuted(self, toy_arch):
         for mode in ("compose", "tie"):
             graph = build_coupling_graph(toy_arch, mode)
-            for app in graph.applications_on("head.weight"):
-                assert app.axis is Axis.COLS
+            assert all(app.axis is Axis.COLS for app in graph.applications if app.tensor == "head.weight")
 
     def test_model_input_columns_never_permuted(self, toy_arch):
         graph = build_coupling_graph(toy_arch, "compose")
-        for app in graph.applications_on("embed.weight"):
-            assert app.axis is Axis.ROWS
+        assert all(app.axis is Axis.ROWS for app in graph.applications if app.tensor == "embed.weight")
 
     def test_every_axis_single_owner(self, toy_arch):
         for mode in ("compose", "tie"):
@@ -160,6 +159,23 @@ class TestGraphConstruction:
                 assert key not in seen, f"{key} wired twice"
                 seen.add(key)
 
+    @pytest.mark.parametrize("layernorm", [False, True])
+    def test_wiring_table_replays_the_applications(self, toy_arch, layernorm):
+        """``axes`` lists every tensor in manifest order with one entry per
+        axis, holding the application's variable or None; ``matrices`` is
+        its 2-D part."""
+        arch = dataclasses.replace(toy_arch, has_layernorm=layernorm)
+        for mode in ("compose", "tie"):
+            graph = build_coupling_graph(arch, mode)
+            shapes = arch.tensor_shapes()
+            assert list(graph.axes) == list(shapes)
+            expect = {name: [None] * len(shape) for name, shape in shapes.items()}
+            for app in graph.applications:
+                expect[app.tensor][0 if app.axis is Axis.ROWS else 1] = app.variable
+            assert graph.axes == {name: tuple(owners) for name, owners in expect.items()}
+            assert graph.matrices == {name: graph.axes[name] for name, shape in shapes.items() if len(shape) == 2}
+            assert list(graph.matrices) == [name for name in shapes if len(shapes[name]) == 2]
+
     def test_pinning_flag(self, toy_arch):
         assert "embed.out" in build_coupling_graph(toy_arch, "compose").pinned
         graph = build_coupling_graph(toy_arch, "compose", pin_embedding=False)
@@ -169,8 +185,8 @@ class TestGraphConstruction:
         graph = build_coupling_graph(toy_arch, "compose")
         cols_of_q1 = [
             app
-            for app in graph.applications_on("block.1.attn.q.weight")
-            if app.axis is Axis.COLS
+            for app in graph.applications
+            if app.tensor == "block.1.attn.q.weight" and app.axis is Axis.COLS
         ]
         assert cols_of_q1[0].variable == "block.0.mlp_out"
 
@@ -294,7 +310,7 @@ class TestApplyAssignment:
                 out = apply_assignment(ws, graph, assignment)
                 for name, arr in ws.tensors.items():
                     expect = arr.copy()
-                    for app in graph.applications_on(name):
+                    for app in [a for a in graph.applications if a.tensor == name]:
                         p = dense_perm_matrix(assignment.perms[app.variable])
                         if expect.ndim == 1:
                             expect = p @ expect
@@ -325,11 +341,11 @@ class TestApplyAssignment:
         full = apply_assignment(ws, graph, assignment)
         pairs = 0
         for name in ws.tensors:
-            for var_id in {app.variable for app in graph.applications_on(name)}:
+            for var_id in {app.variable for app in graph.applications if app.tensor == name}:
                 got = permuted_tensor(ws, graph, assignment, name, skip_variable=var_id)
                 p = assignment.perms[var_id]
-                for app in graph.applications_on(name):
-                    if app.variable == var_id:
+                for app in graph.applications:
+                    if app.tensor == name and app.variable == var_id:
                         got = got[p] if app.axis is Axis.ROWS else got[:, p]
                 np.testing.assert_array_equal(got, full[name])
                 pairs += 1

@@ -9,7 +9,7 @@ import pytest
 import taskport.matching
 from conftest import reference_weight_match
 from taskport.coupling import CouplingGraph, apply_assignment, build_coupling_graph
-from taskport.errors import ArchMismatchError, NonFiniteTensorError
+from taskport.errors import ArchMismatchError, NonFiniteTensorError, TaskportError, UnknownVariableError
 from taskport.matching import (
     matching_objective,
     recovery_fraction,
@@ -18,7 +18,7 @@ from taskport.matching import (
     weight_match,
 )
 from taskport.checkpoint import ArchSpec
-from taskport.model import init_random
+from taskport.model import init_random, verify_equivalence
 from taskport.perms import join_heads
 
 
@@ -72,6 +72,38 @@ class TestObjective:
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert np.isfinite(obj) and np.isfinite(obj_joint)
+
+    def test_models_of_another_arch_rejected(self, toy_arch):
+        a = init_random(toy_arch, 8)
+        wide = dataclasses.replace(toy_arch, mlp_hidden=2 * toy_arch.mlp_hidden)
+        b = init_random(wide, 9)
+        graph = build_coupling_graph(toy_arch, "compose")
+        wide_graph = build_coupling_graph(wide, "compose")
+        with pytest.raises(ArchMismatchError, match="models to score"):
+            matching_objective(a, b, graph.identity_assignment(), graph)
+        with pytest.raises(ArchMismatchError, match="model and coupling graph"):
+            matching_objective(b, b, wide_graph.identity_assignment(), graph)
+        with pytest.raises(ArchMismatchError, match="model and coupling graph"):
+            matching_objective(a, a, graph.identity_assignment(), wide_graph)
+
+
+class TestRecoveryFraction:
+    def test_assignments_checked_against_the_graph(self, toy_arch):
+        """Assignments of another graph raise a TaskportError, not numpy's
+        broadcast error or a KeyError."""
+        graph = build_coupling_graph(toy_arch, "compose")
+        ident = graph.identity_assignment()
+        wide = build_coupling_graph(dataclasses.replace(toy_arch, mlp_hidden=2 * toy_arch.mlp_hidden), "compose")
+        tie = build_coupling_graph(toy_arch, "tie")
+        for other in (wide.identity_assignment(), tie.identity_assignment()):
+            for args in ((other, ident), (ident, other)):
+                with pytest.raises(TaskportError):
+                    recovery_fraction(*args, graph)
+        extra = graph.identity_assignment()
+        extra.perms["stream"] = np.arange(toy_arch.embed_dim)
+        with pytest.raises(UnknownVariableError):
+            recovery_fraction(ident, extra, graph)
+        assert recovery_fraction(ident, ident, graph) == 1.0
 
 
 class TestPlainVariableSolve:
@@ -313,3 +345,43 @@ class TestSkipRule:
         assert (result.n_sweeps, visits) == (6, 48)
         assert len(solves) == 29
 
+
+
+DEEP = ArchSpec(n_blocks=4, n_heads=4, embed_dim=64, mlp_hidden=128, input_dim=16, output_dim=10)
+TIE_STALL = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: from the identity start, tie mode's shared stream variable "
+    "stalls after 2 sweeps at recovery 0.044",
+)
+
+
+class TestDepth:
+    """Four blocks, both residual modes, with and without layernorm: a
+    planted assignment plus 1% noise on the nonzero weights."""
+
+    @staticmethod
+    def _plant(mode, layernorm):
+        arch = dataclasses.replace(DEEP, has_layernorm=layernorm)
+        ws = init_random(arch, 0)
+        graph = build_coupling_graph(arch, mode, pin_embedding=(mode == "compose"))
+        plant = graph.random_assignment(np.random.default_rng(1))
+        return ws, graph, plant
+
+    @pytest.mark.parametrize("layernorm", [False, True])
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    def test_plant_is_equivalent(self, mode, layernorm):
+        ws, graph, plant = self._plant(mode, layernorm)
+        assert verify_equivalence(ws, graph, plant, tol=1e-9).passed
+
+    @pytest.mark.parametrize("layernorm", [False, True])
+    @pytest.mark.parametrize("mode", ["compose", pytest.param("tie", marks=TIE_STALL)])
+    def test_plant_recovered(self, mode, layernorm):
+        ws, graph, plant = self._plant(mode, layernorm)
+        ws_b = apply_assignment(ws, graph, plant)
+        rng = np.random.default_rng(2)
+        for arr in ws_b.tensors.values():
+            arr += rng.normal(0.0, 0.01 * float(arr.std()), arr.shape) * (arr != 0)
+        result = weight_match(ws, ws_b, graph, seed=0)
+        assert result.converged and result.n_sweeps <= 7
+        assert recovery_fraction(result.assignment, plant, graph) == 1.0
