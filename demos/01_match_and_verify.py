@@ -28,8 +28,9 @@ print(f"architecture: {arch}")
 
 model_a = init_random(arch, seed=0)
 graph = build_coupling_graph(arch, residual_mode="compose")
+n_wired = sum(var is not None for owners in graph.axes.values() for var in owners)
 print(f"coupling graph: {len(graph.variables)} permutation variables, "
-      f"{len(graph.applications)} tensor-axis applications")
+      f"{n_wired} wired tensor axes")
 
 # Plant: model B is model A with every free variable randomly permuted,
 # plus 1% relative Gaussian noise so the two are not bit-identical.

@@ -354,9 +354,6 @@ class ContainerReader:
         except ValueError as e:  # too many axes, or a huge axis of an empty tensor
             raise ShapeMismatchError(name, str(e)) from e
 
-    def read(self, name: str) -> np.ndarray:
-        return self._record(name).astype(np.float64)
-
     def __getitem__(self, name: str) -> np.ndarray:
         return require_finite(name, self._record(name))
 
@@ -368,10 +365,11 @@ class ContainerReader:
 
 
 def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec, str, dict[str, np.ndarray]]:
-    """Every record of a ``ContainerReader``, in manifest order; the blob is
-    never in memory at once."""
+    """Every record of a ``ContainerReader`` as an owned float64 array, in
+    manifest order, not yet checked for finite values; the blob is never in
+    memory at once."""
     with ContainerReader(path, expect_kind) as reader:
-        return reader.arch, reader.kind, {name: reader.read(name) for name in reader.shapes}
+        return reader.arch, reader.kind, {name: reader._record(name).astype(np.float64) for name in reader.shapes}
 
 
 def _shapes(tensors: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
@@ -412,7 +410,8 @@ def _format_record(var_id: str, vec) -> str:
 def write_permutation_assignment(assignment: PermutationAssignment, path: str) -> None:
     """One text record per variable; an attention variable whose index vector
     keeps each head's units together (``assignment.block``) is stored as its
-    inter record plus one intra record per head."""
+    inter record plus one intra record per head.  Every vector and head count
+    is checked as the reader checks it before anything is written."""
     lines = []
     for var_id in sorted(assignment.perms):
         parts = assignment.block(var_id)
@@ -422,7 +421,7 @@ def write_permutation_assignment(assignment: PermutationAssignment, path: str) -
             for h, intra in enumerate(intras):
                 lines.append(_format_record(f"{var_id}.intra.{h}", intra))
         else:
-            lines.append(_format_record(var_id, assignment.perms[var_id]))
+            lines.append(_format_record(var_id, check_permutation(assignment.perms[var_id])))
     atomic_write(path, "\n".join(lines) + "\n")
 
 

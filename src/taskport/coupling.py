@@ -9,12 +9,12 @@ permute a weight set without changing its function:
 * 1-D tensors (biases, layernorm gains) ride along with their row variable;
 * the classifier rows and the model input columns are never permuted.
 
-The graph is a policy over the one tensor table, ``ArchSpec.tensor_axes()``:
-every axis it labels with a hidden-unit set gets one application, and the
-residual mode decides which variable owns each set.  From the applications
-the graph builds one per-tensor wiring table, ``axes`` and its 2-D part
-``matrices``, and every reader - the index moves, the matcher and the skip
-permutations - uses that table.
+The graph is a policy over the one tensor table, ``ArchSpec.tensor_axes()``,
+and is itself a wiring table built in one pass over it: ``axes`` gives every
+axis that the tensor table labels with a hidden-unit set its one owning
+variable, chosen by the residual mode, and ``matrices`` is its 2-D part.
+Every reader - the index moves, the matcher, the skip permutations and the
+printed table - uses that table.
 
 ``permuted_tensor`` is the one place that rule is turned into index moves:
 the matcher's value matrices go through it, and so does ``permuted_tensors``,
@@ -31,7 +31,6 @@ shared variable, so the permuted model keeps plain identity skips.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +52,6 @@ RESIDUAL_COMPOSE = "compose"
 RESIDUAL_TIE = "tie"
 
 
-class Axis(enum.Enum):
-    ROWS = "rows"
-    COLS = "cols"
-
-
 @dataclass(frozen=True)
 class PermutationVariable:
     id: str
@@ -65,31 +59,20 @@ class PermutationVariable:
     is_attention: bool = False
 
 
-@dataclass(frozen=True)
-class Application:
-    tensor: str
-    axis: Axis
-    variable: str
-
-
 @dataclass
 class CouplingGraph:
-    """The variables and their applications, read through one wiring table
-    built from them: ``axes[tensor]`` names, for every tensor of
-    ``arch.tensor_axes()`` in manifest order, the variable acting on each
-    axis (``None`` where the axis is fixed); ``matrices`` holds its 2-D
-    entries as ``(row variable, column variable)``."""
+    """The variables and one wiring table: ``axes[tensor]`` names, for every
+    tensor of ``arch.tensor_axes()`` in manifest order, the variable acting
+    on each axis (``None`` where the axis is fixed); ``matrices`` holds its
+    2-D entries as ``(row variable, column variable)``."""
 
     arch: ArchSpec
     residual_mode: str
     variables: dict[str, PermutationVariable]
-    applications: list[Application]
+    axes: dict[str, tuple[str | None, ...]]
     pinned: frozenset[str]
 
     def __post_init__(self):
-        owner = {(app.tensor, app.axis): app.variable for app in self.applications}
-        self.axes = {name: tuple(owner.get((name, axis)) for axis, _ in zip(Axis, shape))
-                     for name, shape, _ in self.arch.tensor_axes()}
         self.matrices = {name: owners for name, owners in self.axes.items() if len(owners) == 2}
 
     # -- structure queries ---------------------------------------------------
@@ -142,7 +125,7 @@ class CouplingGraph:
 
         The first skip becomes ``p_in^-1 ∘ p_w0`` (undo the incoming stream
         permutation, then re-apply the attention-output one) and the second
-        ``p_w0^-1 ∘ p_w2``.  The wiring is read off the applications: p_in
+        ``p_w0^-1 ∘ p_w2``.  The wiring is read off the table: p_in
         permutes the columns of the block's q projection, p_w0 the rows of
         its attention output and p_w2 the rows of fc2.  In tie mode all three
         are the one stream variable, so both skips are identities.
@@ -159,15 +142,16 @@ class CouplingGraph:
         return perms
 
     def dump_table(self) -> str:
-        """Human-readable application table, one line per (tensor, axis)."""
+        """Human-readable wiring table, one line per wired (tensor, axis)."""
         lines = [f"# residual_mode={self.residual_mode} arch={self.arch.to_json_dict()}"]
         for var in self.variables.values():
             tag = " pinned" if var.id in self.pinned else ""
             kind = " attention" if var.is_attention else ""
             lines.append(f"var {var.id} size={var.size}{kind}{tag}")
-        for app in self.applications:
-            op = "P" if app.axis is Axis.ROWS else "PT"
-            lines.append(f"{app.tensor:<28} {app.axis.value:<4} <- {op:<2} {app.variable}")
+        for name, owners in self.axes.items():
+            for (axis, op), var in zip((("rows", "P"), ("cols", "PT")), owners):
+                if var is not None:
+                    lines.append(f"{name:<28} {axis:<4} <- {op:<2} {var}")
         return "\n".join(lines)
 
 
@@ -188,18 +172,20 @@ def build_coupling_graph(
     if residual_mode not in (RESIDUAL_COMPOSE, RESIDUAL_TIE):
         raise ValueError(f"residual_mode must be 'compose' or 'tie', got {residual_mode!r}")
     variables: dict[str, PermutationVariable] = {}
-    apps: list[Application] = []
+    axes: dict[str, tuple[str | None, ...]] = {}
     for name, shape, units in arch.tensor_axes():
-        for axis, length, unit in zip(Axis, shape, units):
-            if unit is None:
-                continue
-            var_id, kind = unit
-            if kind == "stream" and residual_mode == RESIDUAL_TIE:
-                var_id = "stream"
-            variables.setdefault(var_id, PermutationVariable(var_id, length, kind == "attn"))
-            apps.append(Application(name, axis, var_id))
-    pinned = frozenset({apps[0].variable} if pin_embedding else set())  # the embedding's rows
-    return CouplingGraph(arch, residual_mode, variables, apps, pinned)
+        owners = []
+        for length, unit in zip(shape, units):
+            var_id = None
+            if unit is not None:
+                var_id, kind = unit
+                if kind == "stream" and residual_mode == RESIDUAL_TIE:
+                    var_id = "stream"
+                variables.setdefault(var_id, PermutationVariable(var_id, length, kind == "attn"))
+            owners.append(var_id)
+        axes[name] = tuple(owners)
+    pinned = frozenset({axes["embed.weight"][0]} if pin_embedding else set())  # the embedding's rows
+    return CouplingGraph(arch, residual_mode, variables, axes, pinned)
 
 
 def permuted_tensor(

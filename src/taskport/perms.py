@@ -106,10 +106,15 @@ class PermutationAssignment:
     def block(self, var_id: str) -> tuple[Perm, tuple[Perm, ...]] | None:
         """The ``(inter, intras)`` that ``join_heads`` turns into ``var_id``'s
         index vector; None if it has no head count or its index vector mixes
-        units across heads."""
+        units across heads.  A head count that is not a positive integer is
+        an AssignmentFormatError."""
         n_heads = self.heads.get(var_id)
+        if n_heads is None:
+            return None
+        if not isinstance(n_heads, (int, np.integer)) or n_heads < 1:
+            raise AssignmentFormatError(f"{var_id!r} has head count {n_heads!r}; it must be a positive integer")
         p = np.asarray(self.perms[var_id])
-        if n_heads is None or p.size % n_heads:
+        if p.size % n_heads:
             return None
         rows = check_permutation(p).reshape(n_heads, -1)
         d_k = rows.shape[1]

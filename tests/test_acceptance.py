@@ -9,6 +9,7 @@ the docstrings.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,8 +213,8 @@ def test_criterion_7_transport_algebra(tmp_path, monkeypatch):
     out_path = str(tmp_path / "alpha0")
     write_checkpoint(transport(base, tv, graph, assignment, 0.0), out_path)
     byte_stable = (
-        open(os.path.join(base_path, "tensors.bin"), "rb").read()
-        == open(os.path.join(out_path, "tensors.bin"), "rb").read()
+        Path(base_path, "tensors.bin").read_bytes()
+        == Path(out_path, "tensors.bin").read_bytes()
     )
 
     # identity assignment, alpha = 1: exact elementwise addition

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,9 +79,9 @@ class TestArchSpec:
         path = str(tmp_path / "ckpt")
         write_checkpoint(_random_weight_set(small_arch, 0), path)
         manifest_path = os.path.join(path, "manifest.json")
-        manifest = json.load(open(manifest_path))
+        manifest = json.loads(Path(manifest_path).read_text())
         manifest["arch"]["n_blocks"] = True
-        json.dump(manifest, open(manifest_path, "w"))
+        Path(manifest_path).write_text(json.dumps(manifest))
         with pytest.raises(MalformedManifestError):
             read_checkpoint(path)
 
@@ -139,7 +140,7 @@ class TestCheckpointRoundTrip:
     def test_manifest_lists_every_canonical_name(self, tmp_path, small_arch):
         path = str(tmp_path / "ckpt")
         write_checkpoint(_random_weight_set(small_arch, 11), path)
-        manifest = json.load(open(os.path.join(path, "manifest.json")))
+        manifest = json.loads(Path(path, "manifest.json").read_text())
         listed = {rec["name"] for rec in manifest["tensors"]}
         assert listed == set(small_arch.tensor_shapes())
         assert manifest["kind"] == "weight_set"
@@ -166,13 +167,14 @@ class TestCheckpointRoundTrip:
 
 class TestContainerReader:
     """``reader[name]`` is the checked float32 record itself, a read-only view
-    of the reader's one scratch buffer; ``read(name)`` is an owned float64
-    copy of it."""
+    of the reader's one scratch buffer; ``read_container`` gives an owned
+    float64 copy of each record."""
 
     def test_item_is_a_read_only_float32_view(self, tmp_path, toy_arch):
         ws = _random_weight_set(toy_arch, 16)
         path = str(tmp_path / "ckpt")
         write_checkpoint(ws, path)
+        copies = read_container(path)[2]
         with ContainerReader(path, KIND_WEIGHT_SET) as reader:
             for name in ws.tensors:
                 record = reader[name]
@@ -181,7 +183,7 @@ class TestContainerReader:
                 with pytest.raises(ValueError, match="read-only"):
                     record[(0,) * record.ndim] = 1.0
                 promoted = record.astype(np.float64)
-                owned = reader.read(name)
+                owned = copies[name]
                 assert owned.dtype == np.float64 and owned.flags.writeable and owned.flags.owndata
                 np.testing.assert_array_equal(owned, promoted)
                 np.testing.assert_array_equal(owned, ws[name])
@@ -192,7 +194,7 @@ class TestContainerReader:
     def test_item_refuses_a_non_finite_record(self, tmp_path, toy_arch, bad):
         path = str(tmp_path / "ckpt")
         write_checkpoint(_random_weight_set(toy_arch, 17), path)
-        manifest = json.load(open(os.path.join(path, "manifest.json")))
+        manifest = json.loads(Path(path, "manifest.json").read_text())
         record = next(r for r in manifest["tensors"] if r["name"] == "block.1.attn.v.weight")
         with open(os.path.join(path, "tensors.bin"), "r+b") as f:
             f.seek(record["offset"] + 4 * 7)
@@ -200,9 +202,9 @@ class TestContainerReader:
         with ContainerReader(path, KIND_WEIGHT_SET) as reader:
             with pytest.raises(NonFiniteTensorError, match="'block.1.attn.v.weight'"):
                 reader["block.1.attn.v.weight"]
-            raw = reader.read("block.1.attn.v.weight")  # the unchecked float64 copy
-            np.testing.assert_array_equal(raw.flat[7], bad)  # nan equals nan here
             reader["block.1.attn.q.weight"]  # other records still read
+        raw = read_container(path)[2]["block.1.attn.v.weight"]  # the unchecked float64 copy
+        np.testing.assert_array_equal(raw.flat[7], bad)  # nan equals nan here
 
 
 class TestCheckpointErrors:
@@ -227,10 +229,10 @@ class TestCheckpointErrors:
     def test_blob_shorter_than_manifest(self, tmp_path, small_arch):
         path = str(tmp_path / "ckpt")
         write_checkpoint(_random_weight_set(small_arch, 9), path)
-        manifest = json.load(open(os.path.join(path, "manifest.json")))
+        manifest = json.loads(Path(path, "manifest.json").read_text())
         manifest["tensors"][0]["shape"] = [4, 4]  # declares 16 floats over fewer
         manifest["tensors"][0]["length"] = 64
-        json.dump(manifest, open(os.path.join(path, "manifest.json"), "w"))
+        Path(path, "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises((ShapeMismatchError, MissingTensorError, MalformedManifestError)):
             read_checkpoint(path)
 
@@ -238,9 +240,9 @@ class TestCheckpointErrors:
         path = str(tmp_path / "ckpt")
         write_checkpoint(_random_weight_set(small_arch, 10), path)
         blob_path = os.path.join(path, "tensors.bin")
-        raw = bytearray(open(blob_path, "rb").read())
+        raw = bytearray(Path(blob_path).read_bytes())
         raw[0:4] = np.array([np.nan], dtype="<f4").tobytes()
-        open(blob_path, "wb").write(bytes(raw))
+        Path(blob_path).write_bytes(bytes(raw))
         with pytest.raises(NonFiniteTensorError):
             read_checkpoint(path)
 
@@ -282,7 +284,7 @@ class TestCheckpointErrors:
         path = str(tmp_path / "tv")
         write_task_vector(TaskVector(small_arch, _random_weight_set(small_arch, 11).tensors), path)
         manifest_path = os.path.join(path, "manifest.json")
-        manifest = json.load(open(manifest_path))
+        manifest = json.loads(Path(manifest_path).read_text())
         if field == "arch":
             manifest["arch"] = value
         elif field == "record":
@@ -291,7 +293,7 @@ class TestCheckpointErrors:
             manifest["tensors"][0][field] = value
             if field == "shape" and value == [-1]:
                 manifest["tensors"][0]["length"] = -4
-        json.dump(manifest, open(manifest_path, "w"))
+        Path(manifest_path).write_text(json.dumps(manifest))
         with pytest.raises(MalformedManifestError):
             read_task_vector(path)
 
@@ -302,14 +304,14 @@ class TestCheckpointErrors:
         path = str(tmp_path / "ckpt")
         write_checkpoint(_random_weight_set(small_arch, 13), path)
         manifest_path = os.path.join(path, "manifest.json")
-        manifest = json.load(open(manifest_path))
+        manifest = json.loads(Path(manifest_path).read_text())
         records = {r["name"]: r for r in manifest["tensors"]}
         q, k = records["block.0.attn.q.weight"], records["block.0.attn.k.weight"]
         if case == "duplicate":  # q again, over k's bytes
             manifest["tensors"].append(dict(q, offset=k["offset"]))
         else:
             k["offset"] = q["offset"]
-        json.dump(manifest, open(manifest_path, "w"))
+        Path(manifest_path).write_text(json.dumps(manifest))
         with pytest.raises(MalformedManifestError, match=case):
             read_checkpoint(path)
 
@@ -367,10 +369,10 @@ class TestCheckpointErrors:
         path = str(tmp_path / "ckpt")
         write_checkpoint(_random_weight_set(small_arch, 12), path)
         manifest_path = os.path.join(path, "manifest.json")
-        manifest = json.load(open(manifest_path))
+        manifest = json.loads(Path(manifest_path).read_text())
         manifest["tensors"][0]["shape"] = [2**32, 2**32]
         manifest["tensors"][0]["length"] = 0
-        json.dump(manifest, open(manifest_path, "w"))
+        Path(manifest_path).write_text(json.dumps(manifest))
         with pytest.raises(ShapeMismatchError, match="embed.weight"):
             read_checkpoint(path)
 
@@ -401,13 +403,13 @@ class TestCheckpointErrors:
         path = str(tmp_path / "ckpt")
         write_checkpoint(_random_weight_set(small_arch, 16), path)
         manifest_path = os.path.join(path, "manifest.json")
-        manifest = json.load(open(manifest_path))
+        manifest = json.loads(Path(manifest_path).read_text())
         if case == "too_many_axes":
             rec = manifest["tensors"][0]
             rec["shape"] = [math.prod(rec["shape"])] + [1] * 70
         else:
             manifest["tensors"].append({"name": "empty", "shape": [0, 2**70], "offset": 0, "length": 0})
-        json.dump(manifest, open(manifest_path, "w"))
+        Path(manifest_path).write_text(json.dumps(manifest))
         with pytest.raises(ShapeMismatchError):
             read_container(path)
 
@@ -417,9 +419,9 @@ class TestCheckpointErrors:
         path = str(tmp_path / "ckpt")
         write_checkpoint(_random_weight_set(small_arch, 17), path)
         manifest_path = os.path.join(path, "manifest.json")
-        manifest = json.load(open(manifest_path))
+        manifest = json.loads(Path(manifest_path).read_text())
         manifest["arch"]["n_blocks"] = 10**12
-        json.dump(manifest, open(manifest_path, "w"))
+        Path(manifest_path).write_text(json.dumps(manifest))
         with pytest.raises(MissingTensorError, match="block.1.attn.q.weight"):
             read_checkpoint(path)
 
@@ -486,7 +488,7 @@ class TestAssignmentFiles:
         a.perms["block.0.attn"] = np.array([1, 2, 0, 3], dtype=np.int64)
         path = str(tmp_path / "flat.perm")
         write_permutation_assignment(a, path)
-        assert "block.0.attn : 1,2,0,3\n" in open(path, encoding="utf-8").read()
+        assert "block.0.attn : 1,2,0,3\n" in Path(path).read_text(encoding="utf-8")
         assert read_permutation_assignment(path) == a
 
     def test_overwritten_vector_is_written_by_its_own_head_structure(self, tmp_path):
@@ -498,7 +500,7 @@ class TestAssignmentFiles:
         path = str(tmp_path / "c.perm")
         a.perms["block.0.attn"] = np.array([3, 2, 0, 1], dtype=np.int64)
         write_permutation_assignment(a, path)
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         assert "block.0.attn.inter : 1,0\nblock.0.attn.intra.0 : 1,0\nblock.0.attn.intra.1 : 0,1\n" in text
         back = read_permutation_assignment(path)
         assert np.array_equal(back.perms["block.0.attn"], [3, 2, 0, 1])
@@ -506,11 +508,35 @@ class TestAssignmentFiles:
 
         a.perms["block.0.attn"] = np.array([1, 2, 0, 3], dtype=np.int64)
         write_permutation_assignment(a, path)
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         assert "block.0.attn : 1,2,0,3\n" in text and ".inter" not in text
         back = read_permutation_assignment(path)
         assert np.array_equal(back.perms["block.0.attn"], [1, 2, 0, 3])
         assert back.block("block.0.attn") is None
+
+    @staticmethod
+    def _refused_write(tmp_path, assignment, match):
+        """The writer raises before it writes: the file already at the path
+        keeps its bytes and no other file appears."""
+        path = tmp_path / "a.perm"
+        path.write_text("stream : 1,0\n")
+        with pytest.raises(AssignmentFormatError, match=match):
+            write_permutation_assignment(assignment, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["a.perm"]
+        assert path.read_text() == "stream : 1,0\n"
+
+    def test_writer_refuses_a_non_integer_vector(self, tmp_path):
+        """Not truncated to ``1,0,2``, a different permutation."""
+        self._refused_write(tmp_path, PermutationAssignment({"x": np.array([1.7, 0.2, 2.9])}), "integers")
+
+    def test_writer_refuses_a_repeated_index(self, tmp_path):
+        """Not written as a file that the reader then refuses."""
+        self._refused_write(tmp_path, PermutationAssignment({"x": np.array([0, 0, 1])}), "repeats 1 index")
+
+    @pytest.mark.parametrize("n_heads", [0, -2, 2.0])
+    def test_writer_refuses_a_head_count_that_is_not_a_positive_integer(self, tmp_path, n_heads):
+        a = PermutationAssignment({"block.0.attn": np.arange(4)}, {"block.0.attn": n_heads})
+        self._refused_write(tmp_path, a, "'block.0.attn' has head count .*; it must be a positive integer")
 
     def test_duplicate_index_rejected(self, tmp_path):
         path = tmp_path / "bad.perm"

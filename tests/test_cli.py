@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,9 +186,9 @@ class TestMalformedInputs:
     def test_manifest_arch_not_an_object_exit_one(self, workspace, capsys):
         tmp_path, _, _, model_a = workspace
         manifest_path = os.path.join(model_a, "manifest.json")
-        manifest = json.load(open(manifest_path))
+        manifest = json.loads(Path(manifest_path).read_text())
         manifest["arch"] = []
-        json.dump(manifest, open(manifest_path, "w"))
+        Path(manifest_path).write_text(json.dumps(manifest))
         out = str(tmp_path / "tv")
         assert main(["task-vector", "--finetuned", model_a, "--base", model_a, "--out", out]) == 1
         err = capsys.readouterr().err
@@ -800,7 +801,7 @@ class TestLmc:
              "--points", "5", "--out", out]
         )
         assert code == 0
-        rows = open(out).read().strip().splitlines()
+        rows = Path(out).read_text().strip().splitlines()
         assert rows[0] == "alpha,loss"
         losses = {row.split(",")[1] for row in rows[1:]}
         assert len(rows) == 6 and len(losses) == 1
@@ -910,7 +911,7 @@ class TestDemo:
             assert main(["demo", "--out-dir", out, *flags]) == 0
             for name, digest in pinned.items():
                 assert hashlib.sha256(_slurp(os.path.join(out, name))).hexdigest() == digest, (case, name)
-            lines = open(os.path.join(out, "report.txt")).read().splitlines()
+            lines = Path(out, "report.txt").read_text().splitlines()
             equivalence = [line for line in lines if line.startswith("equivalence_max_dev: ")]
             assert len(equivalence) == 1 and equivalence[0].endswith(" (tol 1e-08) passed: True"), case
             assert [line for line in lines if line not in equivalence] == report, case
@@ -935,7 +936,7 @@ class TestDemo:
             ["demo", "--out-dir", out, "--seed", "3", "--noise", "0.0", "--train-steps", "30",
              "--embed-dim", "16", "--heads", "2", "--mlp-hidden", "24", "--input-dim", "8"]
         ) == 0
-        report = open(os.path.join(out, "report.txt")).read()
+        report = Path(out, "report.txt").read_text()
         assert "recovery_rate: 1\n" in report
         assert "recovery_ok: yes" in report
 
@@ -947,7 +948,7 @@ class TestDemo:
              "--max-sweeps", "8"]
         )
         assert code == 0
-        report = open(os.path.join(out, "report.txt")).read()
+        report = Path(out, "report.txt").read_text()
         assert "recovery_ok: no" in report
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from taskport.checkpoint import (
     write_permutation_assignment,
 )
 from taskport.coupling import (
-    Axis,
     apply_assignment,
     build_coupling_graph,
     inverse_assignment,
@@ -115,6 +115,25 @@ block.1.mlp.fc2.weight       cols <- PT block.1.mlp_hidden
 block.1.mlp.fc2.bias         rows <- P  stream
 head.weight                  cols <- PT stream"""
 
+def _oracle_axes(arch, mode):
+    """The owners the graph must give each axis, read straight off
+    ``arch.tensor_axes()``: a labelled axis belongs to its unit id, except
+    that tie mode gives every ``stream`` unit to the one ``stream`` variable."""
+    def owner(unit):
+        if unit is None:
+            return None
+        var_id, kind = unit
+        return "stream" if mode == "tie" and kind == "stream" else var_id
+    return {name: tuple(map(owner, units)) for name, _, units in arch.tensor_axes()}
+
+
+def _gaussian_weights(arch, seed):
+    """Every tensor Gaussian, biases and gains included: ``init_random``'s
+    zero biases and unit gains look the same under any permutation."""
+    rng = np.random.default_rng(seed)
+    return WeightSet(arch, {name: rng.normal(size=shape) for name, shape in arch.tensor_shapes().items()})
+
+
 def _swap_first_two(graph):
     """Every variable swaps its units 0 and 1 and keeps the rest in place."""
     a = PermutationAssignment()
@@ -144,37 +163,21 @@ class TestGraphConstruction:
     def test_classifier_rows_never_permuted(self, toy_arch):
         for mode in ("compose", "tie"):
             graph = build_coupling_graph(toy_arch, mode)
-            assert all(app.axis is Axis.COLS for app in graph.applications if app.tensor == "head.weight")
+            rows, cols = graph.axes["head.weight"]
+            assert rows is None and cols is not None
 
     def test_model_input_columns_never_permuted(self, toy_arch):
         graph = build_coupling_graph(toy_arch, "compose")
-        assert all(app.axis is Axis.ROWS for app in graph.applications if app.tensor == "embed.weight")
+        assert graph.axes["embed.weight"] == ("embed.out", None)
 
     def test_every_axis_single_owner(self, toy_arch):
+        """Each tensor has one table slot per axis, holding one known
+        variable or ``None``."""
         for mode in ("compose", "tie"):
             graph = build_coupling_graph(toy_arch, mode)
-            seen = set()
-            for app in graph.applications:
-                key = (app.tensor, app.axis)
-                assert key not in seen, f"{key} wired twice"
-                seen.add(key)
-
-    @pytest.mark.parametrize("layernorm", [False, True])
-    def test_wiring_table_replays_the_applications(self, toy_arch, layernorm):
-        """``axes`` lists every tensor in manifest order with one entry per
-        axis, holding the application's variable or None; ``matrices`` is
-        its 2-D part."""
-        arch = dataclasses.replace(toy_arch, has_layernorm=layernorm)
-        for mode in ("compose", "tie"):
-            graph = build_coupling_graph(arch, mode)
-            shapes = arch.tensor_shapes()
-            assert list(graph.axes) == list(shapes)
-            expect = {name: [None] * len(shape) for name, shape in shapes.items()}
-            for app in graph.applications:
-                expect[app.tensor][0 if app.axis is Axis.ROWS else 1] = app.variable
-            assert graph.axes == {name: tuple(owners) for name, owners in expect.items()}
-            assert graph.matrices == {name: graph.axes[name] for name, shape in shapes.items() if len(shape) == 2}
-            assert list(graph.matrices) == [name for name in shapes if len(shapes[name]) == 2]
+            for name, shape in toy_arch.tensor_shapes().items():
+                assert len(graph.axes[name]) == len(shape), name
+                assert all(var is None or var in graph.variables for var in graph.axes[name]), name
 
     def test_pinning_flag(self, toy_arch):
         assert "embed.out" in build_coupling_graph(toy_arch, "compose").pinned
@@ -183,12 +186,7 @@ class TestGraphConstruction:
 
     def test_stream_chains_blocks_in_compose_mode(self, toy_arch):
         graph = build_coupling_graph(toy_arch, "compose")
-        cols_of_q1 = [
-            app
-            for app in graph.applications
-            if app.tensor == "block.1.attn.q.weight" and app.axis is Axis.COLS
-        ]
-        assert cols_of_q1[0].variable == "block.0.mlp_out"
+        assert graph.matrices["block.1.attn.q.weight"][1] == "block.0.mlp_out"
 
     def test_dump_table_mentions_every_tensor(self, toy_arch):
         graph = build_coupling_graph(toy_arch, "compose")
@@ -210,21 +208,23 @@ class TestGraphConstruction:
     @pytest.mark.parametrize("has_layernorm", [False, True])
     @pytest.mark.parametrize("n_blocks", [1, 2, 3])
     def test_one_application_per_labelled_axis(self, n_blocks, has_layernorm, mode):
-        """Every labelled axis of the tensor table gets exactly one application,
-        by a variable as long as the axis; an unlabelled axis gets none."""
+        """``axes`` lists every tensor of the tensor table in manifest order
+        and gives each labelled axis the one owner the oracle reads off that
+        table, a variable as long as the axis and of its kind; an unlabelled
+        axis gets ``None``.  ``matrices`` is the table's 2-D part."""
         arch = ArchSpec(n_blocks, 2, 4, 6, 3, 5, has_layernorm)
         graph = build_coupling_graph(arch, mode)
-        wired = {(app.tensor, app.axis): graph.variables[app.variable] for app in graph.applications}
-        assert len(wired) == len(graph.applications)
-        labelled = set()
+        expect = _oracle_axes(arch, mode)
+        assert list(graph.axes) == list(expect) and graph.axes == expect
         for name, shape, units in arch.tensor_axes():
-            assert len(shape) == len(units)
-            for axis, length, unit in zip(Axis, shape, units):
+            for length, unit, var_id in zip(shape, units, graph.axes[name], strict=True):
                 if unit is not None:
-                    labelled.add((name, axis))
-                    assert wired[name, axis].size == length
-                    assert wired[name, axis].is_attention == (unit[1] == "attn")
-        assert set(wired) == labelled
+                    assert graph.variables[var_id].size == length
+                    assert graph.variables[var_id].is_attention == (unit[1] == "attn")
+        assert set(graph.variables) == {var for owners in expect.values() for var in owners} - {None}
+        shapes = arch.tensor_shapes()
+        assert list(graph.matrices) == [name for name in shapes if len(shapes[name]) == 2]
+        assert graph.matrices == {name: graph.axes[name] for name in graph.matrices}
 
 
 class TestApplyAssignment:
@@ -265,7 +265,7 @@ class TestApplyAssignment:
             assert np.array_equal(inv.perms[var_id][flat], np.arange(flat.size))
         path = str(tmp_path / "inv.perm")
         write_permutation_assignment(inv, path)
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         for var_id in attention:
             assert f"{var_id}.inter : " in text
             assert f"{var_id}.intra.{toy_arch.n_heads - 1} : " in text
@@ -298,26 +298,26 @@ class TestApplyAssignment:
                 moved_diff.tensors[name], pa.tensors[name] - pb.tensors[name]
             )
 
-    def test_matches_dense_matrix_oracle(self, small_arch):
-        """Every application record, replayed with dense permutation
+    @pytest.mark.parametrize("layernorm", [False, True])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_matches_dense_matrix_oracle(self, small_arch, n_blocks, layernorm):
+        """The tensor table's owners, replayed with dense permutation
         matrices (ones at ``(i, p[i])``), must reproduce apply_assignment
         tensor by tensor: rows go as ``P @ W``, columns as ``W @ P^T``."""
-        ws = init_random(small_arch, 6)
+        arch = dataclasses.replace(small_arch, n_blocks=n_blocks, has_layernorm=layernorm)
+        ws = _gaussian_weights(arch, 6)
         for mode in ("compose", "tie"):
-            graph = build_coupling_graph(small_arch, mode, pin_embedding=False)
+            graph = build_coupling_graph(arch, mode, pin_embedding=False)
+            owners = _oracle_axes(arch, mode)
             random = graph.random_assignment(np.random.default_rng(7))
             for assignment in (random, _swap_first_two(graph)):
                 out = apply_assignment(ws, graph, assignment)
                 for name, arr in ws.tensors.items():
                     expect = arr.copy()
-                    for app in [a for a in graph.applications if a.tensor == name]:
-                        p = dense_perm_matrix(assignment.perms[app.variable])
-                        if expect.ndim == 1:
-                            expect = p @ expect
-                        elif app.axis is Axis.ROWS:
-                            expect = p @ expect
-                        else:
-                            expect = expect @ p.T
+                    for axis, var_id in enumerate(owners[name]):
+                        if var_id is not None:
+                            p = dense_perm_matrix(assignment.perms[var_id])
+                            expect = p @ expect if axis == 0 else expect @ p.T
                     np.testing.assert_array_equal(out.tensors[name], expect)
 
         # by hand: swapping units 0 and 1 swaps the embedding's rows and the
@@ -335,21 +335,21 @@ class TestApplyAssignment:
         out and then gathering its axes by hand gives apply_assignment's
         tensor bit for bit."""
         arch = ArchSpec(2, 2, 8, 12, 5, 3, has_layernorm=True)
-        ws = init_random(arch, 21)
+        ws = _gaussian_weights(arch, 21)
         graph = build_coupling_graph(arch, mode, pin_embedding=False)
         assignment = graph.random_assignment(np.random.default_rng(22))
         full = apply_assignment(ws, graph, assignment)
         pairs = 0
-        for name in ws.tensors:
-            for var_id in {app.variable for app in graph.applications if app.tensor == name}:
+        for name, owners in _oracle_axes(arch, mode).items():
+            for var_id in set(owners) - {None}:
                 got = permuted_tensor(ws, graph, assignment, name, skip_variable=var_id)
                 p = assignment.perms[var_id]
-                for app in graph.applications:
-                    if app.tensor == name and app.variable == var_id:
-                        got = got[p] if app.axis is Axis.ROWS else got[:, p]
+                for axis, owner in enumerate(owners):
+                    if owner == var_id:
+                        got = got[p] if axis == 0 else got[:, p]
                 np.testing.assert_array_equal(got, full[name])
                 pairs += 1
-        assert pairs == len({(a.tensor, a.variable) for a in graph.applications})
+        assert pairs == sum(len(set(owners) - {None}) for owners in graph.axes.values())
 
     def test_wrong_length_permutation_rejected(self, toy_arch):
         ws = init_random(toy_arch, 23)

@@ -12,6 +12,7 @@ TaskportError, or ported to the very bytes the in-memory API writes.
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def _pristine():
         write_checkpoint(init_random(ARCH, 0), os.path.join(d, "ckpt"))
         write_permutation_assignment(graph.random_assignment(np.random.default_rng(0)), os.path.join(d, "a.perm"))
         files = [os.path.join(d, "ckpt", MANIFEST_NAME), os.path.join(d, "ckpt", TENSORS_NAME), os.path.join(d, "a.perm")]
-        manifest, blob, perm = (open(f, "rb").read() for f in files)
+        manifest, blob, perm = (Path(f).read_bytes() for f in files)
     return manifest, blob, perm
 
 
@@ -139,9 +140,9 @@ def _check_assignment(text: bytes) -> None:
             return
         # whatever the reader accepts, write -> read -> write is byte stable
         write_permutation_assignment(assignment, path)
-        written = open(path, "rb").read()
+        written = Path(path).read_bytes()
         write_permutation_assignment(read_permutation_assignment(path), path)
-        assert open(path, "rb").read() == written
+        assert Path(path).read_bytes() == written
     for var_id, perm in assignment.perms.items():
         check_permutation(perm)
         parts = assignment.block(var_id)

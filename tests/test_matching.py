@@ -295,7 +295,7 @@ class TestWeightMatch:
             graph.arch,
             graph.residual_mode,
             {new[k]: dataclasses.replace(var, id=new[k]) for k, var in graph.variables.items()},
-            [dataclasses.replace(app, variable=new[app.variable]) for app in graph.applications],
+            {name: tuple(new.get(var) for var in owners) for name, owners in graph.axes.items()},
             frozenset(new[v] for v in graph.pinned),
         )
         want = weight_match(ws, ws_b, graph, seed=3)

@@ -6,6 +6,7 @@ import io
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ class TestFloat32Difference:
             except NonFiniteTensorError:
                 expect = None
             else:
-                expect = {f: open(os.path.join(paths["expect"], f), "rb").read() for f in os.listdir(paths["expect"])}
+                expect = {f: Path(paths["expect"], f).read_bytes() for f in os.listdir(paths["expect"])}
             with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
                 warnings.simplefilter("error")  # a numpy overflow warning would fail the call
                 code = main(["task-vector", "--finetuned", paths["ft"], "--base", paths["base"], "--out", paths["out"]])
@@ -149,7 +150,7 @@ class TestFloat32Difference:
                 assert err.getvalue() == f"error: tensor '{name}' contains non-finite values\n"
             else:
                 assert code == 0
-                assert {f: open(os.path.join(paths["out"], f), "rb").read() for f in expect} == expect
+                assert {f: Path(paths["out"], f).read_bytes() for f in expect} == expect
 
 
 class TestTransport:
@@ -252,8 +253,9 @@ class TestTransport:
         if case == "identity":
             assignment = graph.identity_assignment()
         elif case == "unpermuted_tensors":
-            kept = [a for a in graph.applications if not a.tensor.endswith("bias") and a.tensor != "head.weight"]
-            graph = CouplingGraph(graph.arch, graph.residual_mode, graph.variables, kept, graph.pinned)
+            axes = {name: (None,) * len(owners) if name.endswith("bias") or name == "head.weight" else owners
+                    for name, owners in graph.axes.items()}
+            graph = CouplingGraph(graph.arch, graph.residual_mode, graph.variables, axes, graph.pinned)
         snapshots = [{n: a.copy() for n, a in ws.tensors.items()} for ws in (base, tv)]
         out = transport(base, tv, graph, assignment, 0.5)
         for ws, snapshot in zip((base, tv), snapshots):
