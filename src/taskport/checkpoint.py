@@ -203,6 +203,7 @@ def atomic_write(path: str, data: bytes | str | Iterable) -> None:
         with os.fdopen(fd, "wb") as f:
             for chunk in data:
                 f.write(chunk)
+                del chunk  # written: hold no reference while the next chunk is made
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -213,10 +214,12 @@ def atomic_write(path: str, data: bytes | str | Iterable) -> None:
 def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, tuple[int, ...]],
                     arrays: Iterable[np.ndarray]) -> None:
     """Low-level container writer: one record per entry of ``shapes``, in its
-    order, holding the matching array of ``arrays``.  The manifest is
-    serialised before the blob, which is streamed one array at a time through
-    one float32 buffer the size of the largest record, so ``arrays`` may
-    compute each tensor, or refill its own buffer, when asked for the next.
+    order, holding the matching array of ``arrays`` in the record's shape.
+    The manifest is serialised before the blob, which is streamed one array
+    at a time: a C-ordered ``<f4`` ndarray as it is, any other converted in
+    one float32 buffer the size of the largest record, made when first
+    needed; so ``arrays`` may compute each tensor, or refill its own buffer,
+    when asked for the next.
     A value not finite in float32 raises NonFiniteTensorError and leaves any
     container at ``path`` as it was."""
     records = []
@@ -232,17 +235,25 @@ def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, t
     created = not os.path.isdir(path)
     os.makedirs(path, exist_ok=True)
 
-    def float32_records():  # one buffer: each record is written before the next is converted
-        scratch = np.empty(max((rec["length"] // 4 for rec in records), default=0), dtype="<f4")
+    def float32_records():  # each record is written before the next array is asked for
+        scratch = None  # made by the first array that is not a C-ordered <f4 ndarray
         source, end = iter(arrays), object()
         for name, shape in shapes.items():
             arr = next(source, end)  # no reference to the previous array is left while this one is made
             if arr is end:
                 raise ValueError(f"write_container got fewer arrays than its {len(shapes)} records")
-            out = scratch[: math.prod(shape)].reshape(np.shape(arr))  # refuses, never broadcasts, a wrong size
-            np.copyto(out, arr, casting="same_kind")
+            if np.shape(arr) != tuple(shape):  # refused, never broadcast or reshaped
+                if np.size(arr) != math.prod(shape):
+                    raise ValueError(f"cannot reshape {np.size(arr)} values into record {name!r} of shape {shape}")
+                raise ShapeMismatchError(name, f"got {np.shape(arr)}, record declares {tuple(shape)}")
+            if not (isinstance(arr, np.ndarray) and arr.dtype == "<f4" and arr.flags.c_contiguous):
+                if scratch is None:
+                    scratch = np.empty(max((rec["length"] // 4 for rec in records), default=0), dtype="<f4")
+                out = scratch[: math.prod(shape)].reshape(shape)
+                np.copyto(out, arr, casting="same_kind")
+                arr = out
+            yield require_finite(name, arr)
             del arr
-            yield require_finite(name, out)
         if next(source, end) is not end:
             raise ValueError(f"write_container got more arrays than its {len(shapes)} records")
 

@@ -11,7 +11,9 @@ Computing and transporting are each written once (``task_vector_tensors``,
 ``transported_tensors``): checked on the call, then one tensor at a time in
 canonical order, reading only ``ws.arch`` and ``ws[name]``.  The in-memory
 API collects them from float64 weight sets; the command line streams them
-from the float32 records of open containers to disk, to the same bytes.
+from the float32 records of open containers to disk, to the same bytes.  It
+subtracts, and adds at a factor of 1, in float32, which gives float64's
+answer rounded to float32; any other factor is applied in float64.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ def compute_task_vector(ws_finetuned: WeightSet, ws_base: WeightSet) -> TaskVect
 
 
 def transported_tensors(ws_base, tv, graph: CouplingGraph, assignment: PermutationAssignment, scaling=1.0):
-    """``base + factor * pi(tv)``, one new float64 array per tensor in canonical order.
+    """``base + factor * pi(tv)``, one new array per tensor in canonical order.
     ``scaling`` is one finite factor >= 0, or one per block; the embedding
     takes the first block's and the classifier the last's.  Every input is
-    checked on the call, before any tensor is read."""
+    checked on the call, before any tensor is read.  A factor of 1 adds in
+    the inputs' dtype, which for float32 records is float64's sum rounded to
+    float32, bit for bit; any other factor multiplies and adds in float64."""
     require_same_arch(ws_base.arch, tv.arch, "base model and task vector")
     n_blocks = ws_base.arch.n_blocks
     factors = [float(scaling)] * n_blocks if np.ndim(scaling) == 0 else [float(f) for f in scaling]
@@ -54,13 +58,16 @@ def transported_tensors(ws_base, tv, graph: CouplingGraph, assignment: Permutati
     moved = permuted_tensors(tv, graph, assignment, scratch={})  # checks the graph's arch and the assignment
 
     def tensors():
-        for name in ws_base.arch.tensor_shapes():  # next(): no reference to the moved tensor outlives the product
+        for name in ws_base.arch.tensor_shapes():  # next(): no reference to the moved tensor outlives the sum
             part = name.split(".")
             factor = factors[int(part[1]) if part[0] == "block" else -1 if part[0] == "head" else 0]
-            out = np.multiply(next(moved), factor, dtype=np.float64)  # float64 for a float32 record too (NEP 50)
-            out += ws_base[name]  # the same sum as base + out: float addition commutes
+            if factor == 1.0:  # as exact as the difference: 53 >= 2 * 24 + 2 bits (Figueroa 1995)
+                out = np.add(next(moved), ws_base[name])
+            else:
+                out = np.multiply(next(moved), factor, dtype=np.float64)  # float64 for a float32 record too (NEP 50)
+                out += ws_base[name]  # the same sum as base + out: float addition commutes
             yield out
-            del out  # the writer has copied it: free it before the next product
+            del out  # the writer has written it: free it before the next sum
 
     return tensors()
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from taskport.checkpoint import (
+    KIND_EVAL_BATCH,
     KIND_WEIGHT_SET,
     ArchSpec,
     ContainerReader,
@@ -346,13 +347,16 @@ class TestCheckpointErrors:
             write_container(str(path), small_arch, KIND_WEIGHT_SET, shapes, iter(arrays))
         assert not path.exists()
 
-    def test_writer_releases_each_array_before_the_next(self, tmp_path, small_arch):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_writer_releases_each_array_before_the_next(self, tmp_path, small_arch, dtype):
         """While ``arrays`` computes a tensor, the writer holds no reference
-        to the one before it, so a stream holds one computed tensor at once."""
+        to the one before it, so a stream holds one computed tensor at once:
+        a float64 array is converted in the writer's buffer, a float32 one
+        is written as it is."""
         refs, alive = [], []
 
         def make(shape):
-            arr = np.ones(shape)
+            arr = np.ones(shape, dtype=dtype)
             refs.append(weakref.ref(arr))
             return arr
 
@@ -363,6 +367,46 @@ class TestCheckpointErrors:
 
         write_container(str(tmp_path / "ckpt"), small_arch, KIND_WEIGHT_SET, small_arch.tensor_shapes(), arrays())
         assert len(alive) == len(small_arch.tensor_shapes()) and not any(alive)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_writer_refuses_an_array_of_another_shape(self, tmp_path, small_arch, dtype):
+        """An array of its record's size but another shape is refused, not
+        reshaped, whether it is converted or written as it is."""
+        shapes = {"inputs": (2, 3, 4), "targets": (2,)}
+        arrays = [np.arange(24, dtype=dtype).reshape(4, 3, 2), np.zeros(2, dtype=dtype)]
+        path = tmp_path / "batch"
+        with pytest.raises(ShapeMismatchError, match=r"'inputs': got \(4, 3, 2\), record declares \(2, 3, 4\)"):
+            write_container(str(path), small_arch, KIND_EVAL_BATCH, shapes, arrays)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("layout", ["fortran", "big-endian", "float64"])
+    def test_writer_bytes_do_not_depend_on_the_array_layout(self, tmp_path, small_arch, layout):
+        """A C-ordered little-endian float32 array is written as it is, and
+        any other is converted first: both give the same bytes."""
+        c_order = [arr.astype("<f4") for arr in _random_weight_set(small_arch, 22).tensors.values()]
+        change = {"fortran": np.asfortranarray, "big-endian": lambda a: a.astype(">f4"),
+                  "float64": lambda a: a.astype(np.float64)}[layout]
+        other = [change(arr) for arr in c_order]
+        assert all(arr.flags.c_contiguous for arr in c_order)
+        assert any(not arr.flags.c_contiguous or arr.dtype != "<f4" for arr in other)
+        for key, arrays in (("c", c_order), ("other", other)):
+            write_container(str(tmp_path / key), small_arch, KIND_WEIGHT_SET, small_arch.tensor_shapes(), arrays)
+        for name in ("manifest.json", "tensors.bin"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "other" / name).read_bytes()
+
+    def test_float32_inf_written_as_is_leaves_target_as_it_was(self, tmp_path, small_arch):
+        """A float32 array that is written without conversion is checked
+        too: an inf in the last one keeps an existing container's bytes and
+        leaves no temporary file."""
+        path = tmp_path / "ckpt"
+        write_checkpoint(_random_weight_set(small_arch, 23), str(path))
+        before = {p.name: p.read_bytes() for p in path.iterdir()}
+        arrays = [arr.astype("<f4") for arr in _random_weight_set(small_arch, 24).tensors.values()]
+        arrays[-1][-1, -1] = np.inf
+        with pytest.raises(NonFiniteTensorError, match="head.weight"):
+            write_container(str(path), small_arch, KIND_WEIGHT_SET, small_arch.tensor_shapes(), arrays)
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
     def test_element_count_does_not_wrap(self, tmp_path, small_arch):
         """2**32 x 2**32 elements is 2**64, not the int64 wrap-around 0."""

@@ -20,8 +20,10 @@ from taskport.checkpoint import (
     TaskVector,
     WeightSet,
     read_checkpoint,
+    read_task_vector,
     write_checkpoint,
     write_container,
+    write_permutation_assignment,
     write_task_vector,
 )
 from taskport.cli import main
@@ -151,6 +153,95 @@ class TestFloat32Difference:
             else:
                 assert code == 0
                 assert {f: Path(paths["out"], f).read_bytes() for f in expect} == expect
+
+
+class TestFloat32Sum:
+    """The streamed ``transport`` adds the float32 records it reads when a
+    tensor's factor is 1: that is float64's sum rounded to float32, bit for
+    bit, by the theorem ``TestFloat32Difference`` pins (a + b is a - (-b)).
+    Any other factor multiplies and adds in float64."""
+
+    ARCH = ArchSpec(2, 2, 8, 16, 4, 3)
+    NAME = "block.0.mlp.fc1.weight"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(float32_pairs(), st.booleans())
+    def test_float32_sum_is_float64_sum_rounded(self, pair, negate):
+        """Negating the second operand turns the pairs' near neighbours
+        into sums that cancel."""
+        a, b = pair
+        b = -b if negate else b
+        with np.errstate(over="ignore"):
+            got = a + b
+            want = (a.astype(np.float64) + b.astype(np.float64)).astype(np.float32)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def _port(self, d, tv_values, base_values, argv_scaling=(), scaling=1.0):
+        """Write a base holding ``base_values`` and a task vector holding
+        ``tv_values`` in ``NAME``'s first entries, then port the vector with
+        the identity assignment, so that paired values meet, through the
+        command line and through the in-memory API.  Returns the exit code,
+        the stderr text and the in-memory files (None if the in-memory
+        write refuses a non-finite sum)."""
+        paths = {key: os.path.join(d, key) for key in ("base", "tv", "out", "expect")}
+        graph = build_coupling_graph(self.ARCH, "compose")
+        identity = graph.identity_assignment()
+        paths["perm"] = os.path.join(d, "id.perm")
+        write_permutation_assignment(identity, paths["perm"])
+        base, tv = init_random(self.ARCH, 0), init_random(self.ARCH, 1)
+        base.tensors[self.NAME].flat[: base_values.size] = base_values
+        tv.tensors[self.NAME].flat[: tv_values.size] = tv_values
+        write_checkpoint(base, paths["base"])
+        write_task_vector(TaskVector(self.ARCH, tv.tensors), paths["tv"])
+        ported = transport(read_checkpoint(paths["base"]), read_task_vector(paths["tv"]), graph, identity, scaling)
+        try:
+            write_checkpoint(ported, paths["expect"])
+        except NonFiniteTensorError:
+            expect = None
+        else:
+            expect = {f: Path(paths["expect"], f).read_bytes() for f in os.listdir(paths["expect"])}
+        with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would fail the call
+            code = main(["transport", "--base", paths["base"], "--task-vector", paths["tv"],
+                         "--perm", paths["perm"], "--out", paths["out"], *argv_scaling])
+        if code == 0:
+            assert expect is not None
+            assert {f: Path(paths["out"], f).read_bytes() for f in expect} == expect
+        else:
+            assert not os.path.exists(paths["out"])
+        return code, err.getvalue(), expect
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(float32_pairs(max_size=128), st.booleans())
+    def test_cli_transport_writes_the_in_memory_bytes(self, pair, negate):
+        """At the default ``--alpha``, records holding such pairs port to the
+        in-memory API's bytes; a sum beyond float32's range is refused by
+        both, in one line and with no numpy warning."""
+        a, b = pair
+        with tempfile.TemporaryDirectory() as d:
+            code, err, expect = self._port(d, a, -b if negate else b)
+        if expect is None:
+            assert code == 1 and err == f"error: tensor '{self.NAME}' contains non-finite values\n"
+        else:
+            assert code == 0 and err == ""
+
+    def test_sum_beyond_float32_range_is_refused(self, tmp_path):
+        top = np.array([F32_MAX, -F32_MAX], dtype=np.float32)
+        code, err, expect = self._port(str(tmp_path), top, top)
+        assert expect is None
+        assert code == 1 and err == f"error: tensor '{self.NAME}' contains non-finite values\n"
+
+    def test_alpha_file_mixing_one_and_another_factor(self, tmp_path):
+        """Block 0 (and the embedding) adds in float32, block 1 (and the
+        classifier) multiplies by 0.37 in float64, in one call."""
+        pair = np.array([1.0, F32_MAX / 3, 1e-30], dtype=np.float32)
+        alpha_file = tmp_path / "alphas.txt"
+        alpha_file.write_text("1\n0.37\n")
+        d = tmp_path / "port"
+        d.mkdir()
+        code, err, expect = self._port(str(d), pair, pair, ["--alpha-file", str(alpha_file)], [1.0, 0.37])
+        assert code == 0 and err == "" and expect is not None
 
 
 class TestTransport:
