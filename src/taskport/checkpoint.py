@@ -192,23 +192,30 @@ def atomic_write(path: str, data: bytes | str | Iterable) -> None:
     iterable of bytes-like chunks written in order - by renaming a uniquely
     named temporary file in its directory; the temporary file is removed if
     the write, the iteration or the rename fails.  It is created with
-    ``open()``'s mode, 0666 less the umask, which the kernel applies."""
+    ``open()``'s mode, 0666 less the umask, which the kernel applies.  An
+    OSError about the temporary file (a missing directory, ``path`` a
+    directory) is raised with its errno as an OSError about ``path``."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     if isinstance(data, (bytes, bytearray, memoryview)):
         data = (data,)
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as f:
-            for chunk in data:
-                f.write(chunk)
-                del chunk  # written: hold no reference while the next chunk is made
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                for chunk in data:
+                    f.write(chunk)
+                    del chunk  # written: hold no reference while the next chunk is made
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        if e.filename != tmp:
+            raise
+        raise OSError(e.errno, e.strerror, path) from e
 
 
 def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, tuple[int, ...]],

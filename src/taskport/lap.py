@@ -13,11 +13,28 @@ displaces a holder.  The textbook rule (take the runner-up and requeue its
 holder) trades tied columns back and forth without moving a dual, and on
 tie-heavy matrices (pruned units, zero blocks) it more than doubled the
 solve time.  After 4n such steps, which bounds chains of tiny dual
-decrements, the rows still free are searched.
-Each Dijkstra step is a few full-width masked numpy operations; among
-equally near columns it scans a free one first, which ends the search, so on
+decrements, the rows still free are searched.  Among equally near columns
+the Dijkstra search scans a free one first, which ends the search, so on
 tied costs a row augments in one step instead of growing a tree over every
 matched column.
+
+The loops run one numpy call per row operation, and at the widths weight
+matching solves (up to a few thousand) a call's fixed cost of about half a
+microsecond outweighs its arithmetic.  So each step makes the fewest and
+cheapest calls that compute the same bits.  A minimum is read through
+``argmin`` (``ndarray.min()`` costs about three times as much), each loop
+writes its row into one reused buffer, and a tie is looked for among the
+free columns only.  A start step is one subtraction and two ``argmin``.  A
+search step forms its candidates ``(cost[i] + offset) - v`` in two calls,
+with ``offset = min_val - u[i]``, and updates the tentative distances with
+one ``np.minimum``: a scanned column holds -inf in the search's copy of
+``v``, so its candidate is +inf and it stays out.  The search keeps no
+predecessors.  Once it reaches a free column, each column on the path gets
+its predecessor back from the offsets recorded per scanned row: the first
+row, in scan order and scanned before that column, whose candidate
+recomputes to the column's distance.  Those are the float operations the
+search made, so that is the row a strict-< update would have kept, and the
+result is the same to the bit.
 
 Because every optimal assignment is complementary to any optimal duals, the
 set of optimal assignments equals the set of perfect matchings on the
@@ -27,7 +44,9 @@ column that still leaves the rest matchable, so ties always resolve to the
 lexicographically smallest optimal permutation.  That pass works only where
 the ties are: it returns a unique optimum at once, freezes the columns every
 optimum gives the same row, passes over rows already on their first tight
-column, and spends at most one search's work on each row it walks.
+column, and spends at most one search's work on each row it walks.  A
+walked row's candidates are one comparison and one ``nonzero``; a row left
+with none costs nothing more.
 """
 
 from __future__ import annotations
@@ -81,15 +100,16 @@ def _shortest_augmenting_paths(cost: np.ndarray):
     # feasible and every matched edge stays tight.
     free = np.array(row_of_col) < 0  # columns no row holds yet
     queue = deque(i for i, j in enumerate(col_of_row) if j < 0)
+    red = np.empty(n)  # the row being placed's reduced costs, then the search's candidates
     for _ in range(4 * n):
         if not queue:
             break
         i = queue.popleft()
-        red = cost[i] - v
+        np.subtract(cost[i], v, out=red)
         j1 = int(red.argmin())
         u1 = red[j1]
         red[j1] = np.inf
-        u2 = red.min()
+        u2 = red[red.argmin()]
         holder = row_of_col[j1]
         if u1 < u2:
             v[j1] -= u2 - u1
@@ -97,66 +117,86 @@ def _shortest_augmenting_paths(cost: np.ndarray):
                 col_of_row[holder] = -1
                 queue.appendleft(holder)
         elif holder >= 0:  # a tie never displaces
-            tied_free = (red == u1) & free  # j1 is held, so not free
-            j1 = int(tied_free.argmax())
-            if not tied_free[j1]:
+            free_cols = free.nonzero()[0]  # j1 is held, so not among them
+            tied = red[free_cols]
+            k = int(tied.argmin())
+            if tied[k] != u1:
                 continue
+            j1 = int(free_cols[k])
         free[j1] = False
         row_of_col[j1] = i
         col_of_row[i] = j1
     u = np.empty(n)
-    for i in [i for i, j in enumerate(col_of_row) if j < 0]:
-        u[i] = (cost[i] - v).min()
+    rows_left = [i for i, j in enumerate(col_of_row) if j < 0]
+    for i in rows_left:
+        np.subtract(cost[i], v, out=red)
+        u[i] = red[red.argmin()]
     cols = np.array(col_of_row)
-    rows = np.flatnonzero(cols >= 0)
+    rows = (cols >= 0).nonzero()[0]
     u[rows] = cost[rows, cols[rows]] - v[cols[rows]]
     dist = np.empty(n)
+    v_open = np.empty(n)  # v with the scanned columns at -inf
 
-    for cur in [i for i, j in enumerate(col_of_row) if j < 0]:
+    for cur in rows_left:
         # Dijkstra over columns, growing an alternating tree from row `cur`.
         # `key` is an unscanned column's tentative distance and +inf once the
         # column is scanned; `dist` keeps the distance it was scanned at.
+        # A scanned column's candidate is +inf against its -inf in `v_open`,
+        # so one np.minimum updates `key` and leaves scanned columns alone.
         key = np.full(n, np.inf)
-        pred = np.full(n, cur, dtype=np.int64)
-        unscanned = np.ones(n, dtype=bool)
-        scanned_rows = [cur]
+        np.copyto(v_open, v)
+        free_cols = free.nonzero()[0]
+        scanned_rows, offsets, scanned_cols = [cur], [], []
         min_val = 0.0
         i = cur
         while True:
-            cand = (min_val - u[i]) + cost[i] - v
-            better = (cand < key) & unscanned  # scanned columns keep +inf
-            np.copyto(key, cand, where=better)
-            np.copyto(pred, i, where=better)
+            offset = min_val - u[i]
+            offsets.append(offset)
+            np.add(cost[i], offset, out=red)
+            red -= v_open
+            np.minimum(key, red, out=key)
             j = int(key.argmin())
             min_val = key[j]
             if row_of_col[j] >= 0:
                 # Of equally near columns, a free one ends the search now.
-                tied_free = (key == min_val) & free
-                k = int(tied_free.argmax())
-                j = k if tied_free[k] else j
+                tied = key[free_cols]
+                k = int(tied.argmin())
+                if tied[k] == min_val:
+                    j = int(free_cols[k])
             dist[j] = min_val
             key[j] = np.inf
-            unscanned[j] = False
+            v_open[j] = -np.inf
+            scanned_cols.append(j)
             i = row_of_col[j]
             if i < 0:
                 break
             scanned_rows.append(i)
         free[j] = False
 
-        # Dual update keeps reduced costs non-negative and tight on the tree.
-        u[cur] += min_val
-        for r in scanned_rows[1:]:
-            u[r] += min_val - dist[col_of_row[r]]
-        scanned_cols = np.flatnonzero(~unscanned)
-        v[scanned_cols] -= min_val - dist[scanned_cols]
-
-        # Augment backwards along the predecessor chain from the free column j.
+        # Augment backwards from the free column j.  Its predecessor is the
+        # first row, in scan order and scanned before j, whose candidate
+        # (cost + offset) - v reached dist[j]: the row a strict-< update of
+        # `key` would have kept.  scanned_rows[m] holds scanned_cols[m - 1].
+        tree_rows, offsets = np.array(scanned_rows), np.array(offsets)
+        m = len(scanned_rows)
         while True:
-            i = int(pred[j])
-            row_of_col[j] = i
-            col_of_row[i], j = j, col_of_row[i]
-            if i == cur:
+            reach = cost[tree_rows[:m], j] + offsets[:m]
+            reach -= v[j]
+            m = int((reach == dist[j]).argmax())
+            r = scanned_rows[m]
+            row_of_col[j] = r
+            col_of_row[r] = j
+            if m == 0:
                 break
+            j = scanned_cols[m - 1]
+
+        # Dual update keeps reduced costs non-negative and tight on the tree.
+        # The last column's distance is min_val, so its dual does not move.
+        u[cur] += min_val
+        tree_cols = np.array(scanned_cols[:-1], dtype=np.int64)
+        step = min_val - dist[tree_cols]
+        u[tree_rows[1:]] += step
+        v[tree_cols] -= step
 
     return np.array(col_of_row, dtype=np.int64), u, v
 
@@ -165,7 +205,7 @@ def _tight_columns(tight: list, mask: np.ndarray, row: int) -> list:
     """Ascending tight columns of ``row``, listed from ``mask`` on first use."""
     cols = tight[row]
     if cols is None:
-        cols = tight[row] = np.flatnonzero(mask[row]).tolist()
+        cols = tight[row] = mask[row].nonzero()[0].tolist()
     return cols
 
 
@@ -235,8 +275,8 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     while (forced := col_of_row[deg == 1]).size:
         frozen[forced] = True
         deg -= np.count_nonzero(mask[:, forced], axis=1)
-    first = (mask & ~frozen).argmax(axis=1)  # each row's first unfrozen tight column
-    pending = np.flatnonzero((first < col_of_row) & (deg > 0)).tolist()  # sorted, so a heap
+    first = np.greater(mask, frozen).argmax(axis=1)  # each row's first unfrozen tight column
+    pending = ((first < col_of_row) & (deg > 0)).nonzero()[0].tolist()  # sorted, so a heap
     first = first.tolist()
     tight = [None] * n
 
@@ -251,10 +291,16 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
         current = col_of[i]
         if i < walked or first[i] >= current:
             continue  # queued twice, or a path moved it onto its first
-        frozen[col_of[walked:i]] = True
+        for r in range(walked, i):
+            frozen[col_of[r]] = True
         walked = i + 1
+        # Tight and unfrozen (mask > frozen on booleans), left of its own.
+        candidates = np.greater(mask[i, :current], frozen[:current]).nonzero()[0]
+        if not candidates.size:
+            frozen[current] = True
+            continue
         visited = bytearray(frozen)
-        for j in np.flatnonzero(mask[i, :current] & ~frozen[:current]).tolist():
+        for j in candidates.tolist():
             if visited[j]:
                 continue  # a failed search of this row marked it
             visited[j] = 1  # the path may not take j back

@@ -14,6 +14,7 @@ Every test must leave no more threads alive than it found.
 
 import itertools
 import threading
+from collections import deque
 
 import numpy as np
 import pytest
@@ -114,6 +115,109 @@ def reference_shortest_augmenting_paths(cost: np.ndarray):
     dist = np.empty(n)
 
     for cur in range(n):
+        # Dijkstra over columns, growing an alternating tree from row `cur`.
+        # `key` is an unscanned column's tentative distance and +inf once the
+        # column is scanned; `dist` keeps the distance it was scanned at.
+        key = np.full(n, np.inf)
+        pred = np.full(n, cur, dtype=np.int64)
+        unscanned = np.ones(n, dtype=bool)
+        scanned_rows = [cur]
+        min_val = 0.0
+        i = cur
+        while True:
+            cand = (min_val - u[i]) + cost[i] - v
+            better = (cand < key) & unscanned  # scanned columns keep +inf
+            np.copyto(key, cand, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(key.argmin())
+            min_val = key[j]
+            if row_of_col[j] >= 0:
+                # Of equally near columns, a free one ends the search now.
+                tied_free = (key == min_val) & free
+                k = int(tied_free.argmax())
+                j = k if tied_free[k] else j
+            dist[j] = min_val
+            key[j] = np.inf
+            unscanned[j] = False
+            i = row_of_col[j]
+            if i < 0:
+                break
+            scanned_rows.append(i)
+        free[j] = False
+
+        # Dual update keeps reduced costs non-negative and tight on the tree.
+        u[cur] += min_val
+        for r in scanned_rows[1:]:
+            u[r] += min_val - dist[col_of_row[r]]
+        scanned_cols = np.flatnonzero(~unscanned)
+        v[scanned_cols] -= min_val - dist[scanned_cols]
+
+        # Augment backwards along the predecessor chain from the free column j.
+        while True:
+            i = int(pred[j])
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == cur:
+                break
+
+    return np.array(col_of_row, dtype=np.int64), u, v
+
+
+# The search as it stood with its row-minimum start and augmenting row
+# reduction, before its loops moved onto fewer and cheaper numpy calls,
+# pinned verbatim: the search must return the same assignment and the
+# same duals, bit for bit.  ``reference_shortest_augmenting_paths`` above
+# predates that start and returns other (equally optimal) duals.
+def reference_row_reduction_shortest_augmenting_paths(cost: np.ndarray):
+    """Solve min-cost assignment; return (col_of_row, u, v) with optimal duals."""
+    n = cost.shape[0]
+    # Row reduction: each row takes its first minimum column, tight while
+    # the column duals are zero, unless an earlier row already holds it.
+    v = np.zeros(n)
+    col_of_row = [-1] * n
+    row_of_col = [-1] * n
+    for i, j in enumerate(cost.argmin(axis=1).tolist()):
+        if row_of_col[j] < 0:
+            row_of_col[j] = i
+            col_of_row[i] = j
+
+    # Augmenting row reduction.  Lowering v[j] only raises other rows'
+    # reduced costs, and the row that held j is freed, so the duals stay
+    # feasible and every matched edge stays tight.
+    free = np.array(row_of_col) < 0  # columns no row holds yet
+    queue = deque(i for i, j in enumerate(col_of_row) if j < 0)
+    for _ in range(4 * n):
+        if not queue:
+            break
+        i = queue.popleft()
+        red = cost[i] - v
+        j1 = int(red.argmin())
+        u1 = red[j1]
+        red[j1] = np.inf
+        u2 = red.min()
+        holder = row_of_col[j1]
+        if u1 < u2:
+            v[j1] -= u2 - u1
+            if holder >= 0:
+                col_of_row[holder] = -1
+                queue.appendleft(holder)
+        elif holder >= 0:  # a tie never displaces
+            tied_free = (red == u1) & free  # j1 is held, so not free
+            j1 = int(tied_free.argmax())
+            if not tied_free[j1]:
+                continue
+        free[j1] = False
+        row_of_col[j1] = i
+        col_of_row[i] = j1
+    u = np.empty(n)
+    for i in [i for i, j in enumerate(col_of_row) if j < 0]:
+        u[i] = (cost[i] - v).min()
+    cols = np.array(col_of_row)
+    rows = np.flatnonzero(cols >= 0)
+    u[rows] = cost[rows, cols[rows]] - v[cols[rows]]
+    dist = np.empty(n)
+
+    for cur in [i for i, j in enumerate(col_of_row) if j < 0]:
         # Dijkstra over columns, growing an alternating tree from row `cur`.
         # `key` is an unscanned column's tentative distance and +inf once the
         # column is scanned; `dist` keeps the distance it was scanned at.

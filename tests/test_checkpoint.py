@@ -1,5 +1,6 @@
 """Container and assignment-file round trips, plus every documented failure."""
 
+import errno
 import json
 import math
 import os
@@ -683,6 +684,23 @@ class TestAtomicWrite:
             atomic_write(str(target), "new\n")
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        target = tmp_path / "nodir" / "x.perm"
+        with pytest.raises(FileNotFoundError) as raised:
+            atomic_write(str(target), "x\n")
+        assert raised.value.errno == errno.ENOENT
+        assert raised.value.filename == str(target) and ".tmp" not in str(raised.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_target_names_the_target_and_removes_temp(self, tmp_path):
+        target = tmp_path / "a"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            atomic_write(str(target), "x\n")
+        assert raised.value.errno == errno.EISDIR
+        assert raised.value.filename == str(target) and ".tmp" not in str(raised.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["a"] and list(target.iterdir()) == []
 
     def test_chunks_are_written_in_order(self, tmp_path):
         atomic_write(str(tmp_path / "c"), (part for part in (b"ab", bytearray(b"c"), np.arange(2, dtype="<f4"))))

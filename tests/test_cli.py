@@ -110,6 +110,17 @@ class TestMatch:
         out = str(tmp_path / "p.perm")
         assert main(["match", "--model-a", model_a, "--model-b", "/nope", "--out", out]) == 1
 
+    @pytest.mark.parametrize("out", ["nodir/x.perm", "a"])
+    def test_unwritable_out_names_it_exit_one(self, workspace, capsys, out):
+        """A missing directory or a directory in the way: the message names
+        ``--out``, not the temporary file beside it."""
+        tmp_path, _, _, model_a = workspace
+        (tmp_path / "a").mkdir()
+        out = str(tmp_path / out)
+        assert main(["match", "--model-a", model_a, "--model-b", model_a, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f": {out!r}\n") and ".tmp" not in err
+
 
 class TestApplyAndTaskVector:
     def test_apply_then_unapply_via_files(self, workspace):

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import taskport.lap
-from conftest import brute_force_min_assignment, reference_lex_smallest_on_tight, reference_solve_min
+from conftest import (
+    brute_force_min_assignment,
+    reference_lex_smallest_on_tight,
+    reference_row_reduction_shortest_augmenting_paths,
+    reference_solve_min,
+)
 from taskport.checkpoint import ArchSpec
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.lap import _lex_smallest_on_tight, _shortest_augmenting_paths, solve_max, solve_min
@@ -591,3 +596,66 @@ class TestInvariances:
             solve_min(c)
             timings[n] = time.perf_counter() - start
         assert timings[256] <= 10.0 * max(timings[128], 1e-3), timings
+
+
+def _planted_compose_laps(monkeypatch, arch):
+    """The LAPs of a compose-mode match of a random model against a planted,
+    1%-noisy copy of itself."""
+    rng = np.random.default_rng(31)
+    ws = init_random(arch, 31)
+    graph = build_coupling_graph(arch, "compose")
+    ws_b = _noisy_nonzero(apply_assignment(ws, graph, graph.random_assignment(rng)), 0.01, rng)
+    return _captured_laps(monkeypatch, ws, ws_b, graph)
+
+
+class TestSearchAgainstPinned:
+    """The search returns what the pinned copy of the search with the same
+    start returns: the same assignment and the same duals, bit for bit, and
+    it does the same work to get there."""
+
+    @staticmethod
+    def _instances():
+        rng = np.random.default_rng(34)
+        for n in (1, 2, 7, 32, 100, 256):
+            yield rng.normal(size=(n, n))
+            yield rng.integers(0, 3, size=(n, n)).astype(float)
+            yield np.zeros((n, n))
+            yield _zero_block(n, max(1, n // 4), n)
+            yield -_zero_block(n, max(1, n // 4), n + 1)
+            yield -_planted(n, n)[0]
+            yield _price_war(n, n)
+
+    @staticmethod
+    def _check(laps):
+        assert laps
+        for c in laps:
+            got = _shortest_augmenting_paths(c)
+            want = reference_row_reduction_shortest_augmenting_paths(c)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), c.shape
+
+    def test_seeded_tied_and_degenerate_instances(self):
+        self._check(list(self._instances()))
+
+    def test_planted_compose_match(self, monkeypatch, toy_arch):
+        self._check(_planted_compose_laps(monkeypatch, toy_arch))
+
+    def test_pruned_tie_match(self, monkeypatch):
+        self._check(_pruned_tie_laps(monkeypatch))
+
+    # (start pops, searched rows, refinement path searches) summed over the
+    # LAPs of each match.  A solver that does less work, rather than the
+    # same work more cheaply, moves one of them.
+    WORK = {"planted-compose": (1930, 12, 0), "pruned-tie": (447, 0, 120)}
+
+    @pytest.mark.parametrize("match", sorted(WORK))
+    def test_work_is_pinned(self, monkeypatch, toy_arch, match):
+        if match == "planted-compose":
+            laps = _planted_compose_laps(monkeypatch, toy_arch)
+        else:
+            laps = _pruned_tie_laps(monkeypatch)
+        counters = _SolverCounters(monkeypatch)
+        for c in laps:
+            solve_min(c)
+        searches = sum(len(found) for found in counters.paths.values())
+        assert (counters.pops, counters.searched, searches) == self.WORK[match]
