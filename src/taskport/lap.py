@@ -12,11 +12,20 @@ as the search's first step would, or is left for the search; it never
 displaces a holder.  The textbook rule (take the runner-up and requeue its
 holder) trades tied columns back and forth without moving a dual, and on
 tie-heavy matrices (pruned units, zero blocks) it more than doubled the
-solve time.  After 4n such steps, which bounds chains of tiny dual
-decrements, the rows still free are searched.  Among equally near columns
-the Dijkstra search scans a free one first, which ends the search, so on
-tied costs a row augments in one step instead of growing a tree over every
-matched column.
+solve time.  A row of equal costs (a dead unit's) is placed without forming
+its reduced costs while two or more columns are free.  Column duals only
+fall from 0 and a free column keeps its 0, so its reduced cost is its
+constant on every free column and no less elsewhere: the free columns tie,
+the tie rule gives it the lowest, and no dual moves.  With one column free
+it may bid strictly and lower that column's dual, so it takes the general
+step.  The constant rows are listed at the first tie that finds its first
+minimum held, so a LAP with no such tie pays one test per step for the
+rule; on all-zero costs of width 2000 it cuts ``solve_min`` from about 30
+to 19 ms.  After 4n steps, a constant row's included, which bounds chains
+of tiny dual decrements, the rows still free are searched.  Among equally
+near columns the Dijkstra search scans a free one first, which ends the
+search, so on tied costs a row augments in one step instead of growing a
+tree over every matched column.
 
 The loops run one numpy call per row operation, and at the widths weight
 matching solves (up to a few thousand) a call's fixed cost of about half a
@@ -101,10 +110,25 @@ def _shortest_augmenting_paths(cost: np.ndarray):
     free = np.array(row_of_col) < 0  # columns no row holds yet
     queue = deque(i for i, j in enumerate(col_of_row) if j < 0)
     red = np.empty(n)  # the row being placed's reduced costs, then the search's candidates
+    constant = None  # whether each row's costs are all equal, listed at the first held tie
+    lo, hi = 0, n - 1  # at or below the lowest free column, at or above the highest
     for _ in range(4 * n):
         if not queue:
             break
         i = queue.popleft()
+        if constant is not None and constant[i]:
+            # Its reduced cost is its constant on every free column (dual 0)
+            # and no less elsewhere (duals <= 0): with two free columns the
+            # tie rule below gives it the lowest one and moves no dual.
+            while not free[lo]:
+                lo += 1
+            while not free[hi]:
+                hi -= 1
+            if lo < hi:
+                free[lo] = False
+                row_of_col[lo] = i
+                col_of_row[i] = lo
+                continue
         np.subtract(cost[i], v, out=red)
         j1 = int(red.argmin())
         u1 = red[j1]
@@ -117,6 +141,8 @@ def _shortest_augmenting_paths(cost: np.ndarray):
                 col_of_row[holder] = -1
                 queue.appendleft(holder)
         elif holder >= 0:  # a tie never displaces
+            if constant is None:
+                constant = (cost.max(axis=1) == cost.min(axis=1)).tolist()
             free_cols = free.nonzero()[0]  # j1 is held, so not among them
             tied = red[free_cols]
             k = int(tied.argmin())

@@ -166,15 +166,54 @@ def _price_war(n, seed):
     return c
 
 
+def _price_war_with_dead_rows(n, seed, kappa):
+    """``_price_war`` with its first quarter of rows constant at ``kappa``:
+    they are placed between the bids, and the start still stops at 4n steps."""
+    c = _price_war(n, seed)
+    c[:n // 4] = kappa
+    return c
+
+
+def _dead_rows(n, seed):
+    """Normal costs with half of the rows constant, each at a normal draw of
+    either sign: dead units whose bias products do not vanish."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(n, n))
+    rows = rng.choice(n, n // 2, replace=False)
+    c[rows] = rng.normal(size=(rows.size, 1))
+    return c
+
+
+def _dead_rows_at_1e6(n, seed):
+    """Half of the rows constant at 1e6 and the rest below 1e-12.  The start's
+    bids lower duals by about 1e-13, so a constant row's reduced cost on a
+    held column rounds back to 1e6 and ties the free columns."""
+    rng = np.random.default_rng(seed)
+    c = 1e-12 * rng.random((n, n))
+    c[rng.choice(n, n // 2, replace=False)] = 1e6
+    return c
+
+
+def _dead_row_bids_last():
+    """Row 1 is constant.  It ties at once, which lists the constant rows, and
+    takes column 1; row 0 then displaces it while lowering column 1's dual to
+    -1.  It comes back with only column 2 free and every other dual at -1, so
+    it is a strict bid: it must lower column 2's dual to -1 as it takes it."""
+    return np.array([[2.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 2.0, 1.0]])
+
+
 class _SolverCounters:
     """Counts, on ``taskport.lap``, the row-reduction queue's pops, the
-    Dijkstra loop's per-row ``key`` allocations (one per searched row), the
-    refinement's degree counts (one, plus one per trimming round) and its
-    alternating-path searches, by freed column: ``paths[target]`` lists
-    whether each search for it found a path."""
+    start's reduced-cost rows (one ``np.subtract`` per row the augmenting row
+    reduction or the free rows' dual start evaluates) and how many of those
+    rows have constant costs, the Dijkstra loop's per-row ``key`` allocations
+    (one per searched row), the refinement's degree counts (one, plus one per
+    trimming round) and its alternating-path searches, by freed column:
+    ``paths[target]`` lists whether each search for it found a path."""
 
     def __init__(self, monkeypatch):
         self.pops = self.searched = self.degree_counts = 0
+        self.start_rows = self.constant_start_rows = 0
         self.paths = collections.defaultdict(list)
         counters = self
         augment = taskport.lap._augment
@@ -196,6 +235,11 @@ class _SolverCounters:
             def full(self, shape, fill, *args, **kwargs):
                 counters.searched += fill == np.inf
                 return np.full(shape, fill, *args, **kwargs)
+
+            def subtract(self, row, *args, **kwargs):
+                counters.start_rows += 1
+                counters.constant_start_rows += bool(row.max() == row.min())
+                return np.subtract(row, *args, **kwargs)
 
             def count_nonzero(self, *args, **kwargs):
                 counters.degree_counts += 1
@@ -239,7 +283,7 @@ class TestTieHeavy:
     def test_pruned_planted_3072(self):
         """75% of the units dead on each side of a 3072-wide planted matrix.
         The bound fails a refinement that searches once per candidate column
-        (8.6-9.8 s); one search per walked row takes 0.6-0.75 s."""
+        (8.6-9.8 s); one search per walked row takes 0.3-0.4 s."""
         c = _pruned_planted(3072, 3072)
         (p, value), elapsed = _timed(solve_max, c)
         assert np.array_equal(np.sort(p), np.arange(3072))
@@ -322,6 +366,11 @@ class TestDuals:
             shared[np.arange(n), rng.integers(0, max(1, n // 3), n)] = -rng.random(n)
             yield shared
             yield _price_war(n, n)
+            yield _price_war_with_dead_rows(n, n, 0.5)
+            yield _dead_rows(n, n)
+            yield -_dead_rows(n, n)
+            yield _dead_rows_at_1e6(n, n)
+        yield _dead_row_bids_last()
 
     @staticmethod
     def assert_optimal_duals(c, col_of_row, u, v):
@@ -349,12 +398,46 @@ class TestDuals:
 
     def test_tied_rows_take_free_columns_without_search(self, monkeypatch):
         """On all-zero costs every row but the first ties on every column;
-        each takes its first free one in a single step and none is searched."""
+        each takes its first free one in a single step and none is searched.
+        Two of those steps form reduced costs: the first tie, which lists the
+        constant rows, and the last row's, which finds one column free (a
+        start without the constant-row step forms all 299)."""
         counters = _SolverCounters(monkeypatch)
         col_of_row, _, v = _shortest_augmenting_paths(np.zeros((300, 300)))
         assert np.array_equal(col_of_row, np.arange(300))
         assert counters.pops == 299 and counters.searched == 0
+        assert counters.start_rows == 2
         assert not v.any()
+
+    def test_dead_rows_form_no_reduced_costs(self, monkeypatch):
+        """75% of 448 units dead: of the 336 constant rows of either sign of
+        the value matrix, the start forms reduced costs for at most the first
+        tie's and one that finds a single column free (364 and 363 without
+        the constant-row step)."""
+        block = _zero_block(448, 112, 448)
+        for c in (block, -block):
+            counters = _SolverCounters(monkeypatch)
+            _shortest_augmenting_paths(c)
+            assert counters.constant_start_rows <= 2, counters.constant_start_rows
+
+    def test_dead_row_bids_on_the_last_free_column(self):
+        """With one column free a constant row may be a strict bid, which
+        lowers that column's dual: it does not take the column at dual 0."""
+        c = _dead_row_bids_last()
+        col_of_row, u, v = _shortest_augmenting_paths(c)
+        assert col_of_row.tolist() == [1, 2, 0]
+        assert v.tolist() == [-1.0, -1.0, -1.0]
+        self.assert_optimal_duals(c, col_of_row, u, v)
+
+    def test_dead_rows_in_a_price_war_keep_the_cap(self, monkeypatch):
+        """A constant row placed without its reduced costs still pops one
+        queue entry: with dead rows among the bids, the start stops after 4n
+        steps and leaves rows to the search."""
+        c = _price_war_with_dead_rows(100, 5, 0.5)
+        counters = _SolverCounters(monkeypatch)
+        _shortest_augmenting_paths(c)
+        assert counters.pops == 400 and counters.searched > 0
+        assert counters.constant_start_rows <= 2, counters.constant_start_rows
 
     @pytest.mark.parametrize("n", [64, 256, 512])
     def test_totals_match_scipy(self, n):
@@ -624,6 +707,12 @@ class TestSearchAgainstPinned:
             yield -_zero_block(n, max(1, n // 4), n + 1)
             yield -_planted(n, n)[0]
             yield _price_war(n, n)
+            yield _price_war_with_dead_rows(n, n, 0.5)
+            yield _price_war_with_dead_rows(n, n, -1.0)
+            yield _dead_rows(n, n)
+            yield -_dead_rows(n, n)
+            yield _dead_rows_at_1e6(n, n)
+        yield _dead_row_bids_last()
 
     @staticmethod
     def _check(laps):
