@@ -7,7 +7,7 @@ base B.  The transported model should beat base B on the task even though
 B itself never saw a single training example.
 
 Also shows the reuse property: the same matched assignment carries a second
-task vector (and their merge) with no extra matching work.
+task vector with no extra matching work.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from taskport import (
     compute_task_vector,
     init_random,
     make_blob_batch,
-    merge_task_vectors,
     train_toy,
     transport,
     weight_match,
@@ -56,12 +55,7 @@ print(f"  B + raw delta (no perm):   {batch_loss(transport(base_b, tau1, graph, 
 print(f"  B + permuted delta:        {batch_loss(transport(base_b, tau1, graph, result.assignment), task1):8.4f}")
 print(f"  fine-tuned A (reference):  {batch_loss(tuned1, task1):8.4f}")
 
-# Reuse: the same assignment carries the second vector and a merge of both.
+# Reuse: the same assignment carries the second vector.
 print("\ntask 2 via the SAME assignment (no re-matching):")
 print(f"  base B alone:              {batch_loss(base_b, task2):8.4f}")
 print(f"  B + permuted delta:        {batch_loss(transport(base_b, tau2, graph, result.assignment), task2):8.4f}")
-
-both = merge_task_vectors([tau1, tau2], [0.5, 0.5])
-carried = transport(base_b, both, graph, result.assignment, scaling=1.0)
-print("\nmerged half-and-half vector, transported once:")
-print(f"  task 1 loss: {batch_loss(carried, task1):8.4f}   task 2 loss: {batch_loss(carried, task2):8.4f}")

@@ -8,7 +8,6 @@ assignment, residual-aware propagation - then carries fine-tuning deltas
 
 from .checkpoint import (
     ArchSpec,
-    TaskVector,
     WeightSet,
     read_checkpoint,
     read_permutation_assignment,
@@ -46,7 +45,7 @@ from .model import (
     write_eval_batch,
 )
 from .perms import PermutationAssignment, compose, identity, inverse, join_heads
-from .transport import compute_task_vector, merge_task_vectors, transport
+from .transport import compute_task_vector, transport
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "LmcCurve",
     "MatchResult",
     "PermutationAssignment",
-    "TaskVector",
     "WeightSet",
     "align_within_heads",
     "apply_assignment",
@@ -76,7 +74,6 @@ __all__ = [
     "loss_and_grads",
     "make_blob_batch",
     "matching_objective",
-    "merge_task_vectors",
     "pair_heads",
     "read_checkpoint",
     "read_eval_batch",

@@ -175,16 +175,12 @@ class WeightSet:
             require_finite(name, arrays[name])
         self.tensors = {name: arrays[name] for name in names}
 
-    def copy(self):
-        """A deep copy of the same type."""
-        return type(self)(self.arch, {k: v.copy() for k, v in self.tensors.items()})
+    def copy(self) -> "WeightSet":
+        """A deep copy."""
+        return WeightSet(self.arch, {k: v.copy() for k, v in self.tensors.items()})
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
-
-
-class TaskVector(WeightSet):
-    """Per-tensor additive delta sharing a WeightSet's key space."""
 
 
 def atomic_write(path: str, data: bytes | str | Iterable) -> None:
@@ -320,7 +316,7 @@ class ContainerReader:
     tensor names and shapes are checked on opening, before any tensor data
     is read.  ``reader[name]`` is the finite float32 record as a read-only
     view of one reused scratch buffer, valid until the reader's next read;
-    ``read(name)`` is an owned, unchecked float64 copy.  The blob's handle
+    ``read_container`` gives owned float64 copies instead.  The blob's handle
     stays open for the ``with`` block, so an output renamed over the
     container leaves the bytes it reads unchanged."""
 
@@ -390,12 +386,8 @@ def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec,
         return reader.arch, reader.kind, {name: reader._record(name).astype(np.float64) for name in reader.shapes}
 
 
-def _shapes(tensors: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
-    return {name: arr.shape for name, arr in tensors.items()}
-
-
 def write_checkpoint(ws: WeightSet, path: str) -> None:
-    write_container(path, ws.arch, KIND_WEIGHT_SET, _shapes(ws.tensors), ws.tensors.values())
+    write_container(path, ws.arch, KIND_WEIGHT_SET, ws.arch.tensor_shapes(), ws.tensors.values())
 
 
 def read_checkpoint(path: str) -> WeightSet:
@@ -403,13 +395,13 @@ def read_checkpoint(path: str) -> WeightSet:
     return WeightSet(arch, tensors)
 
 
-def write_task_vector(tv: TaskVector, path: str) -> None:
-    write_container(path, tv.arch, KIND_TASK_VECTOR, _shapes(tv.tensors), tv.tensors.values())
+def write_task_vector(tv: WeightSet, path: str) -> None:
+    write_container(path, tv.arch, KIND_TASK_VECTOR, tv.arch.tensor_shapes(), tv.tensors.values())
 
 
-def read_task_vector(path: str) -> TaskVector:
+def read_task_vector(path: str) -> WeightSet:
     arch, _, tensors = read_container(path, expect_kind=KIND_TASK_VECTOR)
-    return TaskVector(arch, tensors)
+    return WeightSet(arch, tensors)
 
 
 def require_same_arch(a: ArchSpec, b: ArchSpec, what: str = "inputs") -> None:

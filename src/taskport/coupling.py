@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import ArchSpec, require_same_arch
+from .checkpoint import ArchSpec, WeightSet, require_same_arch
 from .errors import ArchMismatchError, IncompleteAssignmentError, UnknownVariableError
 from .perms import (
     Perm,
@@ -228,15 +228,15 @@ def permuted_tensors(ws, graph: CouplingGraph, assignment: PermutationAssignment
     return (permuted_tensor(ws, graph, assignment, name, scratch=scratch) for name in ws.arch.tensor_shapes())
 
 
-def apply_assignment(ws, graph: CouplingGraph, assignment: PermutationAssignment):
-    """Permute a WeightSet or TaskVector according to the graph's wiring.
+def apply_assignment(ws: WeightSet, graph: CouplingGraph, assignment: PermutationAssignment) -> WeightSet:
+    """Permute a model or a task vector according to the graph's wiring.
 
     Pure index moves: exact, invertible, and linear over the tensor values.
     Every tensor of the result is a new array the caller owns; ``np.take``
     already made one for each permuted tensor, so only the rest are copied.
     """
     moved = zip(ws.tensors.items(), permuted_tensors(ws, graph, assignment), strict=True)
-    return type(ws)(ws.arch, {name: arr.copy() if out is arr else out for (name, arr), out in moved})
+    return WeightSet(ws.arch, {name: arr.copy() if out is arr else out for (name, arr), out in moved})
 
 
 def inverse_assignment(graph: CouplingGraph, assignment: PermutationAssignment) -> PermutationAssignment:

@@ -14,9 +14,9 @@ class MalformedManifestError(CheckpointError):
 
 
 class MissingTensorError(CheckpointError):
-    def __init__(self, name: str, detail: str = ""):
+    def __init__(self, name: str):
         self.tensor = name
-        super().__init__(f"missing tensor {name!r}" + (f": {detail}" if detail else ""))
+        super().__init__(f"missing tensor {name!r}")
 
 
 class ShapeMismatchError(CheckpointError):

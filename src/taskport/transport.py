@@ -1,11 +1,12 @@
-"""Task-vector arithmetic: compute, merge, and transport onto a new base.
+"""Task-vector arithmetic: compute a task vector and transport it onto a new base.
 
 A task vector is the elementwise difference between a fine-tuned model and
-the base it was tuned from.  Transport permutes that vector with an
-assignment matched between the old and new bases and adds it, scaled, to the
-new base.  Because permutation application is linear and index-exact,
-permuting the difference equals differencing the permuted models, and one
-matched assignment can carry any number of task vectors.
+the base it was tuned from, a ``WeightSet`` in the weights' own key space;
+on disk only its container's kind marks it.  Transport permutes that vector
+with an assignment matched between the old and new bases and adds it,
+scaled, to the new base.  Because permutation application is linear and
+index-exact, permuting the difference equals differencing the permuted
+models, and one matched assignment can carry any number of task vectors.
 
 Computing and transporting are each written once (``task_vector_tensors``,
 ``transported_tensors``): checked on the call, then one tensor at a time in
@@ -22,7 +23,7 @@ import math
 
 import numpy as np
 
-from .checkpoint import TaskVector, WeightSet, require_same_arch
+from .checkpoint import WeightSet, require_same_arch
 from .coupling import CouplingGraph, permuted_tensors
 from .perms import PermutationAssignment
 
@@ -36,9 +37,9 @@ def task_vector_tensors(ws_finetuned, ws_base):
     return (ws_finetuned[name] - ws_base[name] for name in ws_base.arch.tensor_shapes())
 
 
-def compute_task_vector(ws_finetuned: WeightSet, ws_base: WeightSet) -> TaskVector:
+def compute_task_vector(ws_finetuned: WeightSet, ws_base: WeightSet) -> WeightSet:
     """Elementwise difference fine-tuned minus base."""
-    return TaskVector(ws_base.arch, dict(zip(ws_base.tensors, task_vector_tensors(ws_finetuned, ws_base))))
+    return WeightSet(ws_base.arch, dict(zip(ws_base.tensors, task_vector_tensors(ws_finetuned, ws_base))))
 
 
 def transported_tensors(ws_base, tv, graph: CouplingGraph, assignment: PermutationAssignment, scaling=1.0):
@@ -74,7 +75,7 @@ def transported_tensors(ws_base, tv, graph: CouplingGraph, assignment: Permutati
 
 def transport(
     ws_base: WeightSet,
-    tv: TaskVector,
+    tv: WeightSet,
     graph: CouplingGraph,
     assignment: PermutationAssignment,
     scaling=1.0,
@@ -87,19 +88,3 @@ def transport(
     """
     ported = transported_tensors(ws_base, tv, graph, assignment, scaling)
     return WeightSet(ws_base.arch, dict(zip(ws_base.tensors, ported)))
-
-
-def merge_task_vectors(task_vectors: list[TaskVector], weights: list[float]) -> TaskVector:
-    """Weighted elementwise sum of task vectors sharing one key space."""
-    if not task_vectors:
-        raise ValueError("need at least one task vector")
-    if len(task_vectors) != len(weights):
-        raise ValueError(f"{len(task_vectors)} vectors but {len(weights)} weights")
-    arch = task_vectors[0].arch
-    for tv in task_vectors[1:]:
-        require_same_arch(arch, tv.arch, "task vectors to merge")
-    merged = {
-        name: sum(w * tv.tensors[name] for tv, w in zip(task_vectors, weights))
-        for name in task_vectors[0].tensors
-    }
-    return TaskVector(arch, merged)

@@ -36,7 +36,7 @@ from taskport.model import (
     verify_equivalence,
 )
 from taskport.transport import compute_task_vector, transport
-from taskport.checkpoint import TaskVector, WeightSet
+from taskport.checkpoint import WeightSet
 
 TOY = ArchSpec(
     n_blocks=2, n_heads=4, embed_dim=32, mlp_hidden=64,
@@ -246,7 +246,7 @@ def test_criterion_7_transport_algebra(tmp_path, monkeypatch):
 
     monkeypatch.setattr(matching_mod, "weight_match", counting)
     for k in range(3):
-        extra = TaskVector(
+        extra = WeightSet(
             TOY, {n: 0.01 * rng.normal(size=a.shape) for n, a in base.tensors.items()}
         )
         transport(base, extra, graph, assignment, 1.0)

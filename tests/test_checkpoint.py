@@ -15,7 +15,6 @@ from taskport.checkpoint import (
     KIND_WEIGHT_SET,
     ArchSpec,
     ContainerReader,
-    TaskVector,
     atomic_write,
     WeightSet,
     read_container,
@@ -158,13 +157,16 @@ class TestCheckpointRoundTrip:
         )
 
     def test_task_vector_kind_is_distinct(self, tmp_path, small_arch):
-        tv = TaskVector(small_arch, _random_weight_set(small_arch, 5).tensors)
+        tv = _random_weight_set(small_arch, 5)
         path = str(tmp_path / "tv")
         write_task_vector(tv, path)
         back = read_task_vector(path)
         np.testing.assert_array_equal(back.tensors["head.weight"], tv.tensors["head.weight"])
-        with pytest.raises(MalformedManifestError):
+        with pytest.raises(MalformedManifestError, match="expected kind 'weight_set', found 'task_vector'"):
             read_checkpoint(path)
+        write_checkpoint(tv, path)
+        with pytest.raises(MalformedManifestError, match="expected kind 'task_vector', found 'weight_set'"):
+            read_task_vector(path)
 
 
 class TestContainerReader:
@@ -284,7 +286,7 @@ class TestCheckpointErrors:
         """Every ill-typed arch or tensor record is refused before any bytes
         are read: no TypeError, no truncated offset, no count=-1 read."""
         path = str(tmp_path / "tv")
-        write_task_vector(TaskVector(small_arch, _random_weight_set(small_arch, 11).tensors), path)
+        write_task_vector(_random_weight_set(small_arch, 11), path)
         manifest_path = os.path.join(path, "manifest.json")
         manifest = json.loads(Path(manifest_path).read_text())
         if field == "arch":

@@ -590,6 +590,36 @@ class TestPerTensorPort:
         assert expect in err and err.count("\n") == 1
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "subcommand, flag, given, expected",
+        [
+            ("transport", "--task-vector", "a", KIND_TASK_VECTOR),
+            ("transport", "--base", "tv", KIND_WEIGHT_SET),
+            ("apply", "--model", "tv", KIND_WEIGHT_SET),
+            ("task-vector", "--finetuned", "tv", KIND_WEIGHT_SET),
+            ("task-vector", "--base", "tv", KIND_WEIGHT_SET),
+            ("verify", "--model", "tv", KIND_WEIGHT_SET),
+            ("match", "--model-a", "tv", KIND_WEIGHT_SET),
+        ],
+    )
+    def test_container_of_the_other_kind_exit_one(self, port, capsys, subcommand, flag, given, expected):
+        """A task vector and a model share one tensor-dict type, so the
+        container's kind is all that tells them apart: each input refuses
+        the other kind with one error line, and nothing is written."""
+        tmp_path, _, paths = port
+        out = str(tmp_path / "out")
+        argv = {
+            "verify": ["verify", "--model", paths["a"], "--perm", paths["perm"]],
+            "match": ["match", "--model-a", paths["a"], "--model-b", paths["b"], "--out", out],
+        }.get(subcommand) or self._argv(subcommand, paths, out)
+        argv[argv.index(flag) + 1] = paths[given]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        found = KIND_WEIGHT_SET if expected == KIND_TASK_VECTOR else KIND_TASK_VECTOR
+        assert captured.out == ""
+        assert captured.err == f"error: expected kind {expected!r}, found {found!r}\n"
+        assert not os.path.exists(out)
+
     @staticmethod
     def _leftovers(*dirs):
         return [name for d in dirs if os.path.isdir(d) for name in os.listdir(d) if name.endswith(".tmp")]

@@ -12,7 +12,6 @@ from taskport.checkpoint import (
     KIND_WEIGHT_SET,
     ArchSpec,
     ContainerReader,
-    TaskVector,
     WeightSet,
     read_checkpoint,
     read_permutation_assignment,
@@ -287,11 +286,10 @@ class TestApplyAssignment:
         b = init_random(toy_arch, 4)
         graph = build_coupling_graph(toy_arch, "compose")
         assignment = graph.random_assignment(np.random.default_rng(5))
-        diff = TaskVector(toy_arch, {n: a.tensors[n] - b.tensors[n] for n in a.tensors})
+        diff = WeightSet(toy_arch, {n: a.tensors[n] - b.tensors[n] for n in a.tensors})
         moved_diff = apply_assignment(diff, graph, assignment)
         pa = apply_assignment(a, graph, assignment)
         pb = apply_assignment(b, graph, assignment)
-        assert type(moved_diff) is TaskVector and type(diff.copy()) is TaskVector
         assert type(pa) is WeightSet and type(a.copy()) is WeightSet
         for name in a.tensors:
             np.testing.assert_array_equal(

@@ -17,7 +17,6 @@ from taskport.checkpoint import (
     KIND_WEIGHT_SET,
     ArchSpec,
     ContainerReader,
-    TaskVector,
     WeightSet,
     read_checkpoint,
     read_task_vector,
@@ -32,7 +31,6 @@ from taskport.errors import ArchMismatchError, AssignmentFormatError, NonFiniteT
 from taskport.model import init_random
 from taskport.transport import (
     compute_task_vector,
-    merge_task_vectors,
     task_vector_tensors,
     transport,
     transported_tensors,
@@ -193,7 +191,7 @@ class TestFloat32Sum:
         base.tensors[self.NAME].flat[: base_values.size] = base_values
         tv.tensors[self.NAME].flat[: tv_values.size] = tv_values
         write_checkpoint(base, paths["base"])
-        write_task_vector(TaskVector(self.ARCH, tv.tensors), paths["tv"])
+        write_task_vector(tv, paths["tv"])
         ported = transport(read_checkpoint(paths["base"]), read_task_vector(paths["tv"]), graph, identity, scaling)
         try:
             write_checkpoint(ported, paths["expect"])
@@ -326,7 +324,7 @@ class TestTransport:
         base, finetuned, graph, assignment = setup
         rng = np.random.default_rng(6)
         for k in range(3):
-            delta = TaskVector(
+            delta = WeightSet(
                 base.arch,
                 {n: rng.normal(size=a.shape) * 0.01 for n, a in base.tensors.items()},
             )
@@ -356,46 +354,6 @@ class TestTransport:
         moved = apply_assignment(tv, graph, assignment)
         for name, arr in out.tensors.items():
             np.testing.assert_array_equal(arr, base.tensors[name] + 0.5 * moved.tensors[name])
-
-
-class TestMergeTaskVectors:
-    def test_single_vector_weight_one(self, setup):
-        base, finetuned, _, _ = setup
-        tv = compute_task_vector(finetuned, base)
-        merged = merge_task_vectors([tv], [1.0])
-        for name in tv.tensors:
-            np.testing.assert_array_equal(merged.tensors[name], tv.tensors[name])
-
-    def test_vector_and_negation_cancel(self, setup):
-        base, finetuned, _, _ = setup
-        tv = compute_task_vector(finetuned, base)
-        neg = TaskVector(tv.arch, {n: -a for n, a in tv.tensors.items()})
-        merged = merge_task_vectors([tv, neg], [1.0, 1.0])
-        for arr in merged.tensors.values():
-            assert np.all(arr == 0.0)
-
-    def test_merge_commutes_with_permutation(self, setup):
-        base, finetuned, graph, assignment = setup
-        rng = np.random.default_rng(7)
-        tvs = [
-            TaskVector(base.arch, {n: rng.normal(size=a.shape) for n, a in base.tensors.items()})
-            for _ in range(3)
-        ]
-        weights = [0.5, -1.0, 2.0]
-        merged_then_moved = apply_assignment(merge_task_vectors(tvs, weights), graph, assignment)
-        moved_then_merged = merge_task_vectors(
-            [apply_assignment(tv, graph, assignment) for tv in tvs], weights
-        )
-        for name in merged_then_moved.tensors:
-            np.testing.assert_allclose(
-                merged_then_moved.tensors[name], moved_then_merged.tensors[name], atol=0
-            )
-
-    def test_count_mismatch(self, setup):
-        base, finetuned, _, _ = setup
-        tv = compute_task_vector(finetuned, base)
-        with pytest.raises(ValueError):
-            merge_task_vectors([tv], [1.0, 2.0])
 
 
 class TestChecksOnCall:
