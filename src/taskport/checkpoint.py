@@ -219,10 +219,9 @@ def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, t
     """Low-level container writer: one record per entry of ``shapes``, in its
     order, holding the matching array of ``arrays`` in the record's shape.
     The manifest is serialised before the blob, which is streamed one array
-    at a time: a C-ordered ``<f4`` ndarray as it is, any other converted in
-    one float32 buffer the size of the largest record, made when first
-    needed; so ``arrays`` may compute each tensor, or refill its own buffer,
-    when asked for the next.
+    at a time: a C-ordered ``<f4`` ndarray as it is, any other converted to
+    a new one; so ``arrays`` may compute each tensor, or refill its own
+    buffer, when asked for the next.
     A value not finite in float32 raises NonFiniteTensorError and leaves any
     container at ``path`` as it was."""
     records = []
@@ -239,7 +238,6 @@ def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, t
     os.makedirs(path, exist_ok=True)
 
     def float32_records():  # each record is written before the next array is asked for
-        scratch = None  # made by the first array that is not a C-ordered <f4 ndarray
         source, end = iter(arrays), object()
         for name, shape in shapes.items():
             arr = next(source, end)  # no reference to the previous array is left while this one is made
@@ -249,12 +247,7 @@ def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, t
                 if np.size(arr) != math.prod(shape):
                     raise ValueError(f"cannot reshape {np.size(arr)} values into record {name!r} of shape {shape}")
                 raise ShapeMismatchError(name, f"got {np.shape(arr)}, record declares {tuple(shape)}")
-            if not (isinstance(arr, np.ndarray) and arr.dtype == "<f4" and arr.flags.c_contiguous):
-                if scratch is None:
-                    scratch = np.empty(max((rec["length"] // 4 for rec in records), default=0), dtype="<f4")
-                out = scratch[: math.prod(shape)].reshape(shape)
-                np.copyto(out, arr, casting="same_kind")
-                arr = out
+            arr = np.asarray(arr).astype("<f4", order="C", casting="same_kind", copy=False)
             yield require_finite(name, arr)
             del arr
         if next(source, end) is not end:

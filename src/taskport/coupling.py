@@ -164,10 +164,13 @@ def build_coupling_graph(
     variable per unit id of ``arch.tensor_axes()``, except that ``tie`` maps
     every ``stream`` unit set to the one ``stream`` variable.
 
-    ``pin_embedding`` keeps the permutation of the embedding output (the
-    model's first hidden representation) at identity, which is what transport
-    onto a positionally meaningful input expects; unpin it for pure
-    re-basin experiments.
+    ``pin_embedding`` keeps the matcher from moving the embedding output (the
+    model's first hidden representation), which is what transport onto a
+    positionally meaningful input expects; unpin it for pure re-basin
+    experiments.  Pinning decides only what ``weight_match`` may move, what
+    ``random_assignment`` plants, which variables ``recovery_fraction`` counts
+    and the ``pinned`` tag of ``dump_table``: every application of an
+    assignment applies whatever permutation it holds for every variable.
     """
     if residual_mode not in (RESIDUAL_COMPOSE, RESIDUAL_TIE):
         raise ValueError(f"residual_mode must be 'compose' or 'tie', got {residual_mode!r}")
@@ -232,11 +235,10 @@ def apply_assignment(ws: WeightSet, graph: CouplingGraph, assignment: Permutatio
     """Permute a model or a task vector according to the graph's wiring.
 
     Pure index moves: exact, invertible, and linear over the tensor values.
-    Every tensor of the result is a new array the caller owns; ``np.take``
-    already made one for each permuted tensor, so only the rest are copied.
+    Every tensor has an axis that a variable owns, so ``np.take`` makes each
+    tensor of the result a new array the caller owns.
     """
-    moved = zip(ws.tensors.items(), permuted_tensors(ws, graph, assignment), strict=True)
-    return WeightSet(ws.arch, {name: arr.copy() if out is arr else out for (name, arr), out in moved})
+    return WeightSet(ws.arch, dict(zip(ws.arch.tensor_shapes(), permuted_tensors(ws, graph, assignment))))
 
 
 def inverse_assignment(graph: CouplingGraph, assignment: PermutationAssignment) -> PermutationAssignment:

@@ -70,27 +70,6 @@ from .perms import Perm
 _TIGHT_RTOL = 1e-10
 
 
-def _check_cost(c) -> np.ndarray:
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
-        raise ValueError(f"cost matrix must be square and non-empty, got shape {c.shape}")
-    lo, hi = c.min(), c.max()  # nan and inf propagate into these
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("cost matrix contains non-finite entries")
-    # With M = max|c|, the total sums n entries, so it stays within n*M.  The
-    # column duals only fall from 0, and a free column keeps its 0; feasible
-    # duals then hold every row dual in [-M, M] and every column dual in
-    # [-2M, 0] while a column is free, and the step that takes the last one
-    # widens that to 3M and -4M.  So no difference or sum the solver forms
-    # exceeds 10M, and none of it overflows below max / (n + 16).
-    n = c.shape[0]
-    if max(-lo, hi) > np.finfo(np.float64).max / (n + 16):
-        raise ValueError(
-            f"cost magnitude {max(-lo, hi):.3g} too large for an exact {n}x{n} solve"
-        )
-    return c
-
-
 def _shortest_augmenting_paths(cost: np.ndarray):
     """Solve min-cost assignment; return (col_of_row, u, v) with optimal duals."""
     n = cost.shape[0]
@@ -227,15 +206,7 @@ def _shortest_augmenting_paths(cost: np.ndarray):
     return np.array(col_of_row, dtype=np.int64), u, v
 
 
-def _tight_columns(tight: list, mask: np.ndarray, row: int) -> list:
-    """Ascending tight columns of ``row``, listed from ``mask`` on first use."""
-    cols = tight[row]
-    if cols is None:
-        cols = tight[row] = mask[row].nonzero()[0].tolist()
-    return cols
-
-
-def _augment(start_row: int, target: int, tight: list, mask: np.ndarray, row_of: list, col_of: list,
+def _augment(start_row: int, target: int, mask: np.ndarray, row_of: list, col_of: list,
              visited: bytearray) -> list | None:
     """Kuhn-style alternating path over tight edges from the unmatched
     ``start_row`` to the free column ``target``, skipping marked columns.
@@ -243,7 +214,8 @@ def _augment(start_row: int, target: int, tight: list, mask: np.ndarray, row_of:
     Each row it enters tries ``target`` first, so on tied rows the path is
     one step long; then it goes depth-first in column order, on an explicit
     stack so path length is not bounded by the interpreter's recursion
-    limit.  Flips the matching along the path it finds and returns the rows
+    limit.  A row's tight columns are listed from ``mask`` when it is
+    entered.  Flips the matching along the path it finds and returns the rows
     on it; returns None, with the matching untouched, when there is none.
     """
     rows, cols, scans = [start_row], [], []
@@ -255,7 +227,7 @@ def _augment(start_row: int, target: int, tight: list, mask: np.ndarray, row_of:
                     row_of[c] = r
                     col_of[r] = c
                 return rows
-            scans.append(iter(_tight_columns(tight, mask, rows[-1])))
+            scans.append(iter(mask[rows[-1]].nonzero()[0].tolist()))
         for j in scans[-1]:
             if not visited[j]:
                 visited[j] = 1
@@ -271,10 +243,12 @@ def _augment(start_row: int, target: int, tight: list, mask: np.ndarray, row_of:
     return None
 
 
-def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarray, v: np.ndarray,
+                           scale: float) -> np.ndarray:
     """Refine an optimal assignment to the lexicographically smallest one.
 
-    Operates on the bipartite graph of tight edges (reduced cost ~ 0); any
+    Operates on the bipartite graph of tight edges (reduced cost at most
+    ``_TIGHT_RTOL * scale``, where ``scale`` is ``max(1, max|cost|)``); any
     perfect matching there is optimal, so committing the smallest feasible
     column per row, in row order, yields the lexicographic minimum.  If every
     row has one tight column, that matching is the only one.  Otherwise a
@@ -289,7 +263,6 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     gains an option and the marks stay valid (Kuhn's phase argument).
     """
     n = cost.shape[0]
-    scale = max(1.0, -float(cost.min()), float(cost.max()))
     red = cost - u[:, None]  # the reduced costs, formed without a second temporary
     red -= v
     mask = red <= _TIGHT_RTOL * scale
@@ -304,7 +277,6 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     first = np.greater(mask, frozen).argmax(axis=1)  # each row's first unfrozen tight column
     pending = ((first < col_of_row) & (deg > 0)).nonzero()[0].tolist()  # sorted, so a heap
     first = first.tolist()
-    tight = [None] * n
 
     col_of = col_of_row.tolist()
     row_of = [-1] * n
@@ -336,7 +308,7 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
             row_of[j] = i
             row_of[current] = -1
             col_of[holder] = -1
-            path = _augment(holder, current, tight, mask, row_of, col_of, visited)
+            path = _augment(holder, current, mask, row_of, col_of, visited)
             if path is not None:
                 current = j
                 # The path's rows all come after i (earlier rows hold frozen
@@ -355,11 +327,26 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     return np.array(col_of, dtype=np.int64)
 
 
-def _solve(c: np.ndarray) -> tuple[Perm, float]:
-    """solve_min on a cost matrix that ``_check_cost`` has accepted."""
+def _solve(c) -> tuple[Perm, float]:
+    """solve_min: check the cost matrix, solve it, refine the answer."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
+        raise ValueError(f"cost matrix must be square and non-empty, got shape {c.shape}")
+    lo, hi = c.min(), c.max()  # nan and inf propagate into these
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("cost matrix contains non-finite entries")
+    # With M = max|c|, the total sums n entries, so it stays within n*M.  The
+    # column duals only fall from 0, and a free column keeps its 0; feasible
+    # duals then hold every row dual in [-M, M] and every column dual in
+    # [-2M, 0] while a column is free, and the step that takes the last one
+    # widens that to 3M and -4M.  So no difference or sum the solver forms
+    # exceeds 10M, and none of it overflows below max / (n + 16).
+    n, magnitude = c.shape[0], max(-float(lo), float(hi))
+    if magnitude > np.finfo(np.float64).max / (n + 16):
+        raise ValueError(f"cost magnitude {magnitude:.3g} too large for an exact {n}x{n} solve")
     col_of_row, u, v = _shortest_augmenting_paths(c)
-    p = _lex_smallest_on_tight(c, col_of_row, u, v)
-    return p, float(np.sum(c[np.arange(c.shape[0]), p]))
+    p = _lex_smallest_on_tight(c, col_of_row, u, v, max(1.0, magnitude))
+    return p, float(np.sum(c[np.arange(n), p]))
 
 
 def solve_min(cost) -> tuple[Perm, float]:
@@ -372,10 +359,10 @@ def solve_min(cost) -> tuple[Perm, float]:
     depend on evaluation order and carry no information).  Raises ValueError
     on non-square or non-finite input.
     """
-    return _solve(_check_cost(cost))
+    return _solve(cost)
 
 
 def solve_max(values) -> tuple[Perm, float]:
     """Maximize sum_i values[i, p[i]]; same determinism contract as solve_min."""
-    p, neg_total = _solve(-_check_cost(values))
+    p, neg_total = _solve(-np.asarray(values, dtype=np.float64))
     return p, -neg_total

@@ -331,8 +331,8 @@ class TestCheckpointErrors:
         assert not (path / "manifest.json").exists()
 
     def test_writer_refuses_an_array_of_another_size(self, tmp_path, small_arch):
-        """An array is copied into its record's slot of the writer's buffer in
-        its own shape: one of another size is refused, not broadcast."""
+        """An array is written in its own shape: one of another size is
+        refused, not broadcast."""
         tensors = dict(_random_weight_set(small_arch, 18).tensors)
         tensors["block.0.mlp.fc1.bias"] = tensors["block.0.mlp.fc1.bias"][:1]
         path = tmp_path / "ckpt"
@@ -354,8 +354,8 @@ class TestCheckpointErrors:
     def test_writer_releases_each_array_before_the_next(self, tmp_path, small_arch, dtype):
         """While ``arrays`` computes a tensor, the writer holds no reference
         to the one before it, so a stream holds one computed tensor at once:
-        a float64 array is converted in the writer's buffer, a float32 one
-        is written as it is."""
+        a float64 array is converted to a new float32 one, a float32 one is
+        written as it is."""
         refs, alive = [], []
 
         def make(shape):

@@ -291,6 +291,79 @@ class TestMalformedInputs:
         assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "demo")
 
+    @staticmethod
+    def _refused(capsys, argv, out=None):
+        """``argv`` exits 1, by return or as a usage error, with one ``error:``
+        line and no traceback, and ``out`` is not written; returns that line."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and "Traceback" not in err
+        assert out is None or not os.path.exists(out)
+        return error_lines[0]
+
+    def test_record_the_arch_does_not_imply_exit_one(self, workspace, capsys):
+        """A weight-set manifest with one more record than the arch implies,
+        its bytes in the blob, so that the layout is sound."""
+        tmp_path, arch, _, model_a = workspace
+        manifest_path = os.path.join(model_a, "manifest.json")
+        manifest = json.loads(Path(manifest_path).read_text())
+        blob = os.path.join(model_a, "tensors.bin")
+        size = os.path.getsize(blob)
+        manifest["tensors"].append({"name": "extra.bias", "shape": [1], "offset": size, "length": 4})
+        Path(manifest_path).write_text(json.dumps(manifest))
+        with open(blob, "ab") as f:
+            f.write(np.zeros(1, "<f4").tobytes())
+        perm = str(tmp_path / "id.perm")
+        write_permutation_assignment(build_coupling_graph(arch, "compose").identity_assignment(), perm)
+        out = str(tmp_path / "permuted")
+        line = self._refused(capsys, ["apply", "--model", model_a, "--perm", perm, "--out", out], out)
+        assert line == "error: shape mismatch for tensor 'extra.bias': tensor not implied by arch"
+        line = self._refused(capsys, ["verify", "--model", model_a, "--perm", perm])
+        assert "'extra.bias': tensor not implied by arch" in line
+
+    def test_flat_and_structured_records_of_one_variable_exit_one(self, workspace, capsys):
+        tmp_path, arch, _, model_a = workspace
+        perm = tmp_path / "both.perm"
+        write_permutation_assignment(build_coupling_graph(arch, "compose").identity_assignment(), str(perm))
+        flat = ",".join(str(i) for i in range(arch.embed_dim))
+        perm.write_text(perm.read_text() + f"block.0.attn : {flat}\n")
+        out = str(tmp_path / "permuted")
+        line = self._refused(capsys, ["apply", "--model", model_a, "--perm", str(perm), "--out", out], out)
+        assert line == "error: 'block.0.attn' has both flat and structured records"
+
+    @pytest.mark.parametrize("subcommand, flag", [("transport", "--alpha"), ("verify", "--tol")])
+    def test_number_flag_that_is_no_number_exit_one(self, workspace, capsys, subcommand, flag):
+        tmp_path, _, _, model_a = workspace
+        out = str(tmp_path / "out")
+        argv = {
+            "transport": ["transport", "--base", model_a, "--task-vector", model_a, "--perm", "p", "--out", out],
+            "verify": ["verify", "--model", model_a, "--perm", "p"],
+        }[subcommand]
+        line = self._refused(capsys, argv + [flag, "abc"], out)
+        assert line.endswith(f"error: argument {flag}: expected a finite number >= 0, got 'abc'")
+
+    @pytest.mark.parametrize("fault", ["no targets", "input width"])
+    def test_malformed_eval_batch_exit_one(self, workspace, capsys, fault):
+        tmp_path, arch, _, model_a = workspace
+        batch_path = str(tmp_path / "batch")
+        if fault == "no targets":
+            batch = make_blob_batch(arch, 8, 4, 7)
+            write_container(batch_path, arch, "eval_batch", {"inputs": batch.inputs.shape}, [batch.inputs])
+            expected = "error: eval batch needs 'inputs' and 'targets' tensors"
+        else:
+            wide = dataclasses.replace(arch, input_dim=arch.input_dim + 1)
+            write_eval_batch(make_blob_batch(wide, 8, 4, 7), arch, batch_path)
+            d = arch.input_dim
+            expected = f"error: shape mismatch for tensor 'inputs': expected (n, seq, {d}), got (8, 4, {d + 1})"
+        out = str(tmp_path / "curve.csv")
+        argv = ["lmc", "--model-a", model_a, "--model-b", model_a, "--batch", batch_path, "--out", out]
+        assert self._refused(capsys, argv, out) == expected
+
 
 class TestTransport:
     @pytest.fixture
@@ -739,6 +812,29 @@ class TestTieMode:
         in_memory = transport(read_checkpoint(model_b), read_task_vector(tv), graph, plant, 0.5)
         write_checkpoint(in_memory, expect)
         assert _outputs(ported) == _outputs(expect)
+
+
+class TestPinning:
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    def test_unpin_changes_no_output_of_apply_or_verify(self, workspace, capsys, mode):
+        """Pinning decides what ``match`` may move; ``apply`` and ``verify``
+        apply whatever the ``.perm`` holds, the embedding's permutation
+        included, with or without ``--unpin-embedding``."""
+        tmp_path, arch, ws, model_a = workspace
+        graph = build_coupling_graph(arch, mode, pin_embedding=False)
+        plant = graph.random_assignment(np.random.default_rng(18))
+        assert not np.array_equal(plant.perms[graph.axes["embed.weight"][0]], np.arange(arch.embed_dim))
+        perm = str(tmp_path / "plant.perm")
+        write_permutation_assignment(plant, perm)
+        runs = []
+        for flags in (["--residual-mode", mode], ["--residual-mode", mode, "--unpin-embedding"]):
+            out = str(tmp_path / f"out{len(flags)}")
+            assert main(["apply", "--model", model_a, "--perm", perm, "--out", out, *flags]) == 0
+            assert main(["verify", "--model", model_a, "--perm", perm, *flags]) == 0
+            runs.append((_outputs(out), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        write_checkpoint(apply_assignment(ws, graph, plant), str(tmp_path / "expect"))
+        assert runs[0][0] == _outputs(str(tmp_path / "expect"))
 
 
 class TestDumpGraph:

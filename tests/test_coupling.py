@@ -236,6 +236,20 @@ class TestApplyAssignment:
                 np.testing.assert_array_equal(out.tensors[name], ws.tensors[name])
                 assert not np.shares_memory(out.tensors[name], ws.tensors[name])
 
+    @pytest.mark.parametrize("mode", ["compose", "tie"])
+    @pytest.mark.parametrize("pin", [True, False], ids=["pinned", "unpinned"])
+    def test_every_tensor_is_moved_into_a_new_array(self, toy_arch, mode, pin):
+        """Pinning does not unwire an axis: every tensor has one that a
+        variable owns, so ``np.take`` makes each result tensor a new array,
+        and none shares memory with its input."""
+        ws = init_random(toy_arch, 16)
+        graph = build_coupling_graph(toy_arch, mode, pin_embedding=pin)
+        assert all(any(var is not None for var in owners) for owners in graph.axes.values())
+        out = apply_assignment(ws, graph, graph.random_assignment(np.random.default_rng(17)))
+        assert list(out.tensors) == list(ws.tensors)
+        for name in ws.tensors:
+            assert not np.shares_memory(out.tensors[name], ws.tensors[name])
+
     def test_inverse_restores_exactly(self, toy_arch):
         ws = init_random(toy_arch, 1)
         rng = np.random.default_rng(2)

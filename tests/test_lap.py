@@ -557,11 +557,12 @@ class TestAgainstReference:
     def _refine_with_zero_duals(monkeypatch, c, col_of_row):
         """The refinement of ``c``, a 0/1 matrix whose zeros hold the perfect
         matching ``col_of_row``, with zero duals, so the tight edges are the
-        zeros.  Checked against the reference refinement, the whole solver,
-        and brute force where n <= 7; returns the refinement's counters."""
+        zeros; the cost bound of a 0/1 matrix is 1.  Checked against the
+        reference refinement, the whole solver, and brute force where n <= 7;
+        returns the refinement's counters."""
         zero = np.zeros(c.shape[0])
         counters = _SolverCounters(monkeypatch)
-        p = _lex_smallest_on_tight(c, col_of_row, zero, zero)
+        p = _lex_smallest_on_tight(c, col_of_row, zero, zero, 1.0)
         monkeypatch.undo()
         assert np.array_equal(p, reference_lex_smallest_on_tight(c, col_of_row, zero, zero))
         assert np.array_equal(p, solve_min(c)[0])

@@ -85,8 +85,8 @@ def test_port_subcommands_hold_one_tensor_at_a_time(model, tmp_path, subcommand,
     input, in ``apply`` and ``transport`` one for the permuted tensor, the
     float32 copies of one tensor that permuting or differencing makes, and
     writes float32 results as they are; ``transport`` at a factor of 1 adds
-    in float32, at any other its float64 product and sum are converted in
-    the writer's float32 buffer.  While the writer converted every tensor
+    in float32, at any other its float64 product and sum are converted to
+    float32 by the writer.  While the writer converted every tensor
     and ``transport`` added in float64 they measured 0.37x, 0.35x and 0.54x
     (either factor); with float64 round trips 0.46x, 0.53x and 0.52x;
     before the subcommands ran tensor by tensor, 2.2x, 2.1x and 3.2x."""
