@@ -52,10 +52,13 @@ second pass walks the rows in order and greedily commits the smallest tight
 column that still leaves the rest matchable, so ties always resolve to the
 lexicographically smallest optimal permutation.  That pass works only where
 the ties are: it returns a unique optimum at once, freezes the columns every
-optimum gives the same row, passes over rows already on their first tight
-column, and spends at most one search's work on each row it walks.  A
-walked row's candidates are one comparison and one ``nonzero``; a row left
-with none costs nothing more.
+optimum gives the same row, places each block of d rows tied on the same d
+columns (dead units, say) in one step, passes over rows already on their
+first tight column, and spends at most one search's work on each row it
+walks.  A walked row's candidates are one comparison and one ``nonzero``; a
+row left with none costs nothing more.  Blocks are looked for with one
+``bincount`` of the rows' degrees whenever no row is forced, so a LAP
+without one pays almost nothing for them.
 """
 
 from __future__ import annotations
@@ -243,6 +246,22 @@ def _augment(start_row: int, target: int, mask: np.ndarray, row_of: list, col_of
     return None
 
 
+def _tied_blocks(mask: np.ndarray, frozen: np.ndarray, deg: np.ndarray) -> list:
+    """Every block of the tight graph, as its rows in ascending order: d >= 2
+    rows whose unfrozen tight columns are the same d columns.  Only a degree
+    held by at least as many rows as itself can hold one, and its rows are
+    grouped by their packed sets of unfrozen tight columns."""
+    counts = np.bincount(deg)
+    blocks = []
+    for d in (counts[2:] >= np.arange(2, counts.size)).nonzero()[0] + 2:
+        rows = (deg == d).nonzero()[0]
+        sets = np.packbits(np.greater(mask[rows], frozen), axis=1)
+        _, group, size = np.unique(sets.view(np.dtype((np.void, sets.shape[1]))).ravel(),
+                                   return_inverse=True, return_counts=True)
+        blocks += [rows[group == g] for g in (size == d).nonzero()[0]]
+    return blocks
+
+
 def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarray, v: np.ndarray,
                            scale: float) -> np.ndarray:
     """Refine an optimal assignment to the lexicographically smallest one.
@@ -251,16 +270,23 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     ``_TIGHT_RTOL * scale``, where ``scale`` is ``max(1, max|cost|)``); any
     perfect matching there is optimal, so committing the smallest feasible
     column per row, in row order, yields the lexicographic minimum.  If every
-    row has one tight column, that matching is the only one.  Otherwise a
-    row whose only unfrozen tight column is its own keeps it in every
-    perfect matching, so that column is frozen, until no row is forced (the
-    degree-one rule of the Dulmage-Mendelsohn decomposition).  Only a row
-    with an unfrozen tight column left of its own can move, so only such
-    rows are walked: those found at the start, and those a path enters.
-    A walked row's candidates share one visited set: from a column a failed
-    search marked no path reaches the freed column, and the next candidate's
-    graph differs only in that the row holds one column more, so no row
-    gains an option and the marks stay valid (Kuhn's phase argument).
+    row has one tight column, that matching is the only one.  Otherwise two
+    rules freeze columns until neither fires.  A row whose only unfrozen
+    tight column is its own keeps it in every perfect matching (the
+    degree-one rule of the Dulmage-Mendelsohn decomposition).  And d rows
+    whose only unfrozen tight columns are the same d columns hold exactly
+    those columns in every perfect matching, in any order (Hall's theorem):
+    such a block gives its rows, ascending, its columns, ascending, with no
+    search.  A frozen column stops counting towards any row's degree.  On
+    pruned-mlp's 448-wide LAPs the 336 dead rows are one block, and placing
+    it instead of walking its rows took each refinement from 1.2-2.3 to
+    0.8-1.0 ms on a 2-core Xeon VM.  Only a row with an unfrozen tight
+    column left of its own can move, so only such rows are walked: those
+    found at the start, and those a path enters.  A walked row's candidates
+    share one visited set: from a column a failed search marked no path
+    reaches the freed column, and the next candidate's graph differs only in
+    that the row holds one column more, so no row gains an option and the
+    marks stay valid (Kuhn's phase argument).
     """
     n = cost.shape[0]
     red = cost - u[:, None]  # the reduced costs, formed without a second temporary
@@ -270,10 +296,22 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     deg = np.count_nonzero(mask, axis=1)  # each row's unfrozen tight columns
     if (deg == 1).all():
         return col_of_row
-    frozen = np.zeros(n, dtype=bool)  # forced columns, then those of rows already walked
-    while (forced := col_of_row[deg == 1]).size:
-        frozen[forced] = True
-        deg -= np.count_nonzero(mask[:, forced], axis=1)
+    col_of_row = col_of_row.copy()  # blocks are placed in it
+    frozen = np.zeros(n, dtype=bool)  # forced and placed columns, then those of rows already walked
+    while True:
+        while (forced := col_of_row[deg == 1]).size:
+            frozen[forced] = True
+            deg -= np.count_nonzero(mask[:, forced], axis=1)
+        blocks = _tied_blocks(mask, frozen, deg)
+        if not blocks:
+            break
+        placed = np.concatenate(blocks)
+        for rows in blocks:  # each holds its own columns, so sorting them places it
+            col_of_row[rows] = np.sort(col_of_row[rows])
+        frozen[col_of_row[placed]] = True
+        deg[placed] = 0
+        live = deg.nonzero()[0]  # the other rows with unfrozen tight columns left
+        deg[live] = np.count_nonzero(np.greater(mask[live], frozen), axis=1)
     first = np.greater(mask, frozen).argmax(axis=1)  # each row's first unfrozen tight column
     pending = ((first < col_of_row) & (deg > 0)).nonzero()[0].tolist()  # sorted, so a heap
     first = first.tolist()

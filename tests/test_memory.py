@@ -79,8 +79,8 @@ def test_transport_adds_in_place(model):
     ids=["apply", "task-vector", "transport-alpha-1", "transport-alpha-0.5"],
 )
 def test_port_subcommands_hold_one_tensor_at_a_time(model, tmp_path, subcommand, alpha, bound):
-    """Measured 0.29x (apply), 0.29x (task-vector), 0.38x (transport
-    ``--alpha 1``) and 0.54x (``--alpha 0.5``): the largest tensor is 0.16x
+    """Measured 0.308x (apply), 0.299x (task-vector), 0.397x (transport
+    ``--alpha 1``) and 0.557x (``--alpha 0.5``): the largest tensor is 0.16x
     of the model in float64.  A call holds a float32 scratch buffer per
     input, in ``apply`` and ``transport`` one for the permuted tensor, the
     float32 copies of one tensor that permuting or differencing makes, and
