@@ -111,6 +111,8 @@ def _read_alpha(args) -> float | list[float]:
 
 
 def cmd_match(args) -> int:
+    if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        raise ValueError(f"--out {args.out} and --trace {args.trace} are the same file")
     model_a = read_checkpoint(args.model_a)
     model_b = read_checkpoint(args.model_b)
     graph = _graph(args, model_a.arch)

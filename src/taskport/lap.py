@@ -20,8 +20,7 @@ the tie rule gives it the lowest, and no dual moves.  With one column free
 it may bid strictly and lower that column's dual, so it takes the general
 step.  The constant rows are listed at the first tie that finds its first
 minimum held, so a LAP with no such tie pays one test per step for the
-rule; on all-zero costs of width 2000 it cuts ``solve_min`` from about 30
-to 19 ms.  After 4n steps, a constant row's included, which bounds chains
+rule.  After 4n steps, a constant row's included, which bounds chains
 of tiny dual decrements, the rows still free are searched.  Among equally
 near columns the Dijkstra search scans a free one first, which ends the
 search, so on tied costs a row augments in one step instead of growing a
@@ -53,22 +52,22 @@ column that still leaves the rest matchable, so ties always resolve to the
 lexicographically smallest optimal permutation.  That pass works only where
 the ties are: it returns a unique optimum at once, freezes the columns every
 optimum gives the same row, places each block of d rows tied on the same d
-columns (dead units, say) in one step, passes over rows already on their
-first tight column, and spends at most one search's work on each row it
-walks.  A walked row's candidates are one comparison and one ``nonzero``; a
-row left with none costs nothing more.  Blocks are looked for with one
-``bincount`` of the rows' degrees whenever no row is forced, so a LAP
-without one pays almost nothing for them.
+columns (dead units, say) in one step, and returns when no row is left with
+an unfrozen tight column left of its own.  Otherwise it passes once over the
+rows from the first such row, and each row that can still move makes one
+alternating-path search; a row's candidates are one comparison and one
+``nonzero``, and a row left with none makes no search.  Blocks are looked
+for with one ``bincount`` of the rows' degrees whenever no row is forced, so
+a LAP without one pays almost nothing for them.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 
 import numpy as np
 
-from .perms import Perm
+from .perms import Perm, inverse
 
 _TIGHT_RTOL = 1e-10
 
@@ -209,19 +208,22 @@ def _shortest_augmenting_paths(cost: np.ndarray):
     return np.array(col_of_row, dtype=np.int64), u, v
 
 
-def _augment(start_row: int, target: int, mask: np.ndarray, row_of: list, col_of: list,
-             visited: bytearray) -> list | None:
-    """Kuhn-style alternating path over tight edges from the unmatched
-    ``start_row`` to the free column ``target``, skipping marked columns.
+def _augment(start_row: int, target: int, first_cols: list, mask: np.ndarray, row_of: list,
+             col_of: list, visited: bytearray) -> list | None:
+    """Kuhn-style alternating path over tight edges that moves ``start_row``
+    off its column ``target`` onto one of ``first_cols``, skipping marked
+    columns, and ends at a row tight on ``target``.
 
-    Each row it enters tries ``target`` first, so on tied rows the path is
-    one step long; then it goes depth-first in column order, on an explicit
-    stack so path length is not bounded by the interpreter's recursion
-    limit.  A row's tight columns are listed from ``mask`` when it is
-    entered.  Flips the matching along the path it finds and returns the rows
-    on it; returns None, with the matching untouched, when there is none.
+    The start row tries ``first_cols`` in their order, so the first of them
+    a path frees becomes its column.  Every other row it enters tries
+    ``target`` first, so on tied rows the path is one step long; then it goes
+    depth-first in column order, on an explicit stack so path length is not
+    bounded by the interpreter's recursion limit.  A row's tight columns are
+    listed from ``mask`` when it is entered.  Flips the matching along the
+    path it finds and returns the rows on it; returns None, with the matching
+    untouched, when there is none.
     """
-    rows, cols, scans = [start_row], [], []
+    rows, cols, scans = [start_row], [], [iter(first_cols)]
     while rows:
         if len(scans) < len(rows):  # rows[-1] was just entered
             if mask[rows[-1], target]:
@@ -235,7 +237,7 @@ def _augment(start_row: int, target: int, mask: np.ndarray, row_of: list, col_of
             if not visited[j]:
                 visited[j] = 1
                 cols.append(j)
-                rows.append(row_of[j])  # only ``target`` is free
+                rows.append(row_of[j])
                 break
         else:
             # Every tight column of the deepest row is spent: backtrack.
@@ -277,16 +279,21 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
     whose only unfrozen tight columns are the same d columns hold exactly
     those columns in every perfect matching, in any order (Hall's theorem):
     such a block gives its rows, ascending, its columns, ascending, with no
-    search.  A frozen column stops counting towards any row's degree.  On
-    pruned-mlp's 448-wide LAPs the 336 dead rows are one block, and placing
-    it instead of walking its rows took each refinement from 1.2-2.3 to
-    0.8-1.0 ms on a 2-core Xeon VM.  Only a row with an unfrozen tight
-    column left of its own can move, so only such rows are walked: those
-    found at the start, and those a path enters.  A walked row's candidates
-    share one visited set: from a column a failed search marked no path
-    reaches the freed column, and the next candidate's graph differs only in
-    that the row holds one column more, so no row gains an option and the
-    marks stay valid (Kuhn's phase argument).
+    search.  A frozen column stops counting towards any row's degree; on
+    pruned-mlp's 448-wide LAPs the 336 dead rows are one block.  Only a row
+    whose first unfrozen tight column (``first``, or ``n`` for a row with
+    none) lies left of its own can move, and if none can, the assignment is
+    returned as it is.  Otherwise one pass goes over the rows in order from
+    the first that can move: the rows before it are final, so their columns
+    are frozen, and each walked row's column is frozen as the pass leaves
+    it.  A walked row that still has candidates, unfrozen tight columns
+    left of its own, makes one alternating-path search whose first step
+    tries them in order, so the first that a path frees becomes its column;
+    rows after it that the path moves are met later in the pass.  The
+    candidates share one visited set: from a column a failed branch marked
+    no path reaches the row's column, and the next candidate's graph differs
+    only in that the row holds one column more, so no row gains an option
+    and the marks stay valid (Kuhn's phase argument).
     """
     n = cost.shape[0]
     red = cost - u[:, None]  # the reduced costs, formed without a second temporary
@@ -313,55 +320,21 @@ def _lex_smallest_on_tight(cost: np.ndarray, col_of_row: np.ndarray, u: np.ndarr
         live = deg.nonzero()[0]  # the other rows with unfrozen tight columns left
         deg[live] = np.count_nonzero(np.greater(mask[live], frozen), axis=1)
     first = np.greater(mask, frozen).argmax(axis=1)  # each row's first unfrozen tight column
-    pending = ((first < col_of_row) & (deg > 0)).nonzero()[0].tolist()  # sorted, so a heap
-    first = first.tolist()
-
-    col_of = col_of_row.tolist()
-    row_of = [-1] * n
-    for r, c in enumerate(col_of):
-        row_of[c] = r
-    walked = 0  # rows below this one hold frozen columns
-
-    while pending:
-        i = heapq.heappop(pending)
+    first[deg == 0] = n  # a row with none stays where it is
+    movable = (first < col_of_row).nonzero()[0]
+    if not movable.size:
+        return col_of_row
+    walk = int(movable[0])
+    frozen[col_of_row[:walk]] = True
+    first, col_of, row_of = first.tolist(), col_of_row.tolist(), inverse(col_of_row).tolist()
+    for i in range(walk, n):
         current = col_of[i]
-        if i < walked or first[i] >= current:
-            continue  # queued twice, or a path moved it onto its first
-        for r in range(walked, i):
-            frozen[col_of[r]] = True
-        walked = i + 1
-        # Tight and unfrozen (mask > frozen on booleans), left of its own.
-        candidates = np.greater(mask[i, :current], frozen[:current]).nonzero()[0]
-        if not candidates.size:
-            frozen[current] = True
-            continue
-        visited = bytearray(frozen)
-        for j in candidates.tolist():
-            if visited[j]:
-                continue  # a failed search of this row marked it
-            visited[j] = 1  # the path may not take j back
-            holder = row_of[j]
-            # Tentatively hand j to row i; the displaced row must re-augment.
-            col_of[i] = j
-            row_of[j] = i
-            row_of[current] = -1
-            col_of[holder] = -1
-            path = _augment(holder, current, mask, row_of, col_of, visited)
-            if path is not None:
-                current = j
-                # The path's rows all come after i (earlier rows hold frozen
-                # columns) and may now sit right of their first tight column.
-                for r in path:
-                    if first[r] < col_of[r]:
-                        heapq.heappush(pending, r)
-                break
-            # Roll back.
-            col_of[i] = current
-            row_of[current] = i
-            row_of[j] = holder
-            col_of[holder] = j
-        frozen[current] = True
-
+        if first[i] < current:
+            # Tight and unfrozen (mask > frozen on booleans), left of its own.
+            left = np.greater(mask[i, :current], frozen[:current]).nonzero()[0].tolist()
+            if left:
+                _augment(i, current, left, mask, row_of, col_of, bytearray(frozen))
+        frozen[col_of[i]] = True
     return np.array(col_of, dtype=np.int64)
 
 

@@ -433,6 +433,28 @@ class TestCheckpointErrors:
         with pytest.raises(MalformedManifestError, match="4 bytes of tensors.bin belong to no tensor record"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("damage", ["missing", "directory"])
+    def test_unreadable_blob_rejected(self, tmp_path, small_arch, damage):
+        """No tensors.bin, or a directory in its place, is refused on opening."""
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(small_arch, 18), path)
+        blob = os.path.join(path, "tensors.bin")
+        os.remove(blob)
+        if damage == "directory":
+            os.mkdir(blob)
+        with pytest.raises(MalformedManifestError, match="cannot read tensor data"):
+            ContainerReader(path, KIND_WEIGHT_SET)
+
+    def test_blob_truncated_while_open_rejected(self, tmp_path, small_arch):
+        """A blob cut short after the reader checked its size: the short read
+        of a record is refused, not returned as a partly stale buffer."""
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(small_arch, 19), path)
+        with ContainerReader(path, KIND_WEIGHT_SET) as reader:
+            os.truncate(os.path.join(path, "tensors.bin"), 0)
+            with pytest.raises(MalformedManifestError, match="tensor data ended inside record 'embed.weight'"):
+                reader["embed.weight"]
+
     def test_deeply_nested_manifest_rejected(self, tmp_path):
         """json.loads raises RecursionError, not ValueError, on deep nesting."""
         path = tmp_path / "ckpt"

@@ -105,6 +105,22 @@ class TestMatch:
         main(["match", "--model-a", model_a, "--model-b", model_a, "--out", out])
         assert _slurp(os.path.join(model_a, "tensors.bin")) == before
 
+    @pytest.mark.parametrize("trace", ["p.perm", "link.perm"])
+    def test_trace_onto_out_refused_exit_one(self, workspace, capsys, trace):
+        """``--trace`` naming the ``--out`` file, directly or through a link,
+        would leave the trace where the assignment should be: refused before
+        either checkpoint is read (model B does not exist), writing nothing."""
+        tmp_path, _, _, model_a = workspace
+        out = tmp_path / "p.perm"
+        os.symlink(out, tmp_path / "link.perm")
+        before = sorted(os.listdir(tmp_path))
+        code = main(["match", "--model-a", model_a, "--model-b", str(tmp_path / "nope"),
+                     "--out", str(out), "--trace", str(tmp_path / trace)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and "--trace" in err and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before and not out.exists()
+
     def test_missing_file_exit_one(self, workspace):
         tmp_path, _, _, model_a = workspace
         out = str(tmp_path / "p.perm")
@@ -226,6 +242,21 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "4 bytes of tensors.bin belong to no tensor record" in captured.err
+
+    @pytest.mark.parametrize("subcommand", ["verify", "apply"])
+    def test_missing_blob_exit_one(self, workspace, capsys, subcommand):
+        """A container with no tensors.bin: one error line, and no --out."""
+        tmp_path, arch, _, model_a = workspace
+        perm = str(tmp_path / "id.perm")
+        write_permutation_assignment(build_coupling_graph(arch, "compose").identity_assignment(), perm)
+        os.remove(os.path.join(model_a, "tensors.bin"))
+        out = str(tmp_path / "out")
+        argv = [subcommand, "--model", model_a, "--perm", perm]
+        assert main(argv + (["--out", out] if subcommand == "apply" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read tensor data: ") and captured.err.count("\n") == 1
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flag", ["--no-such-flag", "--seed"])
     def test_flag_the_subcommand_does_not_read_exit_one(self, workspace, capsys, flag):

@@ -159,6 +159,10 @@ class TestGraphConstruction:
             "embed.out",
         ]
 
+    def test_unknown_residual_mode_rejected(self, toy_arch):
+        with pytest.raises(ValueError, match="residual_mode must be 'compose' or 'tie', got 'bogus'"):
+            build_coupling_graph(toy_arch, "bogus")
+
     def test_classifier_rows_never_permuted(self, toy_arch):
         for mode in ("compose", "tie"):
             graph = build_coupling_graph(toy_arch, mode)

@@ -93,6 +93,20 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             forward(ws, np.zeros((2, 8, toy_arch.input_dim + 1)))
 
+    def test_residual_perms_of_wrong_length_rejected(self, toy_arch):
+        ws = init_random(toy_arch, 4)
+        x = np.zeros((2, 3, toy_arch.input_dim))
+        identity = np.arange(toy_arch.embed_dim)
+        with pytest.raises(ValueError, match="one \\(skip1, skip2\\) pair per block"):
+            forward(ws, x, [(identity, identity)] * (toy_arch.n_blocks + 1))
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_target_out_of_range_rejected(self, small_arch, target):
+        ws = init_random(small_arch, 4)
+        batch = EvalBatch(np.zeros((2, 3, small_arch.input_dim)), [0, target])
+        with pytest.raises(ValueError, match="targets out of range"):
+            batch_loss(ws, batch)
+
     def test_non_finite_reported_with_block(self, toy_arch):
         ws = init_random(toy_arch, 5)
         # two stacked huge factors guarantee an overflow past float64 range
@@ -323,6 +337,18 @@ class TestTrainToy:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailureError, match="step"):
                 train_toy(ws, batch, steps=200, lr=1e12)
+
+    def test_divergence_at_the_last_check_reports_step(self, small_arch):
+        """With no block weights the stream is the embedded input, finite, but
+        a huge classifier row sends every logit to inf: the loss the final
+        check computes is nan."""
+        ws = WeightSet(small_arch, {name: np.zeros(shape) for name, shape in small_arch.tensor_shapes().items()})
+        ws.tensors["embed.weight"][0, 0] = 1.0
+        ws.tensors["head.weight"][:, 0] = 1e308
+        batch = EvalBatch(np.full((2, 3, small_arch.input_dim), 3.0), [0, 1])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalFailureError, match="training diverged at step 0: loss=nan"):
+                train_toy(ws, batch, steps=0, lr=0.1)
 
 
 class TestLmcCurve:

@@ -69,6 +69,15 @@ class TestValidation:
         with pytest.raises(AssignmentFormatError, match="integers"):
             check_permutation(p)
 
+    @pytest.mark.parametrize("p", [[[0, 1], [1, 0]], []], ids=["2-D", "empty"])
+    def test_not_a_non_empty_vector_rejected(self, p):
+        with pytest.raises(AssignmentFormatError, match="non-empty 1-D index vector"):
+            check_permutation(p)
+
+    def test_identity_of_size_zero_rejected(self):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            identity(0)
+
     def test_unsigned_and_narrow_integers_accepted(self):
         for dtype in (np.uint8, np.int16, np.uint64):
             p = check_permutation(np.array([2, 0, 1], dtype=dtype))
@@ -176,3 +185,8 @@ class TestAssignmentEquality:
         assert a != PermutationAssignment({"stream": np.array([0, 1, 2])})
         assert a != PermutationAssignment({"stream": np.array([1, 0, 2]), "other": np.array([0])})
         assert a == a.copy()
+
+    def test_other_types_are_not_compared(self):
+        a = PermutationAssignment({"stream": np.array([1, 0, 2])})
+        assert a.__eq__({"stream": np.array([1, 0, 2])}) is NotImplemented
+        assert a != {"stream": np.array([1, 0, 2])}
