@@ -244,8 +244,6 @@ def write_container(path: str, arch: ArchSpec, kind: str, shapes: Mapping[str, t
             if arr is end:
                 raise ValueError(f"write_container got fewer arrays than its {len(shapes)} records")
             if np.shape(arr) != tuple(shape):  # refused, never broadcast or reshaped
-                if np.size(arr) != math.prod(shape):
-                    raise ValueError(f"cannot reshape {np.size(arr)} values into record {name!r} of shape {shape}")
                 raise ShapeMismatchError(name, f"got {np.shape(arr)}, record declares {tuple(shape)}")
             arr = np.asarray(arr).astype("<f4", order="C", casting="same_kind", copy=False)
             yield require_finite(name, arr)

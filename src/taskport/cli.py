@@ -3,10 +3,12 @@
 Exit codes are stable for scripting: 0 success, 1 I/O, format, usage or
 out-of-memory problem, 2 architecture mismatch, 3 matcher hit its sweep cap
 (assignment still written), 4 verification failed.  All randomness flows from
-``--seed``, so every subcommand is reproducible; no subcommand mutates its
-inputs.  ``apply``, ``task-vector`` and ``transport`` stream the library's
-checked tensor generators to the container writer, one tensor at a time,
-after every input check has passed.
+``--seed``, so every subcommand is reproducible.  ``apply``, ``task-vector``
+and ``transport`` stream the library's checked tensor generators to the
+container writer, one tensor at a time, after every input check has passed;
+their ``--out`` may name an input, which is then replaced by a result equal
+to a fresh output.  ``match`` and ``lmc`` refuse an output file inside an
+input container; no other output touches an input.
 """
 
 from __future__ import annotations
@@ -110,9 +112,27 @@ def _read_alpha(args) -> float | list[float]:
         raise ValueError(f"--alpha-file: {e}") from None
 
 
+def _refuse_outputs_on_inputs(inputs: dict[str, str], outputs: dict[str, str | None]) -> None:
+    """Refuse, before any input is read, an output file directly inside an
+    input container, which would leave that input unreadable, and two
+    outputs that are one file.  Both maps go from flag to path."""
+    containers = {os.path.realpath(path): f"{flag} {path}" for flag, path in inputs.items()}
+    written: dict[str, str] = {}
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        container = containers.get(os.path.dirname(real))
+        if container:
+            raise ValueError(f"{flag} {path} lies inside input {container}")
+        if real in written:
+            raise ValueError(f"{written[real]} and {flag} {path} are the same file")
+        written[real] = f"{flag} {path}"
+
+
 def cmd_match(args) -> int:
-    if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
-        raise ValueError(f"--out {args.out} and --trace {args.trace} are the same file")
+    _refuse_outputs_on_inputs({"--model-a": args.model_a, "--model-b": args.model_b},
+                              {"--out": args.out, "--trace": args.trace})
     model_a = read_checkpoint(args.model_a)
     model_b = read_checkpoint(args.model_b)
     graph = _graph(args, model_a.arch)
@@ -174,6 +194,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lmc(args) -> int:
+    _refuse_outputs_on_inputs({"--model-a": args.model_a, "--model-b": args.model_b, "--batch": args.batch},
+                              {"--out": args.out})
     model_a = read_checkpoint(args.model_a)
     model_b = read_checkpoint(args.model_b)
     batch, batch_arch = read_eval_batch(args.batch)

@@ -22,8 +22,8 @@ LayerNorm input) in the same operation order, so results stay bit-identical;
 without a training cache it also drops each activation once no later step
 reads it.  ``verify_equivalence`` cuts its batch into contiguous slices of at
 most 128 samples, so its activations do not grow with the sample count, and
-runs them on one thread per usable core: numpy releases the interpreter lock
-inside its BLAS products and ufunc loops.
+thread t of k = min(slices, usable cores) checks slices t, t + k, ...: numpy
+releases the interpreter lock inside its BLAS products and ufunc loops.
 """
 
 from __future__ import annotations
@@ -357,10 +357,10 @@ def verify_equivalence(
 
     The batch is cut into ``max(ceil(n / 128), min(n, cores))`` contiguous
     slices, so no slice holds more than 128 samples, and up to 128 * cores
-    samples give one slice per usable core.  Each of ``min(slices, cores)``
-    threads runs one contiguous run of slices: the calling thread the first,
-    a pool opened for this call the others.  The deviation is the maximum
-    over the slices, and an error in any slice is raised here.
+    samples give one slice per usable core.  Thread t of ``k = min(slices,
+    cores)`` checks slices t, t + k, ...: thread 0 is the calling thread, the
+    others come from a pool opened for this call.  The deviation is the
+    maximum over the slices, and an error in any slice is raised here.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -369,25 +369,22 @@ def verify_equivalence(
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_samples, _VERIFY_SEQ_LEN, ws.arch.input_dim))
 
-    def deviation(x: np.ndarray) -> float:
-        out = forward(permuted, x, residual_perms=skips)
-        out -= forward(ws, x)
-        return float(np.max(np.abs(out)))
-
     cores = _usable_cores()
     slices = np.array_split(X, max(-(-n_samples // _SLICE_SAMPLES), min(n_samples, cores)))
-    runs = np.array_split(np.arange(len(slices)), min(len(slices), cores))
+    k = min(len(slices), cores)
 
-    def deviations(run: np.ndarray) -> list[float]:
-        return [deviation(slices[k]) for k in run]
+    def deviations(t: int) -> list[float]:
+        devs = []
+        for x in slices[t::k]:
+            out = forward(permuted, x, residual_perms=skips)
+            out -= forward(ws, x)
+            devs.append(float(np.max(np.abs(out))))
+        return devs
 
-    if len(runs) == 1:
-        devs = deviations(runs[0])
-    else:
-        with ThreadPoolExecutor(len(runs) - 1) as pool:
-            # Each run goes under the caller's numpy error state.
-            futures = [pool.submit(contextvars.copy_context().run, deviations, run) for run in runs[1:]]
-            devs = deviations(runs[0]) + [d for f in futures for d in f.result()]
+    with ThreadPoolExecutor(max(k - 1, 1)) as pool:  # starts no thread when k is 1
+        # Each pool thread runs under the caller's numpy error state.
+        futures = [pool.submit(contextvars.copy_context().run, deviations, t) for t in range(1, k)]
+        devs = deviations(0) + [d for f in futures for d in f.result()]
     max_dev = float(np.max(devs))  # a nan deviation stays nan and fails
     return EquivalenceReport(max_dev=max_dev, tol=tol, passed=max_dev <= tol)
 

@@ -6,6 +6,7 @@ import math
 import os
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -332,11 +333,11 @@ class TestCheckpointErrors:
 
     def test_writer_refuses_an_array_of_another_size(self, tmp_path, small_arch):
         """An array is written in its own shape: one of another size is
-        refused, not broadcast."""
+        refused as a shape mismatch that names the tensor, not broadcast."""
         tensors = dict(_random_weight_set(small_arch, 18).tensors)
         tensors["block.0.mlp.fc1.bias"] = tensors["block.0.mlp.fc1.bias"][:1]
         path = tmp_path / "ckpt"
-        with pytest.raises(ValueError, match="cannot reshape"):
+        with pytest.raises(ShapeMismatchError, match=r"'block.0.mlp.fc1.bias': got \(1,\), record declares \(12,\)"):
             write_container(str(path), small_arch, KIND_WEIGHT_SET, small_arch.tensor_shapes(), tensors.values())
         assert not path.exists()
 
@@ -454,6 +455,22 @@ class TestCheckpointErrors:
             os.truncate(os.path.join(path, "tensors.bin"), 0)
             with pytest.raises(MalformedManifestError, match="tensor data ended inside record 'embed.weight'"):
                 reader["embed.weight"]
+
+    def test_failed_record_read_rejected(self, tmp_path, small_arch):
+        """An I/O error while reading a record is a malformed container,
+        not a bare OSError."""
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(_random_weight_set(small_arch, 20), path)
+
+        def readinto(buf):
+            raise OSError(errno.EIO, "Input/output error")
+
+        with ContainerReader(path, KIND_WEIGHT_SET) as reader:
+            blob = reader._file
+            reader._file = SimpleNamespace(seek=blob.seek, readinto=readinto, close=blob.close)
+            with pytest.raises(MalformedManifestError, match="cannot read tensor data: .*Input/output error"):
+                reader["embed.weight"]
+        assert blob.closed
 
     def test_deeply_nested_manifest_rejected(self, tmp_path):
         """json.loads raises RecursionError, not ValueError, on deep nesting."""

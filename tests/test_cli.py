@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import taskport
+import taskport.cli as cli_mod
 import taskport.model as model_mod
 from conftest import overflowing_model
 from taskport.checkpoint import (
@@ -31,7 +32,7 @@ from taskport.checkpoint import (
 )
 from taskport.cli import main
 from taskport.coupling import apply_assignment, build_coupling_graph
-from taskport.model import init_random, make_blob_batch, write_eval_batch
+from taskport.model import init_random, make_blob_batch, read_eval_batch, write_eval_batch
 from taskport.transport import compute_task_vector, transport
 
 
@@ -1120,6 +1121,42 @@ class TestDemo:
         assert "recovery_ok: no" in report
 
 
+class TestOutputInsideInput:
+    """``match`` and ``lmc`` refuse an output file directly inside one of
+    their input containers before any input is read: exit 1, one error line
+    naming the flag and the input, nothing written, every input readable."""
+
+    @pytest.mark.parametrize("subcommand, flag, container, member", [
+        ("match", "--out", "F", "manifest.json"),
+        ("match", "--trace", "G", "tensors.bin"),
+        ("lmc", "--out", "batch", "manifest.json"),
+        ("lmc", "--out", "F", "tensors.bin"),
+    ])
+    def test_refused_exit_one(self, tmp_path, toy_arch, capsys, subcommand, flag, container, member):
+        F, G, batch = (str(tmp_path / name) for name in ("F", "G", "batch"))
+        write_checkpoint(init_random(toy_arch, 0), F)
+        write_checkpoint(init_random(toy_arch, 1), G)
+        write_eval_batch(make_blob_batch(toy_arch, 8, 4, 7), toy_arch, batch)
+        target = str(tmp_path / container / member)
+        outputs = {"--out": str(tmp_path / "x.perm"), flag: target}
+        argv = [subcommand, "--model-a", F, "--model-b", G]
+        argv += ["--batch", batch] if subcommand == "lmc" else []
+        argv += [arg for pair in outputs.items() for arg in pair]
+
+        def snapshot():
+            return {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+        before = snapshot()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {target} lies inside input ") and err.count("\n") == 1
+        assert err.rstrip().endswith(str(tmp_path / container))
+        assert snapshot() == before
+        read_checkpoint(F)
+        read_checkpoint(G)
+        read_eval_batch(batch)
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("subcommand", ["lmc", "verify"])
     def test_exhausted_memory_exit_one(self, workspace, subcommand):
@@ -1146,3 +1183,24 @@ class TestOutOfMemory:
                               text=True, env=env, preexec_fn=limit_address_space, timeout=120)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+
+    def test_out_of_memory_in_process_exit_one(self, workspace, capsys, monkeypatch):
+        """A ``MemoryError`` anywhere in a subcommand is one error line."""
+        tmp_path, _, _, model_a = workspace
+
+        def exhausted(path):
+            raise MemoryError("cannot allocate 8 GiB")
+
+        monkeypatch.setattr(cli_mod, "read_checkpoint", exhausted)
+        assert main(["verify", "--model", model_a, "--perm", str(tmp_path / "id.perm")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: out of memory: cannot allocate 8 GiB\n"
+
+
+def test_module_runs_as_a_script():
+    """``python -m taskport.cli`` reaches ``main`` through its ``__main__`` guard."""
+    src = os.path.dirname(os.path.dirname(taskport.__file__))
+    proc = subprocess.run([sys.executable, "-m", "taskport.cli", "--help"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: taskport")

@@ -1,5 +1,6 @@
 """Toy transformer: forward semantics, equivalence, gradients, interpolation."""
 
+import os
 import threading
 import warnings
 from pathlib import Path
@@ -197,8 +198,8 @@ class TestEquivalence:
 
 class TestEquivalenceSlices:
     """``verify_equivalence`` cuts its batch into slices of at most 128
-    samples, one per usable core while that suffices, and runs one
-    contiguous run of slices per thread."""
+    samples, one per usable core while that suffices, and thread t of k
+    checks slices t, t + k, ...."""
 
     @pytest.mark.parametrize("mode", ["compose", "tie"])
     @pytest.mark.parametrize("n_samples", [1, 2, 7, 129, 300])
@@ -216,11 +217,12 @@ class TestEquivalenceSlices:
             assert report.passed and report.max_dev <= 1e-12, (cores, report.max_dev)
 
     def test_slices_are_cut_per_usable_core_and_sample(self, toy_arch, monkeypatch):
-        """``max(ceil(n / 128), min(n, cores))`` contiguous slices, split
-        into ``min(slices, cores)`` contiguous runs: the calling thread runs
-        the first run, a pool as large as the other runs the rest, and every
-        thread is gone when the call returns.  Up to 128 samples per core,
-        that is one slice per core (at most one per sample)."""
+        """``max(ceil(n / 128), min(n, cores))`` contiguous slices, checked
+        by ``k = min(slices, cores)`` threads: the calling thread checks
+        slices 0, k, 2k, ..., one executor per call with ``max(k - 1, 1)``
+        workers the rest, and every thread is gone when the call returns.
+        Up to 128 samples per core, that is one slice per core (at most one
+        per sample)."""
         ws = init_random(toy_arch, 61)
         graph = build_coupling_graph(toy_arch, "compose")
         seen: list = []
@@ -238,11 +240,11 @@ class TestEquivalenceSlices:
 
         monkeypatch.setattr(model_mod, "forward", spy)
         monkeypatch.setattr(model_mod, "ThreadPoolExecutor", pool_spy)
-        # cores, samples, slice sizes, slices on the calling thread, pool threads
-        for cores, n_samples, sizes, on_caller, workers in (
-            (1, 5, [5], 1, 0), (2, 5, [3, 2], 1, 1), (3, 7, [3, 2, 2], 1, 2), (3, 2, [1, 1], 1, 1),
-            (4, 1, [1], 1, 0), (2, 256, [128, 128], 1, 1), (1, 129, [65, 64], 2, 0),
-            (2, 300, [100, 100, 100], 2, 1), (3, 400, [100] * 4, 2, 2), (2, 1000, [125] * 8, 4, 1),
+        # cores, samples, slice sizes, pool threads (k - 1)
+        for cores, n_samples, sizes, workers in (
+            (1, 5, [5], 0), (2, 5, [3, 2], 1), (3, 7, [3, 2, 2], 2), (3, 2, [1, 1], 1),
+            (4, 1, [1], 0), (2, 256, [128, 128], 1), (1, 129, [65, 64], 0),
+            (2, 300, [100, 100, 100], 1), (3, 400, [100] * 4, 2), (2, 1000, [125] * 8, 1),
         ):
             X = np.random.default_rng(0).normal(size=(n_samples, 8, toy_arch.input_dim))  # verify's inputs
             monkeypatch.setattr(model_mod, "_usable_cores", lambda: cores)
@@ -253,8 +255,16 @@ class TestEquivalenceSlices:
             assert threading.active_count() == before
             starts = np.cumsum([0] + sizes[:-1]).tolist()
             assert sorted((start, n) for start, n, _ in seen) == sorted(2 * list(zip(starts, sizes)))
-            assert sorted(start for start, _, main in seen if main) == sorted(2 * starts[:on_caller])
-            assert pools == ([workers] if workers else [])
+            assert sorted(start for start, _, main in seen if main) == sorted(2 * starts[::workers + 1])
+            assert pools == [max(workers, 1)]
+
+    @pytest.mark.parametrize("cpu_count, cores", [(3, 3), (None, 1)])
+    def test_usable_cores_without_an_affinity_call(self, monkeypatch, cpu_count, cores):
+        """Where the platform has no ``sched_getaffinity``, every core the
+        system reports is usable, and one when it reports none."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert model_mod._usable_cores() == cores
 
     def test_overflow_in_a_worker_slice_is_raised(self, monkeypatch):
         """Only the second of two samples overflows, so the error starts in
