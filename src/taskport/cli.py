@@ -7,8 +7,9 @@ out-of-memory problem, 2 architecture mismatch, 3 matcher hit its sweep cap
 and ``transport`` stream the library's checked tensor generators to the
 container writer, one tensor at a time, after every input check has passed;
 their ``--out`` may name an input, which is then replaced by a result equal
-to a fresh output.  ``match`` and ``lmc`` refuse an output file inside an
-input container; no other output touches an input.
+to a fresh output.  ``match`` and ``lmc`` refuse, before reading any
+input, an output file that cannot be written or lies inside an input
+container; no other output touches an input.  Flags are never abbreviated.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ EXIT_VERIFY_FAIL = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error with exit 1, keeping 2 for architecture mismatch."""
+    """Reports a usage error with exit 1, keeping 2 for architecture mismatch,
+    and takes no abbreviated flag, so a flag added later cannot make a prefix
+    that works today ambiguous.  Every subparser is built as one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -92,28 +98,20 @@ def _finite_nonnegative(text: str) -> float:
     return value
 
 
+def _alpha(text: str) -> float | list[float]:
+    """An argparse type: one scaling factor, or one per block separated by
+    commas, each held to the rule of ``_finite_nonnegative``."""
+    factors = [_finite_nonnegative(factor) for factor in text.split(",")]
+    return factors[0] if len(factors) == 1 else factors
+
+
 def _graph(args, arch):
     return build_coupling_graph(arch, args.residual_mode, pin_embedding=not args.unpin_embedding)
 
 
-def _read_alpha(args) -> float | list[float]:
-    """``--alpha``, or one factor per non-blank ``--alpha-file`` line, each
-    held to the rule of ``--alpha``."""
-    if args.alpha_file is None:
-        return args.alpha
-    try:
-        with open(args.alpha_file, "r", encoding="utf-8") as f:
-            lines = [line.strip() for line in f if line.strip()]
-    except UnicodeDecodeError as e:
-        raise ValueError(f"--alpha-file {args.alpha_file}: not UTF-8 text: {e}") from None
-    try:
-        return [_finite_nonnegative(line) for line in lines]
-    except argparse.ArgumentTypeError as e:
-        raise ValueError(f"--alpha-file: {e}") from None
-
-
 def _refuse_outputs_on_inputs(inputs: dict[str, str], outputs: dict[str, str | None]) -> None:
-    """Refuse, before any input is read, an output file directly inside an
+    """Refuse, before any input is read, an output file that cannot be
+    written (a directory, or a path in no directory), one directly inside an
     input container, which would leave that input unreadable, and two
     outputs that are one file.  Both maps go from flag to path."""
     containers = {os.path.realpath(path): f"{flag} {path}" for flag, path in inputs.items()}
@@ -121,6 +119,10 @@ def _refuse_outputs_on_inputs(inputs: dict[str, str], outputs: dict[str, str | N
     for flag, path in outputs.items():
         if path is None:
             continue
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
         real = os.path.realpath(path)
         container = containers.get(os.path.dirname(real))
         if container:
@@ -169,16 +171,15 @@ def cmd_task_vector(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    scaling = _read_alpha(args)  # refuse a bad scaling before opening a checkpoint
     with ContainerReader(args.base, KIND_WEIGHT_SET) as base:
         n_blocks = base.arch.n_blocks
-        if isinstance(scaling, list) and len(scaling) != n_blocks:
-            raise ValueError(f"--alpha-file needs {n_blocks} factors, one per block, got {len(scaling)}")
+        if isinstance(args.alpha, list) and len(args.alpha) != n_blocks:
+            raise ValueError(f"--alpha needs {n_blocks} factors, one per block, got {len(args.alpha)}")
         with ContainerReader(args.task_vector, KIND_TASK_VECTOR) as tv:
             require_same_arch(base.arch, tv.arch, "base model and task vector")  # before the .perm is read
             assignment = read_permutation_assignment(args.perm)
             write_container(args.out, base.arch, KIND_WEIGHT_SET, base.arch.tensor_shapes(),
-                            transported_tensors(base, tv, _graph(args, base.arch), assignment, scaling))
+                            transported_tensors(base, tv, _graph(args, base.arch), assignment, args.alpha))
     return EXIT_OK
 
 
@@ -213,6 +214,8 @@ def cmd_demo(args) -> int:
     """End-to-end pipeline on synthetic models: train a toy model, hide it
     behind a random structured permutation plus noise, re-discover the
     permutation, certify equivalence, and compare interpolation curves."""
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise ValueError(f"--out-dir {args.out_dir} is not a directory")
     arch = ArchSpec(
         n_blocks=args.blocks,
         n_heads=args.heads,
@@ -334,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-vector", required=True)
     p.add_argument("--perm", required=True)
     p.add_argument("--out", required=True)
-    alpha = p.add_mutually_exclusive_group()
-    alpha.add_argument("--alpha", type=_finite_nonnegative, default=1.0)
-    alpha.add_argument("--alpha-file", default=None, help="one scaling factor per block, one a line")
+    p.add_argument("--alpha", type=_alpha, default=1.0,
+                   help="one scaling factor, or one per block separated by commas")
     _add_graph_flags(p)
     p.set_defaults(func=cmd_transport)
 

@@ -1,5 +1,6 @@
 """Subcommand behavior and the exit-code contract."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -30,7 +31,7 @@ from taskport.checkpoint import (
     write_permutation_assignment,
     write_task_vector,
 )
-from taskport.cli import main
+from taskport.cli import build_parser, main
 from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.model import init_random, make_blob_batch, read_eval_batch, write_eval_batch
 from taskport.transport import compute_task_vector, transport
@@ -46,6 +47,21 @@ def _outputs(path):
     if os.path.isfile(path):
         return _slurp(path)
     return {name: _slurp(os.path.join(path, name)) for name in sorted(os.listdir(path))}
+
+
+def _check_unwritable_refused(tmp_path, capsys, argv, flag, target):
+    """``argv`` plus ``flag tmp_path/target``, where ``target`` is the
+    directory ``a`` or lies in the missing directory ``nodir``, exits 1 with
+    one error line naming the flag and the path, and writes nothing."""
+    (tmp_path / "a").mkdir()
+    path = str(tmp_path / target)
+    expected = (f"{path} is a directory" if target == "a"
+                else f"{path}: directory {tmp_path / 'nodir'} does not exist")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + [flag, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {flag} {expected}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.fixture
@@ -128,15 +144,12 @@ class TestMatch:
         assert main(["match", "--model-a", model_a, "--model-b", "/nope", "--out", out]) == 1
 
     @pytest.mark.parametrize("out", ["nodir/x.perm", "a"])
-    def test_unwritable_out_names_it_exit_one(self, workspace, capsys, out):
-        """A missing directory or a directory in the way: the message names
-        ``--out``, not the temporary file beside it."""
-        tmp_path, _, _, model_a = workspace
-        (tmp_path / "a").mkdir()
-        out = str(tmp_path / out)
-        assert main(["match", "--model-a", model_a, "--model-b", model_a, "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: [Errno ") and err.endswith(f": {out!r}\n") and ".tmp" not in err
+    def test_unwritable_out_names_it_exit_one(self, tmp_path, capsys, out):
+        """A missing directory or a directory in the way is refused before
+        either checkpoint is read: the message names ``--out`` and its path,
+        not the temporary file beside it."""
+        argv = ["match", "--model-a", str(tmp_path / "no_a"), "--model-b", str(tmp_path / "no_b")]
+        _check_unwritable_refused(tmp_path, capsys, argv, "--out", out)
 
 
 class TestApplyAndTaskVector:
@@ -451,30 +464,23 @@ class TestTransport:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
-        "scaling", [["--alpha", "nan"], ["--alpha", "inf"], "nan", "1.0\ninf", "1.0\n-1"]
+        "scaling", [["--alpha", "nan"], ["--alpha", "inf"], "0.5,nan", "1.0,inf", "1.0,-1"]
     )
     def test_meaningless_scaling_refused_before_reading(self, tmp_path, capsys, scaling):
-        """A nan, infinite or negative ``--alpha`` or ``--alpha-file`` line
-        exits 1 with one error line before any checkpoint is read: the
-        checkpoint paths here do not exist."""
+        """A nan, infinite or negative ``--alpha``, or such a factor in its
+        per-block list, exits 1 with one error line before any checkpoint is
+        read: the checkpoint paths here do not exist."""
         if isinstance(scaling, str):
-            alpha_file = tmp_path / "alphas.txt"
-            alpha_file.write_text(scaling + "\n")
-            scaling = ["--alpha-file", str(alpha_file)]
+            scaling = ["--alpha", scaling]
         out = str(tmp_path / "out")
-        argv = ["transport", "--base", str(tmp_path / "no_base"), "--task-vector",
-                str(tmp_path / "no_tv"), "--perm", str(tmp_path / "no.perm"), "--out", out]
-        if scaling[0] == "--alpha":
-            with pytest.raises(SystemExit) as exc:
-                main(argv + scaling)
-            code = exc.value.code
-        else:
-            code = main(argv + scaling)
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["transport", "--base", str(tmp_path / "no_base"), "--task-vector",
+                  str(tmp_path / "no_tv"), "--perm", str(tmp_path / "no.perm"), "--out", out] + scaling)
+        assert exc.value.code == 1
         err = capsys.readouterr().err
         error_lines = [line for line in err.splitlines() if "error:" in line]
         assert len(error_lines) == 1 and "Traceback" not in err
-        assert "--alpha" in error_lines[0] or "scaling factors" in error_lines[0]
+        assert "argument --alpha:" in error_lines[0]
         assert not os.path.exists(out)
 
     def test_float32_overflow_exit_one(self, transport_setup, capsys):
@@ -490,64 +496,35 @@ class TestTransport:
         assert not os.path.exists(out)
 
     def test_alpha_file_per_block(self, transport_setup):
+        """One factor per block, comma separated, as ``--alpha``."""
         tmp_path, arch, model_a, tv_path, perm, base, tv = transport_setup
-        alpha_file = tmp_path / "alphas.txt"
-        alpha_file.write_text("0.0\n0.0\n")
         out = str(tmp_path / "out")
         code = main(
             ["transport", "--base", model_a, "--task-vector", tv_path, "--perm", perm,
-             "--out", out, "--alpha-file", str(alpha_file)]
+             "--out", out, "--alpha", "0.0,0.0"]
         )
         assert code == 0
         got = read_checkpoint(out)
         for name in base.tensors:
             np.testing.assert_array_equal(got.tensors[name], base.tensors[name])
 
-
     def test_alpha_file_count_refused_after_reading_only_the_base(self, transport_setup, capsys):
-        """A wrong number of ``--alpha-file`` factors exits 1 once the base
-        has given the block count: the task-vector path here does not exist."""
+        """A wrong number of per-block ``--alpha`` factors exits 1 once the
+        base has given the block count: the task-vector path here does not
+        exist.  An empty list is no number, refused as the flag is parsed."""
         tmp_path, arch, model_a, tv_path, perm, base, tv = transport_setup
-        alpha_file = tmp_path / "alphas.txt"
         out = str(tmp_path / "out")
-        for factors in ([], [1.0] * (arch.n_blocks + 1)):
-            alpha_file.write_text("".join(f"{f}\n" for f in factors))
-            code = main(["transport", "--base", model_a, "--task-vector", str(tmp_path / "no_tv"),
-                         "--perm", perm, "--out", out, "--alpha-file", str(alpha_file)])
-            assert code == 1
-            assert capsys.readouterr().err == (
-                f"error: --alpha-file needs {arch.n_blocks} factors, one per block, got {len(factors)}\n"
-            )
-            assert not os.path.exists(out)
-
-    def test_alpha_file_not_utf8_names_flag_and_path(self, tmp_path, capsys):
-        """An ``--alpha-file`` that is not UTF-8 exits 1 with one error line
-        naming the flag and the path; the checkpoint paths here do not exist."""
-        alpha_file = tmp_path / "alphas.txt"
-        alpha_file.write_bytes(b"\xff1.0\n")
-        out = str(tmp_path / "out")
-        code = main(["transport", "--base", str(tmp_path / "no_base"), "--task-vector",
-                     str(tmp_path / "no_tv"), "--perm", str(tmp_path / "no.perm"), "--out", out,
-                     "--alpha-file", str(alpha_file)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --alpha-file {alpha_file}: not UTF-8 text: ") and err.count("\n") == 1
-        assert not os.path.exists(out)
-
-    @pytest.mark.parametrize("alpha", ["1.0", "0.5"])
-    def test_alpha_with_alpha_file_refused_before_reading(self, tmp_path, capsys, alpha):
-        """Both scalings at once is a usage error, even when ``--alpha`` spells
-        its default; the checkpoint paths here do not exist."""
-        alpha_file = tmp_path / "alphas.txt"
-        alpha_file.write_text("1.0\n1.0\n")
-        out = str(tmp_path / "out")
+        argv = ["transport", "--base", model_a, "--task-vector", str(tmp_path / "no_tv"),
+                "--perm", perm, "--out", out, "--alpha"]
+        factors = ",".join(["1.0"] * (arch.n_blocks + 1))
+        assert main(argv + [factors]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --alpha needs {arch.n_blocks} factors, one per block, got {arch.n_blocks + 1}\n"
+        )
         with pytest.raises(SystemExit) as exc:
-            main(["transport", "--base", str(tmp_path / "no_base"), "--task-vector",
-                  str(tmp_path / "no_tv"), "--perm", str(tmp_path / "no.perm"), "--out", out,
-                  "--alpha", alpha, "--alpha-file", str(alpha_file)])
+            main(argv + [""])
         assert exc.value.code == 1
-        error_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(error_lines) == 1 and "not allowed with argument" in error_lines[0]
+        assert "error: argument --alpha: expected a finite number >= 0, got ''" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 
@@ -616,21 +593,16 @@ class TestPerTensorPort:
         self._expected(subcommand, graph, paths, expect)
         assert self._files(out) == self._files(expect)
 
-    @pytest.mark.parametrize("alpha", ["0.1", repr(1 / 3), "0.75", "1e-7", "7.5", "0.3\n1.7\n"])
+    @pytest.mark.parametrize("alpha", ["0.1", repr(1 / 3), "0.75", "1e-7", "7.5", "0.3,1.7"])
     def test_transport_scalings_equal_the_in_memory_api(self, port, alpha):
         """The streamed transport scales the float32 record of the moved task
         vector in float64, as the in-memory API does: for these factors a
         product rounded to float32 first would change the output bytes.  The
-        last case is one factor per block through ``--alpha-file``."""
+        last case is one factor per block."""
         tmp_path, graph, paths = port
-        if "\n" in alpha:
-            alpha_file = tmp_path / "alphas.txt"
-            alpha_file.write_text(alpha)
-            scaling, factors = ["--alpha-file", str(alpha_file)], [float(f) for f in alpha.split()]
-        else:
-            scaling, factors = ["--alpha", alpha], float(alpha)
+        factors = [float(f) for f in alpha.split(",")] if "," in alpha else float(alpha)
         out, expect = str(tmp_path / "out"), str(tmp_path / "expect")
-        assert main(self._argv("transport", paths, out, scaling)) == 0
+        assert main(self._argv("transport", paths, out, ["--alpha", alpha])) == 0
         self._expected("transport", graph, paths, expect, factors)
         assert self._files(out) == self._files(expect)
 
@@ -1157,6 +1129,36 @@ class TestOutputInsideInput:
         read_eval_batch(batch)
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written is refused before any input is read
+    (the inputs here do not exist) or, for ``demo``, before training."""
+
+    @pytest.mark.parametrize("subcommand, flag, target", [
+        ("match", "--trace", "nodir/t.txt"),
+        ("match", "--trace", "a"),
+        ("lmc", "--out", "nodir/c.csv"),
+        ("lmc", "--out", "a"),
+    ])
+    def test_refused_before_reading(self, tmp_path, capsys, subcommand, flag, target):
+        """``match --trace`` is refused before ``--out`` is written."""
+        other, name = ("--out", "x.perm") if subcommand == "match" else ("--batch", "no_batch")
+        argv = [subcommand, "--model-a", str(tmp_path / "no_a"), "--model-b", str(tmp_path / "no_b"),
+                other, str(tmp_path / name)]
+        _check_unwritable_refused(tmp_path, capsys, argv, flag, target)
+
+    def test_demo_out_dir_that_is_a_file_refused_before_training(self, tmp_path, capsys, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("trained before checking --out-dir")
+
+        monkeypatch.setattr(cli_mod, "train_toy", not_reached)
+        out = tmp_path / "f"
+        out.write_bytes(b"keep")
+        assert main(["demo", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --out-dir {out} is not a directory\n"
+        assert out.read_bytes() == b"keep" and os.listdir(tmp_path) == ["f"]
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("subcommand", ["lmc", "verify"])
     def test_exhausted_memory_exit_one(self, workspace, subcommand):
@@ -1204,3 +1206,29 @@ def test_module_runs_as_a_script():
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: taskport")
+
+
+def _subcommand_parsers():
+    """Each subcommand's parser, by name."""
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("subcommand", sorted(_subcommand_parsers()))
+def test_no_flag_takes_an_abbreviation(capsys, subcommand):
+    """Every proper prefix of a long option, from ``--`` and one letter up
+    (``verify --mod``, ``demo --out``), is an unrecognized argument (exit 1),
+    not that option, so a flag added later cannot make a prefix that works
+    today ambiguous.  The required flags are given, so only the prefix can
+    be refused."""
+    parser = _subcommand_parsers()[subcommand]
+    argv = [subcommand] + [arg for a in parser._actions if a.required for arg in (a.option_strings[0], "x")]
+    options = {option: action for action in parser._actions for option in action.option_strings}
+    for option, action in options.items():
+        for prefix in (option[:end] for end in range(3, len(option))):
+            if prefix in options:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [prefix] + ([] if action.nargs == 0 else ["x"]))
+            assert exc.value.code == 1, prefix
+            assert f"error: unrecognized arguments: {prefix}" in capsys.readouterr().err, prefix

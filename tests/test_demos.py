@@ -1,11 +1,12 @@
 """The walkthroughs under ``demos/`` and the README's library tour run clean,
-and every public name resolves.
+the README's command lines parse, and every public name resolves.
 
 Each script runs in its own interpreter from an empty working directory, with
 the package found the same way this test found it.
 """
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import taskport
+from taskport.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -45,6 +47,17 @@ def test_readme_library_tour_runs(tmp_path):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     _run_clean(["-c", tour], tmp_path)
+
+
+def test_readme_command_lines_parse():
+    """Each ``taskport`` line of the README's command-line block names only
+    flags the parser takes; the lines are parsed, not run."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("taskport ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_every_public_name_resolves():

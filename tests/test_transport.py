@@ -234,11 +234,7 @@ class TestFloat32Sum:
         """Block 0 (and the embedding) adds in float32, block 1 (and the
         classifier) multiplies by 0.37 in float64, in one call."""
         pair = np.array([1.0, F32_MAX / 3, 1e-30], dtype=np.float32)
-        alpha_file = tmp_path / "alphas.txt"
-        alpha_file.write_text("1\n0.37\n")
-        d = tmp_path / "port"
-        d.mkdir()
-        code, err, expect = self._port(str(d), pair, pair, ["--alpha-file", str(alpha_file)], [1.0, 0.37])
+        code, err, expect = self._port(str(tmp_path), pair, pair, ["--alpha", "1,0.37"], [1.0, 0.37])
         assert code == 0 and err == "" and expect is not None
 
 
