@@ -9,8 +9,8 @@ A checkpoint is a directory holding ``manifest.json`` and ``tensors.bin``:
 * ``tensors.bin`` - concatenated raw little-endian float32 values at the
   declared offsets.
 
-Values are stored as float32 on disk; ``read_container`` promotes them to
-float64, so ``write -> read -> write`` is byte stable.  A permutation
+Values are stored as float32 on disk, and ``read_container`` returns them
+as float32 arrays, so ``write -> read -> write`` is byte stable.  A permutation
 assignment is a UTF-8 text file with one ``<variable_id> : i0,i1,...``
 record per variable; attention variables may be stored either flat over the
 full width or as a ``*.inter`` record plus one ``*.intra.<h>`` per head.
@@ -163,13 +163,16 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WeightSet:
-    """All parameters of one model, keyed by canonical tensor name."""
+    """All parameters of one model, keyed by canonical tensor name.  Float32
+    and float64 arrays are kept as given, any other dtype is promoted to
+    float64; every product promotes its operands to float64, exactly."""
 
     arch: ArchSpec
     tensors: dict[str, np.ndarray]
 
     def __post_init__(self):
-        arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in self.tensors.items()}
+        arrays = {name: np.asarray(arr) for name, arr in self.tensors.items()}
+        arrays = {name: a if a.dtype in (np.float32, np.float64) else a.astype(np.float64) for name, a in arrays.items()}
         names = check_tensor_set(self.arch, {name: arr.shape for name, arr in arrays.items()})
         for name in names:
             require_finite(name, arrays[name])
@@ -307,7 +310,7 @@ class ContainerReader:
     tensor names and shapes are checked on opening, before any tensor data
     is read.  ``reader[name]`` is the finite float32 record as a read-only
     view of one reused scratch buffer, valid until the reader's next read;
-    ``read_container`` gives owned float64 copies instead.  The blob's handle
+    ``read_container`` gives owned float32 copies instead.  The blob's handle
     stays open for the ``with`` block, so an output renamed over the
     container leaves the bytes it reads unchanged."""
 
@@ -370,11 +373,11 @@ class ContainerReader:
 
 
 def read_container(path: str, expect_kind: str | None = None) -> tuple[ArchSpec, str, dict[str, np.ndarray]]:
-    """Every record of a ``ContainerReader`` as an owned float64 array, in
+    """Every record of a ``ContainerReader`` as an owned float32 array, in
     manifest order, not yet checked for finite values; the blob is never in
     memory at once."""
     with ContainerReader(path, expect_kind) as reader:
-        return reader.arch, reader.kind, {name: reader._record(name).astype(np.float64) for name in reader.shapes}
+        return reader.arch, reader.kind, {name: reader._record(name).copy() for name in reader.shapes}
 
 
 def write_checkpoint(ws: WeightSet, path: str) -> None:

@@ -214,8 +214,12 @@ def cmd_demo(args) -> int:
     """End-to-end pipeline on synthetic models: train a toy model, hide it
     behind a random structured permutation plus noise, re-discover the
     permutation, certify equivalence, and compare interpolation curves."""
-    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
-        raise ValueError(f"--out-dir {args.out_dir} is not a directory")
+    existing = os.path.abspath(args.out_dir)  # refused before training: its nearest existing ancestor
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        where = "" if existing == os.path.abspath(args.out_dir) else f": {existing}"
+        raise ValueError(f"--out-dir {args.out_dir}{where} is not a directory")
     arch = ArchSpec(
         n_blocks=args.blocks,
         n_heads=args.heads,

@@ -52,8 +52,9 @@ def _value_matrix(
     for name, (rows, cols) in graph.matrices.items():
         if var_id not in (rows, cols):
             continue
-        tilde = permuted_tensor(ws_a, graph, assignment, name, var_id)
-        term = ws_b[name] @ tilde.T if rows == var_id else ws_b[name].T @ tilde
+        tilde = np.asarray(permuted_tensor(ws_a, graph, assignment, name, var_id), dtype=np.float64)
+        b = np.asarray(ws_b[name], dtype=np.float64)
+        term = b @ tilde.T if rows == var_id else b.T @ tilde
         if value is None:
             value = term
         else:
@@ -109,7 +110,7 @@ def matching_objective(
     graph.check_assignment(assignment)
     total = 0.0
     for name in graph.matrices:
-        total += float(np.sum(ws_b[name] * permuted_tensor(ws_a, graph, assignment, name)))
+        total += float(np.sum(np.multiply(ws_b[name], permuted_tensor(ws_a, graph, assignment, name), dtype=np.float64)))
     return total
 
 
@@ -150,9 +151,9 @@ def weight_match(
         if graph.variables[var_id].is_attention:
             # the matrices whose rows the variable permutes, in graph order: q, k, v
             qkv = [name for name, (rows, _) in graph.matrices.items() if rows == var_id]
-            pairings[var_id] = pair_heads(
-                tuple(ws_a[name] for name in qkv),
-                tuple(ws_b[name] for name in qkv),
+            pairings[var_id] = pair_heads(  # spectra in float64, whatever the weights' dtype
+                tuple(np.asarray(ws_a[name], dtype=np.float64) for name in qkv),
+                tuple(np.asarray(ws_b[name], dtype=np.float64) for name in qkv),
                 graph.arch.n_heads,
             )
             assignment.heads[var_id] = graph.arch.n_heads

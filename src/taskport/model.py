@@ -2,7 +2,9 @@
 
 This is the reference harness used to certify that permuted weight sets are
 functionally equivalent, to draw interpolation (mode-connectivity) curves,
-and to drive desk-scale experiments.  Blocks follow the pre-norm-free layout
+and to drive desk-scale experiments.  Weights may be float32, as read from a
+checkpoint, or float64; each product promotes them to float64, exactly.
+Blocks follow the pre-norm-free layout
 
     z_attn = W0 * MHA(x) + b0
     z_mid  = z_attn + skip1(x)
@@ -95,8 +97,8 @@ def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     var = np.mean(x * x, axis=-1, keepdims=True)
     istd = 1.0 / np.sqrt(var + _LN_EPS)
     x *= istd
-    y = gain * x
-    y += bias
+    y = np.asarray(gain, dtype=np.float64) * x
+    y += np.asarray(bias, dtype=np.float64)
     return y, (x, istd)
 
 
@@ -120,10 +122,11 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """``x @ w.T + b`` over the last axis of ``x``, as one GEMM on the
-    flattened ``(-1, d_in)`` rows; the bias is added in place."""
+    flattened ``(-1, d_in)`` rows, in float64; the bias is added in place."""
+    w = np.asarray(w, dtype=np.float64)
     y = (x.reshape(-1, x.shape[-1]) @ w.T).reshape(x.shape[:-1] + (w.shape[0],))
     if b is not None:
-        y += b
+        y += np.asarray(b, dtype=np.float64)
     return y
 
 
@@ -194,7 +197,7 @@ def _forward(ws: WeightSet, X: np.ndarray, residual_perms=None, cache: dict | No
             blocks.append(c)
 
     pooled = z.mean(axis=1)
-    logits = pooled @ ws["head.weight"].T
+    logits = pooled @ np.asarray(ws["head.weight"], dtype=np.float64).T
     if cache is not None:
         cache.update(X=X, blocks=blocks, z_final=z, pooled=pooled)
     return logits
@@ -325,7 +328,7 @@ def init_random(arch: ArchSpec, seed: int) -> WeightSet:
 def train_toy(ws: WeightSet, batch: EvalBatch, steps: int, lr: float) -> WeightSet:
     """Full-batch gradient descent on cross-entropy; deterministic.  The loss
     is checked before every step and at the weights the last step leaves."""
-    current = ws.copy()
+    current = WeightSet(ws.arch, {name: arr.astype(np.float64) for name, arr in ws.tensors.items()})
     for step in range(steps + 1):
         try:
             if step < steps:
@@ -409,8 +412,9 @@ def lmc_curve(ws_left: WeightSet, ws_right: WeightSet, batch: EvalBatch, n_point
     alphas = np.linspace(0.0, 1.0, n_points)
     losses = np.empty(n_points)
     for idx, alpha in enumerate(alphas):
-        mixed = {
-            name: (1.0 - alpha) * ws_left.tensors[name] + alpha * ws_right.tensors[name]
+        mixed = {  # float64 by name, not by alpha's type: a Python float keeps float32 (NEP 50)
+            name: np.multiply(1.0 - alpha, ws_left[name], dtype=np.float64)
+            + np.multiply(alpha, ws_right[name], dtype=np.float64)
             for name in ws_left.tensors
         }
         losses[idx] = batch_loss(WeightSet(ws_left.arch, mixed), batch)

@@ -11,10 +11,11 @@ models, and one matched assignment can carry any number of task vectors.
 Computing and transporting are each written once (``task_vector_tensors``,
 ``transported_tensors``): checked on the call, then one tensor at a time in
 canonical order, reading only ``ws.arch`` and ``ws[name]``.  The in-memory
-API collects them from float64 weight sets; the command line streams them
-from the float32 records of open containers to disk, to the same bytes.  It
-subtracts, and adds at a factor of 1, in float32, which gives float64's
-answer rounded to float32; any other factor is applied in float64.
+API collects them in float64, promoting a float32 weight set one tensor at a
+time; the command line streams them from the float32 records of open
+containers to disk, to the same bytes.  It subtracts, and adds at a factor
+of 1, in float32, which gives float64's answer rounded to float32; any other
+factor is applied in float64.
 """
 
 from __future__ import annotations
@@ -37,9 +38,20 @@ def task_vector_tensors(ws_finetuned, ws_base):
     return (ws_finetuned[name] - ws_base[name] for name in ws_base.arch.tensor_shapes())
 
 
+class _InFloat64:
+    """A weight set read one tensor at a time, promoted to float64."""
+
+    def __init__(self, ws: WeightSet):
+        self.arch, self._ws = ws.arch, ws
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return np.asarray(self._ws[name], dtype=np.float64)
+
+
 def compute_task_vector(ws_finetuned: WeightSet, ws_base: WeightSet) -> WeightSet:
-    """Elementwise difference fine-tuned minus base."""
-    return WeightSet(ws_base.arch, dict(zip(ws_base.tensors, task_vector_tensors(ws_finetuned, ws_base))))
+    """Elementwise difference fine-tuned minus base, in float64."""
+    diffs = task_vector_tensors(_InFloat64(ws_finetuned), _InFloat64(ws_base))
+    return WeightSet(ws_base.arch, dict(zip(ws_base.tensors, diffs)))
 
 
 def transported_tensors(ws_base, tv, graph: CouplingGraph, assignment: PermutationAssignment, scaling=1.0):
@@ -81,10 +93,10 @@ def transport(
     scaling=1.0,
 ) -> WeightSet:
     """New base plus the permuted task vector scaled by ``scaling``, as
-    ``transported_tensors`` defines it.
+    ``transported_tensors`` defines it, in float64.
 
     Never re-matches: the assignment is taken as given, so a single matching
     run serves any number of vectors.
     """
-    ported = transported_tensors(ws_base, tv, graph, assignment, scaling)
+    ported = transported_tensors(_InFloat64(ws_base), _InFloat64(tv), graph, assignment, scaling)
     return WeightSet(ws_base.arch, dict(zip(ws_base.tensors, ported)))

@@ -173,7 +173,7 @@ class TestCheckpointRoundTrip:
 class TestContainerReader:
     """``reader[name]`` is the checked float32 record itself, a read-only view
     of the reader's one scratch buffer; ``read_container`` gives an owned
-    float64 copy of each record."""
+    float32 copy of each record."""
 
     def test_item_is_a_read_only_float32_view(self, tmp_path, toy_arch):
         ws = _random_weight_set(toy_arch, 16)
@@ -189,7 +189,7 @@ class TestContainerReader:
                     record[(0,) * record.ndim] = 1.0
                 promoted = record.astype(np.float64)
                 owned = copies[name]
-                assert owned.dtype == np.float64 and owned.flags.writeable and owned.flags.owndata
+                assert owned.dtype == np.float32 and owned.flags.writeable and owned.flags.owndata
                 np.testing.assert_array_equal(owned, promoted)
                 np.testing.assert_array_equal(owned, ws[name])
             first, second = reader["block.0.mlp.fc1.weight"], reader["block.0.mlp.fc2.weight"]
@@ -208,7 +208,7 @@ class TestContainerReader:
             with pytest.raises(NonFiniteTensorError, match="'block.1.attn.v.weight'"):
                 reader["block.1.attn.v.weight"]
             reader["block.1.attn.q.weight"]  # other records still read
-        raw = read_container(path)[2]["block.1.attn.v.weight"]  # the unchecked float64 copy
+        raw = read_container(path)[2]["block.1.attn.v.weight"]  # the unchecked float32 copy
         np.testing.assert_array_equal(raw.flat[7], bad)  # nan equals nan here
 
 

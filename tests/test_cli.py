@@ -1158,6 +1158,21 @@ class TestUnwritableOutput:
         assert captured.out == "" and captured.err == f"error: --out-dir {out} is not a directory\n"
         assert out.read_bytes() == b"keep" and os.listdir(tmp_path) == ["f"]
 
+    def test_demo_out_dir_under_a_file_refused_before_training(self, tmp_path, capsys, monkeypatch):
+        """A missing ``--out-dir`` whose nearest existing ancestor is a file
+        could never be made: refused before training, naming that file."""
+        def not_reached(*args, **kwargs):
+            raise AssertionError("trained before checking --out-dir")
+
+        monkeypatch.setattr(cli_mod, "train_toy", not_reached)
+        blocker = tmp_path / "f"
+        blocker.write_bytes(b"keep")
+        out = blocker / "sub" / "deeper"
+        assert main(["demo", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --out-dir {out}: {blocker} is not a directory\n"
+        assert blocker.read_bytes() == b"keep" and os.listdir(tmp_path) == ["f"]
+
 
 class TestOutOfMemory:
     @pytest.mark.parametrize("subcommand", ["lmc", "verify"])

@@ -119,7 +119,7 @@ def _check_container(manifest: bytes, blob: bytes) -> None:
     assert [rec["name"] for rec in records] == list(tensors)
     for rec in records:
         arr = tensors[rec["name"]]
-        assert arr.dtype == np.float64 and list(arr.shape) == rec["shape"]
+        assert arr.dtype == np.float32 and list(arr.shape) == rec["shape"]
         stored = np.frombuffer(blob, "<f4", count=arr.size, offset=rec["offset"]).reshape(arr.shape)
         assert np.array_equal(arr, stored, equal_nan=True)
     assert sum(4 * arr.size for arr in tensors.values()) == len(blob)

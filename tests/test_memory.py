@@ -2,15 +2,16 @@
 
 ``tracemalloc`` sees numpy's array buffers, so each bound counts every
 array a call allocates and still holds at its peak.  A read holds the model
-it returns plus one record in flight; a write holds one or two tensors'
-float32 bytes; an in-memory transport holds its output plus the
+it returns, in its records' float32, plus one record in flight; a write
+holds one or two tensors' float32 bytes; an in-memory transport holds its output plus the
 temporaries of one tensor; the ``apply``, ``task-vector`` and ``transport``
 subcommands hold no model at all, only the float32 scratch buffer of each
 input and of the permutation, and the temporaries of one tensor; a verify
 holds the permuted model plus the activations of its batch slices, at most
 128 samples each, whose buffers the forward pass reuses in place, and the
-``verify`` subcommand the model it read too; a LAP solve holds its negated
-cost matrix and one reduced-cost matrix.
+``verify`` subcommand the model it read too; the ``match`` subcommand holds
+the two float32 models it read plus one value matrix and its solve; a LAP
+solve holds its negated cost matrix and one reduced-cost matrix.
 """
 
 import tracemalloc
@@ -27,7 +28,7 @@ from taskport.checkpoint import (
     write_task_vector,
 )
 from taskport.cli import main
-from taskport.coupling import build_coupling_graph
+from taskport.coupling import apply_assignment, build_coupling_graph
 from taskport.lap import solve_max
 from taskport.model import init_random, verify_equivalence
 from taskport.transport import compute_task_vector, transport
@@ -57,9 +58,11 @@ def _peak_ratio(ws, fn, *args) -> float:
 
 
 def test_read_holds_the_model_plus_one_record(model, tmp_path):
+    """Measured 0.59x: the float32 model plus the reader's scratch buffer;
+    1.09x while the records were promoted to float64."""
     path = str(tmp_path / "ckpt")
     write_checkpoint(model, path)
-    assert _peak_ratio(model, read_checkpoint, path) <= 1.2
+    assert _peak_ratio(model, read_checkpoint, path) <= 0.7
 
 
 def test_write_streams_one_tensor_at_a_time(model, tmp_path):
@@ -106,16 +109,30 @@ def test_port_subcommands_hold_one_tensor_at_a_time(model, tmp_path, subcommand,
     assert _peak_ratio(model, main, argv + ["--out", paths["out"]]) <= bound
 
 
-def test_verify_subcommand_holds_the_model_twice(model, tmp_path, capsys):
-    """Measured 2.19x at ``--samples 2``: ``verify`` reads the model in
-    float64 and permutes a float64 copy of it, next to which two samples'
-    activations are small."""
+def test_verify_subcommand_holds_the_float32_model_twice(model, tmp_path, capsys):
+    """Measured 1.46x at ``--samples 2``: ``verify`` reads the model in
+    float32 and permutes a float32 copy of it; each product promotes one
+    weight to float64, and two samples' activations are small.  It measured
+    2.25x while the model was read into float64."""
     path, perm = str(tmp_path / "model"), str(tmp_path / "a.perm")
     write_checkpoint(model, path)
     graph = build_coupling_graph(ARCH, "compose")
     write_permutation_assignment(graph.random_assignment(np.random.default_rng(1)), perm)
-    assert _peak_ratio(model, main, ["verify", "--model", path, "--perm", perm, "--samples", "2"]) <= 2.4
+    assert _peak_ratio(model, main, ["verify", "--model", path, "--perm", perm, "--samples", "2"]) <= 1.6
     assert capsys.readouterr().out.startswith("max deviation ")
+
+
+def test_match_subcommand_holds_two_float32_models(model, tmp_path):
+    """Measured 3.09x over 2 sweeps: the two float32 models, plus one value
+    matrix, its operands promoted to float64 and the LAP's cost matrices.
+    It measured 4.09x while both models were read into float64."""
+    path_a, path_b = str(tmp_path / "a"), str(tmp_path / "b")
+    write_checkpoint(model, path_a)
+    graph = build_coupling_graph(ARCH, "compose")
+    write_checkpoint(apply_assignment(model, graph, graph.random_assignment(np.random.default_rng(2))), path_b)
+    argv = ["match", "--model-a", path_a, "--model-b", path_b, "--out", str(tmp_path / "a.perm"),
+            "--max-sweeps", "2"]
+    assert _peak_ratio(model, main, argv) <= 3.4
 
 
 def _verify_peak_ratio(ws, monkeypatch, cores: int, n_samples: int = 1000) -> float:
